@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import ed, entanglement, observables, parent
-from .checks import VerifyConfig, run_verify
+from .checks import VerifyConfig, run_verify, worst_error
 from .ed import state_expectation_one, state_expectation_two
 from .entanglement import concurrence_closed, scaling_limit
 from .model import ModelParams, mps_matrices
@@ -24,6 +24,7 @@ from .pauli import SX, SY, SZ
 
 DEFAULT_G_VALUES = [-2.0, -0.5, 0.3, 0.7, 1.0, 1.5]
 FIGURE1_SIZES = [6, 7, 8, 9, 10, 20, 30, 40, 50]
+DEFAULT_G_STEPS = 41
 
 
 def _fmt(x):
@@ -47,16 +48,19 @@ def _write_lines(path, lines):
 
 def _g_grid(args, default=None):
     if args.g_min is None and args.g_max is None:
+        if args.g_steps is not None:
+            raise ValueError("--g-steps needs --g-min or --g-max")
         return list(default) if default is not None else None
     g_min = args.g_min if args.g_min is not None else args.g_max
     g_max = args.g_max if args.g_max is not None else args.g_min
+    steps = args.g_steps if args.g_steps is not None else DEFAULT_G_STEPS
     if g_min > g_max:
-        raise SystemExit(2)
-    if args.g_steps < 1:
-        raise SystemExit(2)
-    if args.g_steps == 1:
+        raise ValueError(f"--g-min {g_min} exceeds --g-max {g_max}")
+    if steps < 1:
+        raise ValueError(f"--g-steps must be at least 1, got {steps}")
+    if steps == 1:
         return [g_min]
-    return list(np.linspace(g_min, g_max, args.g_steps))
+    return list(np.linspace(g_min, g_max, steps))
 
 
 def _n_list(args, default):
@@ -208,15 +212,21 @@ def cmd_ed_compare(args):
         p = ModelParams(epsilon=eps, eta=eta, g=g, j=args.j, n=n)
         h_coupling = parent.assemble_chain_h(p, form="coupling")
         h_proj = parent.assemble_chain_h(p, form="projector")
+        # the two forms share eigenvectors, so one eigensolve serves both
         spec = ed.dense_spectrum(h_coupling)
+        energy = ed.rayleigh_quotient(h_coupling, spec.ground_vectors[:, 0])
         expected = -n * parent.constant_shift(p)
-        psi = explicit_ground_state(p)
-        res, ov = ed.ground_membership(h_proj, psi)
-        worst = max(worst, abs(spec.eigenvalues[0] - expected), res, 1 - ov)
+        res, ov = ed.ground_membership(h_proj, explicit_ground_state(p), spec)
+        dev = worst_error(abs(spec.eigenvalues[0] - expected), abs(energy - expected),
+                          res, 1 - ov)
+        if not math.isfinite(dev):
+            print(f"error: non-finite energy, residual or overlap at epsilon={eps}, "
+                  f"eta={eta}, g={_fmt(g)}, N={n}", file=sys.stderr)
+        worst = worst_error(worst, dev)
         lines.append(
             ",".join(
                 [str(eps), str(eta), _fmt(g), _fmt(args.j), str(n),
-                 _fmt(spec.eigenvalues[0]), _fmt(expected), _fmt(res), _fmt(ov),
+                 _fmt(energy), _fmt(expected), _fmt(res), _fmt(ov),
                  str(spec.ground_space_dim)]
             )
         )
@@ -252,8 +262,9 @@ def build_parser():
                         default=None, help="comma-separated ring sizes")
         sp.add_argument("--g-min", type=float, default=None)
         sp.add_argument("--g-max", type=float, default=None)
-        sp.add_argument("--g-steps", type=int, default=41,
-                        help="number of grid samples between g-min and g-max")
+        sp.add_argument("--g-steps", type=int, default=None,
+                        help="number of grid samples between g-min and g-max "
+                        f"(default {DEFAULT_G_STEPS})")
         sp.add_argument("--output", default=None, help="output file (default stdout)")
         sp.add_argument("--tolerance", type=float, default=1e-10)
         sp.add_argument("--check", action="store_true",
@@ -275,8 +286,6 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

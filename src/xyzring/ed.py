@@ -12,6 +12,7 @@ from .parent import assemble_chain_h
 
 DEGENERACY_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
+QUOTIENT_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -24,8 +25,13 @@ class SpectrumResult:
 
 
 def dense_spectrum(h, degeneracy_tol=DEGENERACY_TOL):
-    """Full Hermitian spectrum and the eigenspace of the minimum."""
-    h = np.asarray(h, dtype=complex)
+    """Full Hermitian spectrum and the eigenspace of the minimum.
+
+    Real input stays real, so a real symmetric matrix is diagonalized in
+    float64 and its ground vectors come out real.
+    """
+    h = np.asarray(h)
+    h = h.astype(complex if np.iscomplexobj(h) else float, copy=False)
     if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh(h)
@@ -35,19 +41,40 @@ def dense_spectrum(h, degeneracy_tol=DEGENERACY_TOL):
     )
 
 
-def ground_membership(h, psi, degeneracy_tol=DEGENERACY_TOL):
+def rayleigh_quotient(h, v):
+    """<v|H|v> / <v|v> accumulated in long double.
+
+    Evaluated on an eigenvector of h, the quotient is accurate to second
+    order in the eigenvector error, so it does not carry the last-digit
+    noise of the eigensolver's eigenvalue. H is converted a block of rows
+    at a time to bound the long-double copy.
+    """
+    v = np.asarray(v)
+    dtype = np.clongdouble if np.iscomplexobj(h) or np.iscomplexobj(v) else np.longdouble
+    v = v.astype(dtype)
+    num = dtype(0)
+    for start in range(0, len(v), QUOTIENT_BLOCK_ROWS):
+        stop = start + QUOTIENT_BLOCK_ROWS
+        num += np.vdot(v[start:stop], np.asarray(h[start:stop], dtype=dtype) @ v)
+    return float((num / np.vdot(v, v)).real)
+
+
+def ground_membership(h, psi, spectrum=None, degeneracy_tol=DEGENERACY_TOL):
     """(residual norm, overlap with the ground space) of a normalized state.
 
     residual = ||H psi - <psi|H|psi> psi||; overlap = ||P_ground psi||.
+    spectrum: a precomputed dense_spectrum of h or of any h + c*identity
+    (the same eigenvectors); computed from h when omitted.
     """
     vec = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi, complex)
     if abs(np.linalg.norm(vec) - 1) > 1e-10:
         raise ValueError("state is not normalized")
-    spec = dense_spectrum(h, degeneracy_tol)
-    hv = np.asarray(h, dtype=complex) @ vec
+    if spectrum is None:
+        spectrum = dense_spectrum(h, degeneracy_tol)
+    hv = np.asarray(h) @ vec
     energy = np.vdot(vec, hv)
     residual = float(np.linalg.norm(hv - energy * vec))
-    proj = spec.ground_vectors.conj().T @ vec
+    proj = spectrum.ground_vectors.conj().T @ vec
     return residual, float(np.linalg.norm(proj))
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import couplings_from_params
-from .pauli import PAULI, PAULI_LABELS, SX, SY, SZ, op_on_sites, ring_bond_operator
+from .pauli import PAULI, PAULI_LABELS, SI, SX, SY, SZ
 
 DENSE_CAP = 12
 
@@ -103,30 +103,44 @@ def pauli_reconstruct(coeffs):
     return h2
 
 
+def _ring_sum(h2, n):
+    """Dense real sum over the ring bonds of a real two-site operator h2.
+
+    Bond l acts on sites (l, l+1) as h2[(s_l' s_{l+1}'), (s_l s_{l+1})],
+    and bond n wraps around to (n, 1). Site k is bit n-k of a basis index,
+    so each bond maps a column to four rows by rewriting two bits.
+    """
+    dim = 2**n
+    cols = np.arange(dim)
+    h_total = np.zeros((dim, dim))
+    for l in range(1, n + 1):
+        shift_a, shift_b = n - l, n - (l % n + 1)
+        pair = 2 * ((cols >> shift_a) & 1) + ((cols >> shift_b) & 1)
+        rest = cols & ~((1 << shift_a) | (1 << shift_b))
+        for out in range(4):
+            rows = rest | ((out >> 1) << shift_a) | ((out & 1) << shift_b)
+            h_total[rows, cols] += h2[out, pair]
+    return h_total
+
+
 def assemble_chain_h(p, form="projector"):
-    """Dense ring Hamiltonian on 2^n dimensions.
+    """Dense real ring Hamiltonian on 2^n dimensions (float64).
 
     form="projector": sum of embedded local projectors h_{l,l+1}
     (positive semidefinite, annihilates the MPS state).
     form="coupling": the coupling form with couplings_from_params; equals the
     projector form minus n*c0*identity.
+    Both forms are real because sigma_y x sigma_y is a real matrix.
     """
     n = p.n
     if n > DENSE_CAP:
         raise ValueError(f"ring size {n} exceeds dense cap {DENSE_CAP}")
-    dim = 2**n
-    h_total = np.zeros((dim, dim), dtype=complex)
     if form == "projector":
         h2 = local_h(p)
-        for l in range(1, n + 1):
-            h_total += ring_bond_operator(h2, n, l)
     elif form == "coupling":
         c = couplings_from_params(p)
-        for l in range(1, n + 1):
-            h_total += c.jx * ring_bond_operator(np.kron(SX, SX), n, l)
-            h_total += c.jy * ring_bond_operator(np.kron(SY, SY), n, l)
-            h_total += c.jz * ring_bond_operator(np.kron(SZ, SZ), n, l)
-            h_total += c.b * op_on_sites(n, {l: SX})
+        h2 = (c.jx * np.kron(SX, SX) + c.jy * np.kron(SY, SY)
+              + c.jz * np.kron(SZ, SZ) + c.b * np.kron(SX, SI))
     else:
         raise ValueError(f"unknown form {form!r}")
-    return h_total
+    return _ring_sum(h2.real, n)

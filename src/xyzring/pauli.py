@@ -27,15 +27,3 @@ def op_on_sites(n, site_ops):
     """Dense 2^n x 2^n operator from a {site: 2x2 matrix} dict (1-based sites)."""
     return kron_all(site_ops.get(k, SI) for k in range(1, n + 1))
 
-
-def ring_bond_operator(h, n, l):
-    """Embed a two-site operator h (4x4) on the ring bond (l, l+1).
-
-    Bond n wraps around to act on sites (n, 1).
-    """
-    if l < n:
-        return kron_all([np.eye(2 ** (l - 1)), h, np.eye(2 ** (n - l - 1))])
-    # wrap-around bond: h acts on (site n, site 1)
-    ht = np.asarray(h, dtype=complex).reshape(2, 2, 2, 2)  # [n', 1', n, 1]
-    mid = np.eye(2 ** (n - 2))
-    return np.einsum("qpsr,mn->pmqrns", ht, mid).reshape(2**n, 2**n)

@@ -1,8 +1,12 @@
 import csv
 import json
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from xyzring import ed
 from xyzring.cli import main
 
 
@@ -99,6 +103,25 @@ class TestSweep:
                      "--output", str(tmp_path / "x.csv")]) == 2
 
 
+class TestGridInput:
+    @pytest.mark.parametrize("argv,message", [
+        (["figure1", "--g-steps", "10001"], "--g-steps needs"),
+        (["sweep", "--g-min", "2", "--g-max", "1"], "exceeds --g-max"),
+        (["figure2", "--g-min", "0", "--g-max", "1", "--g-steps", "0"], "at least 1"),
+    ])
+    def test_rejected_with_message(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "x.csv"
+        assert main(argv + ["--output", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_default_steps_with_range(self, tmp_path):
+        code, rows, _ = run_csv(tmp_path, ["sweep", "--n", "4", "--g-min", "0",
+                                           "--g-max", "1"])
+        assert code == 0
+        assert len(rows) == 41
+
+
 class TestFigure1:
     def test_columns_and_ordering(self, tmp_path):
         code, rows, _ = run_csv(
@@ -170,7 +193,44 @@ class TestEdCompare:
             by_g.setdefault(row["g"], set()).add(row["energy_ed"])
         assert all(len(vals) == 1 for vals in by_g.values())
 
+    def test_energy_is_ground_vector_quotient(self, tmp_path):
+        code, rows, _ = run_csv(tmp_path, ["ed-compare", "--n-list", "4,6,8"])
+        assert code == 0
+        assert len(rows) == 72
+        assert all(row["energy_ed"] == row["energy_expected"] for row in rows)
+
     def test_cap_rejected(self, tmp_path, capsys):
         assert main(["ed-compare", "--n", "14",
                      "--output", str(tmp_path / "x.csv")]) == 2
         assert "cap" in capsys.readouterr().err
+
+
+def _nan_spectrum(field):
+    """dense_spectrum with a NaN put into one field of its result."""
+    real = ed.dense_spectrum
+
+    def spectrum(h, *args, **kwargs):
+        spec = real(h, *args, **kwargs)
+        value = getattr(spec, field).copy()
+        value.flat[0] = np.nan
+        return dataclasses.replace(spec, **{field: value})
+
+    return spectrum
+
+
+class TestNanFails:
+    @pytest.mark.parametrize("field", ["eigenvalues", "ground_vectors"])
+    def test_ed_compare(self, tmp_path, capsys, monkeypatch, field):
+        monkeypatch.setattr(ed, "dense_spectrum", _nan_spectrum(field))
+        code, rows, _ = run_csv(tmp_path, ["ed-compare", "--n", "4", "--g-min", "0.3",
+                                           "--g-max", "0.3", "--g-steps", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: non-finite energy, residual or overlap" in err
+        assert "max deviation: nan" in err
+
+    @pytest.mark.parametrize("field", ["eigenvalues", "ground_vectors"])
+    def test_verify(self, capsys, monkeypatch, field):
+        monkeypatch.setattr(ed, "dense_spectrum", _nan_spectrum(field))
+        assert main(["verify", "--n", "4"]) == 1
+        assert "FAIL  parent-hamiltonian" in capsys.readouterr().out

@@ -11,6 +11,7 @@ from xyzring import (
     ground_membership,
     mps_state,
 )
+from xyzring.ed import rayleigh_quotient
 from xyzring.pauli import SX, op_on_sites
 
 CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
@@ -41,6 +42,11 @@ class TestDenseSpectrum:
         assert np.all(np.diff(spec.eigenvalues) >= -1e-12)
         gram = spec.ground_vectors.conj().T @ spec.ground_vectors
         assert np.max(np.abs(gram - np.eye(spec.ground_space_dim))) < 1e-10
+
+    def test_real_input_stays_real(self):
+        spec = dense_spectrum(assemble_chain_h(params(g=0.3), form="coupling"))
+        assert spec.eigenvalues.dtype == np.float64
+        assert spec.ground_vectors.dtype == np.float64
 
     def test_rejects_non_hermitian(self):
         m = np.zeros((4, 4))
@@ -74,10 +80,36 @@ class TestGroundMembership:
         _, ov = ground_membership(h, spec.ground_vectors[:, 0])
         assert ov == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("eps,eta", CLASSES)
+    def test_precomputed_spectrum_of_shifted_form(self, eps, eta):
+        # the coupling form is the projector form shifted by -n*c0, so its
+        # spectrum gives the same membership as recomputing from h_proj
+        p = params(eps, eta, g=0.7)
+        h_proj = assemble_chain_h(p, form="projector")
+        spec = dense_spectrum(assemble_chain_h(p, form="coupling"))
+        psi = explicit_ground_state(p)
+        res, ov = ground_membership(h_proj, psi, spec)
+        res_ref, ov_ref = ground_membership(h_proj, psi)
+        assert res == res_ref
+        assert ov == pytest.approx(ov_ref, abs=1e-14)
+
     def test_rejects_unnormalized(self):
         h = np.eye(4)
         with pytest.raises(ValueError):
             ground_membership(h, np.ones(4))
+
+
+class TestRayleighQuotient:
+    def test_ground_vector_gives_expected_energy(self):
+        p = params(eta=-1, g=0.3, j=0.5)
+        h = assemble_chain_h(p, form="coupling")
+        spec = dense_spectrum(h)
+        energy = rayleigh_quotient(h, spec.ground_vectors[:, 0])
+        assert energy == pytest.approx(-p.n * constant_shift(p), abs=1e-13)
+
+    def test_unnormalized_complex_vector(self):
+        h = np.array([[2.0, 1j], [-1j, 2.0]])
+        assert rayleigh_quotient(h, np.array([1.0, 1j]) * 3) == pytest.approx(1.0)
 
 
 class TestDegeneracyScan:

@@ -17,7 +17,7 @@ from xyzring import (
     pauli_decompose,
     pauli_reconstruct,
 )
-from xyzring.pauli import SX, SZ, op_on_sites
+from xyzring.pauli import PAULI, SX, SY, SZ, op_on_sites
 
 CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 G_GRID = list(np.linspace(-2, 2, 11))
@@ -229,6 +229,36 @@ class TestAssembleChain:
         h1 = assemble_chain_h(params(eta=1, g=0.7, j=1.0, n=n), form="coupling")
         hm = assemble_chain_h(params(eta=-1, g=0.7, j=1.0, n=n), form="coupling")
         assert np.max(np.abs(u @ h1 @ u.conj().T - hm)) < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("eps,eta", CLASSES)
+    def test_projector_form_matches_kron_reference(self, eps, eta, n):
+        # independent reference: every Pauli term of local_h embedded on
+        # bond (l, l+1) with op_on_sites, bond n wrapping to (n, 1)
+        p = params(eps, eta, g=0.7, j=0.6, n=n)
+        ref = np.zeros((2**n, 2**n), dtype=complex)
+        for label, c in pauli_decompose(local_h(p)).items():
+            for l in range(1, n + 1):
+                ref += c * op_on_sites(n, {l: PAULI[label[0]], l % n + 1: PAULI[label[1]]})
+        assert np.max(np.abs(assemble_chain_h(p, form="projector") - ref)) < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("eps,eta", CLASSES)
+    def test_coupling_form_matches_kron_reference(self, eps, eta, n):
+        p = params(eps, eta, g=-0.4, j=1.3, n=n)
+        c = couplings_from_params(p)
+        ref = np.zeros((2**n, 2**n), dtype=complex)
+        for l in range(1, n + 1):
+            m = l % n + 1
+            ref += c.jx * op_on_sites(n, {l: SX, m: SX})
+            ref += c.jy * op_on_sites(n, {l: SY, m: SY})
+            ref += c.jz * op_on_sites(n, {l: SZ, m: SZ})
+            ref += c.b * op_on_sites(n, {l: SX})
+        assert np.max(np.abs(assemble_chain_h(p, form="coupling") - ref)) < 1e-12
+
+    @pytest.mark.parametrize("form", ["projector", "coupling"])
+    def test_real_float64(self, form):
+        assert assemble_chain_h(params(eta=-1, g=0.3, n=6), form=form).dtype == np.float64
 
     def test_dense_cap(self):
         with pytest.raises(ValueError):
