@@ -15,7 +15,6 @@ from .model import (
 )
 from .mps import (
     PureState,
-    TransferMatrix,
     amplitude,
     bell_pair_matrices,
     build_state,

@@ -9,11 +9,10 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import ed, entanglement, observables, parent
+from . import ed, observables, parent
 from .checks import VerifyConfig, run_verify, worst_error
 from .ed import state_expectation_one, state_expectation_two
 from .entanglement import concurrence_closed, scaling_limit
@@ -71,21 +70,10 @@ def _n_list(args, default):
     return list(default)
 
 
-def _map_ordered(fn, items, workers):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_verify(args):
-    n_list = _n_list(args, [4, 6])
-    if args.eta == -1 and any(n % 2 for n in n_list):
-        print("error: eta=-1 requires even ring sizes", file=sys.stderr)
-        return 2
     cfg = VerifyConfig(
         j=args.j,
-        n_list=n_list,
+        n_list=_n_list(args, [4, 6]),
         g_values=_g_grid(args, DEFAULT_G_VALUES),
         tolerance=args.tolerance,
     )
@@ -101,8 +89,9 @@ def cmd_verify(args):
         records.append(
             json.dumps(
                 {"check": r.name, "status": r.status, "covers": r.covers,
-                 "details": _jsonable(r.details)},
+                 "details": r.details},
                 sort_keys=True,
+                default=lambda o: o.item(),  # numpy scalars
             )
         )
     records.append(json.dumps({"check": "op-coverage", "status": "pass" if coverage_ok else "fail"}))
@@ -112,22 +101,11 @@ def cmd_verify(args):
     return 1 if (failed or not coverage_ok) else 0
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def cmd_sweep(args):
     g_values = _g_grid(args, np.linspace(0.0, 2.0, 41))
     n_list = _n_list(args, [8])
 
-    def row(point):
-        g, n = point
+    def row(g, n):
         if g == -1:
             print(f"warning: skipping singular point g=-1 (n={n})", file=sys.stderr)
             return None
@@ -139,18 +117,18 @@ def cmd_sweep(args):
             errs = [abs(state_expectation_one(psi, SX, 1).real - rec.mx)]
             for op, val in ((SX, rec.gx), (SY, rec.gy), (SZ, rec.gz)):
                 errs.append(abs(state_expectation_two(psi, op, op, 1, 2).real - val))
-            if max(errs) > args.tolerance:
+            worst = worst_error(*errs)
+            if not worst <= args.tolerance:
                 raise ArithmeticError(
-                    f"cross-check failed at g={g}, n={n}: max error {max(errs)}"
+                    f"cross-check failed at g={g}, n={n}: max error {worst}"
                 )
         return ",".join(
             [_fmt(g), str(n), _fmt(rec.u), _fmt(rec.mx), _fmt(rec.gx), _fmt(rec.gy),
              _fmt(rec.gz), _fmt(c)]
         )
 
-    points = list(itertools.product(g_values, n_list))
     try:
-        rows = _map_ordered(row, points, args.workers)
+        rows = [row(g, n) for g, n in itertools.product(g_values, n_list)]
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -168,7 +146,7 @@ def cmd_figure1(args):
         return ",".join([_fmt(g)] + [_fmt(v) for v in vals] + [_fmt(scaling_limit(g))])
 
     header = ",".join(["g"] + [f"NC_N{n}" for n in sizes] + ["limit"])
-    lines = [header] + _map_ordered(row, list(g_values), args.workers)
+    lines = [header] + [row(g) for g in g_values]
     _write_lines(args.output, lines)
     return 0
 
@@ -192,7 +170,7 @@ def cmd_figure2(args):
     header = ",".join(
         ["g"] + [f"mx_N{n}" for n in sizes] + ["mx_limit", "mx_limit_reciprocal"]
     )
-    lines = [header] + _map_ordered(row, list(g_values), args.workers)
+    lines = [header] + [row(g) for g in g_values]
     _write_lines(args.output, lines)
     return 0
 
@@ -235,6 +213,36 @@ def cmd_ed_compare(args):
     return 0 if worst < args.tolerance else 1
 
 
+def _non_negative(text):
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
+# flags beyond the grid and output ones, each given only to the commands that read it
+FLAGS = {
+    "--epsilon": dict(type=int, choices=(1, -1), default=1,
+                      help="sign of the field term (default +1)"),
+    "--j": dict(type=_non_negative, default=1.0,
+                help="non-negative coupling weight (default 1)"),
+    "--tolerance": dict(type=float, default=1e-10),
+    "--check": dict(action="store_true",
+                    help="cross-check each row against a dense state (N <= 10)"),
+}
+
+COMMANDS = {
+    "verify": (cmd_verify, "run all invariant and oracle checks",
+               ("--j", "--tolerance")),
+    "sweep": (cmd_sweep, "closed-form observables over a (g, N) grid as CSV",
+              ("--epsilon", "--j", "--tolerance", "--check")),
+    "figure1": (cmd_figure1, "scaled concurrence curves and their limit as CSV", ()),
+    "figure2": (cmd_figure2, "finite-N and limiting magnetization as CSV", ("--epsilon",)),
+    "ed-compare": (cmd_ed_compare, "exact-diagonalization comparison table",
+                   ("--j", "--tolerance")),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="xyzring",
@@ -242,21 +250,8 @@ def build_parser():
         "sweeps and figure data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "verify": (cmd_verify, "run all invariant and oracle checks"),
-        "sweep": (cmd_sweep, "closed-form observables over a (g, N) grid as CSV"),
-        "figure1": (cmd_figure1, "scaled concurrence curves and their limit as CSV"),
-        "figure2": (cmd_figure2, "finite-N and limiting magnetization as CSV"),
-        "ed-compare": (cmd_ed_compare, "exact-diagonalization comparison table"),
-    }
-    for name, (fn, help_text) in commands.items():
+    for name, (fn, help_text, flags) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--epsilon", type=int, choices=(1, -1), default=1,
-                        help="sign of the field term (default +1)")
-        sp.add_argument("--eta", type=int, choices=(1, -1), default=1,
-                        help="sign selecting the yz coupling sector (default +1)")
-        sp.add_argument("--j", type=float, default=1.0,
-                        help="non-negative coupling weight (default 1)")
         sp.add_argument("--n", type=int, default=None, help="single ring size")
         sp.add_argument("--n-list", type=lambda s: [int(x) for x in s.split(",")],
                         default=None, help="comma-separated ring sizes")
@@ -266,11 +261,8 @@ def build_parser():
                         help="number of grid samples between g-min and g-max "
                         f"(default {DEFAULT_G_STEPS})")
         sp.add_argument("--output", default=None, help="output file (default stdout)")
-        sp.add_argument("--tolerance", type=float, default=1e-10)
-        sp.add_argument("--check", action="store_true",
-                        help="enable brute-force cross-checks where available")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="worker threads for grid evaluation")
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
         sp.set_defaults(func=fn)
     return parser
 
@@ -281,9 +273,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.j < 0 or args.workers < 1:
-        print("error: invalid configuration", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

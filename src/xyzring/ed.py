@@ -24,7 +24,7 @@ class SpectrumResult:
     ground_vectors: np.ndarray  # columns, orthonormal
 
 
-def dense_spectrum(h, degeneracy_tol=DEGENERACY_TOL):
+def dense_spectrum(h):
     """Full Hermitian spectrum and the eigenspace of the minimum.
 
     Real input stays real, so a real symmetric matrix is diagonalized in
@@ -35,7 +35,7 @@ def dense_spectrum(h, degeneracy_tol=DEGENERACY_TOL):
     if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh(h)
-    dim = int(np.sum(w <= w[0] + degeneracy_tol))
+    dim = int(np.sum(w <= w[0] + DEGENERACY_TOL))
     return SpectrumResult(
         eigenvalues=w, ground_space_dim=dim, ground_vectors=v[:, :dim]
     )
@@ -59,7 +59,7 @@ def rayleigh_quotient(h, v):
     return float((num / np.vdot(v, v)).real)
 
 
-def ground_membership(h, psi, spectrum=None, degeneracy_tol=DEGENERACY_TOL):
+def ground_membership(h, psi, spectrum=None):
     """(residual norm, overlap with the ground space) of a normalized state.
 
     residual = ||H psi - <psi|H|psi> psi||; overlap = ||P_ground psi||.
@@ -70,7 +70,7 @@ def ground_membership(h, psi, spectrum=None, degeneracy_tol=DEGENERACY_TOL):
     if abs(np.linalg.norm(vec) - 1) > 1e-10:
         raise ValueError("state is not normalized")
     if spectrum is None:
-        spectrum = dense_spectrum(h, degeneracy_tol)
+        spectrum = dense_spectrum(h)
     hv = np.asarray(h) @ vec
     energy = np.vdot(vec, hv)
     residual = float(np.linalg.norm(hv - energy * vec))
@@ -78,13 +78,13 @@ def ground_membership(h, psi, spectrum=None, degeneracy_tol=DEGENERACY_TOL):
     return residual, float(np.linalg.norm(proj))
 
 
-def ground_degeneracy_scan(p, g_grid, form="projector", degeneracy_tol=DEGENERACY_TOL):
-    """Measured ground-space dimension across a g grid at fixed (eps, eta, J, n)."""
+def ground_degeneracy_scan(p, g_grid):
+    """Measured ground-space dimension of the projector form across a g grid
+    at fixed (eps, eta, J, n)."""
     out = []
     for g in g_grid:
-        pg = replace(p, g=float(g))
-        h = assemble_chain_h(pg, form=form)
-        out.append((float(g), dense_spectrum(h, degeneracy_tol).ground_space_dim))
+        h = assemble_chain_h(replace(p, g=float(g)))
+        out.append((float(g), dense_spectrum(h).ground_space_dim))
     return out
 
 
@@ -110,6 +110,6 @@ def pair_density_brute(psi, i, j):
     return t @ t.conj().T
 
 
-def mps_state(p, **kwargs):
+def mps_state(p):
     """Trace-formula state for the model tensors at p (convenience)."""
-    return build_state(mps_matrices(p), p.n, **kwargs)
+    return build_state(mps_matrices(p), p.n)

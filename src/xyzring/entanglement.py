@@ -63,7 +63,7 @@ class ConcurrenceResult:
     method: str = "hermitian-svd"
 
 
-def wootters_concurrence(rho, psd_tol=PSD_TOL):
+def wootters_concurrence(rho):
     """Concurrence C = max(0, l1 - l2 - l3 - l4) of a two-qubit state.
 
     The l_i are the decreasing square roots of the eigenvalues of
@@ -74,12 +74,12 @@ def wootters_concurrence(rho, psd_tol=PSD_TOL):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("expected a 4x4 density matrix")
-    if np.max(np.abs(rho - rho.conj().T)) > psd_tol:
+    if np.max(np.abs(rho - rho.conj().T)) > PSD_TOL:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1) > psd_tol:
+    if abs(np.trace(rho).real - 1) > PSD_TOL:
         raise ValueError("density matrix does not have unit trace")
     w, v = np.linalg.eigh(rho)
-    if w[0] < -psd_tol:
+    if w[0] < -PSD_TOL:
         raise ValueError(f"density matrix is not positive semidefinite ({w[0]})")
     sqrt_rho = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
     k = sqrt_rho @ _YY @ sqrt_rho.conj()

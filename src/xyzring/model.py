@@ -94,13 +94,14 @@ def general_mps_matrices(a, b, c, d, epsilon=1):
     return MpsTensors(a0=a0, a1=a1, general_form=(a, b, c, d))
 
 
-def check_symmetries(t, epsilon, tol=1e-12):
+def check_symmetries(t, epsilon):
     """Check spin-flip, parity and time-reversal relations of the tensors.
 
     Spin flip: sigma_z A0 sigma_z = epsilon*A1 (and with A0, A1 swapped).
     Parity: Pi A_i^T Pi^{-1} = A_i with Pi = diag(b, c); skipped (None)
     when Pi is singular.  Time reversal is trivial for real tensors.
     """
+    tol = 1e-12
     a0 = np.asarray(t.a0, dtype=complex)
     a1 = np.asarray(t.a1, dtype=complex)
     sz = SZ.real

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelParams, mps_matrices
+from .pauli import kron_all
 
 DENSE_STATE_CAP = 20  # 2^20 amplitudes
 
@@ -32,16 +32,6 @@ class PureState:
             return a.copy()
         ph = a[idx[0]] / abs(a[idx[0]])
         return a / ph
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """4x4 transfer matrix E (or operator-dressed E_O)."""
-
-    matrix: np.ndarray
-
-    def eigenvalues(self):
-        return np.linalg.eigvals(self.matrix)
 
 
 def overlap(psi, chi):
@@ -74,21 +64,21 @@ def _all_amplitudes(t, n):
     return np.trace(prods, axis1=1, axis2=2)
 
 
-def build_state(t, n, cap=DENSE_STATE_CAP):
+def build_state(t, n):
     """Normalized MPS state from the trace formula.
 
     The normalization constant Z is cross-checked against tr(E^n) and
     stored on the returned state.
     """
-    if n > cap:
-        raise ValueError(f"ring size {n} exceeds dense cap {cap}")
+    if n > DENSE_STATE_CAP:
+        raise ValueError(f"ring size {n} exceeds dense cap {DENSE_STATE_CAP}")
     if n < 3:
         raise ValueError("need at least 3 sites")
     amps = _all_amplitudes(t, n)
     z = float(np.sum(np.abs(amps) ** 2))
     if z < 1e-28:
         raise ValueError("all amplitudes vanish for these tensors")
-    z_trace = np.trace(np.linalg.matrix_power(transfer_matrix(t).matrix, n))
+    z_trace = np.trace(np.linalg.matrix_power(transfer_matrix(t), n))
     if abs(z_trace - z) > 1e-10 * max(z, 1.0):
         raise ArithmeticError(
             f"normalization mismatch: tr(E^n)={z_trace} vs sum |amp|^2={z}"
@@ -100,8 +90,7 @@ def transfer_matrix(t):
     """E = conj(A0) x A0 + conj(A1) x A1."""
     a0 = np.asarray(t.a0, dtype=complex)
     a1 = np.asarray(t.a1, dtype=complex)
-    e = np.kron(a0.conj(), a0) + np.kron(a1.conj(), a1)
-    return TransferMatrix(matrix=e)
+    return np.kron(a0.conj(), a0) + np.kron(a1.conj(), a1)
 
 
 def transfer_with_operator(t, op):
@@ -112,15 +101,15 @@ def transfer_with_operator(t, op):
     for i in range(2):
         for j in range(2):
             e += op[i, j] * np.kron(mats[i].conj(), mats[j])
-    return TransferMatrix(matrix=e)
+    return e
 
 
 def expectation_one_point(t, op, k, n):
     """<O(k)> = tr(E^{k-1} E_O E^{n-k}) / tr(E^n)."""
     if not 1 <= k <= n:
         raise ValueError(f"site index {k} outside 1..{n}")
-    e = transfer_matrix(t).matrix
-    eo = transfer_with_operator(t, op).matrix
+    e = transfer_matrix(t)
+    eo = transfer_with_operator(t, op)
     num = np.trace(
         np.linalg.matrix_power(e, k - 1) @ eo @ np.linalg.matrix_power(e, n - k)
     )
@@ -131,9 +120,9 @@ def expectation_two_point(t, op_a, op_b, r, n):
     """<O_a(1) O_b(r)> = tr(E_a E^{r-2} E_b E^{n-r}) / tr(E^n)."""
     if not 2 <= r <= n:
         raise ValueError(f"separation {r} outside 2..{n}")
-    e = transfer_matrix(t).matrix
-    ea = transfer_with_operator(t, op_a).matrix
-    eb = transfer_with_operator(t, op_b).matrix
+    e = transfer_matrix(t)
+    ea = transfer_with_operator(t, op_a)
+    eb = transfer_with_operator(t, op_b)
     num = np.trace(
         ea
         @ np.linalg.matrix_power(e, r - 2)
@@ -176,14 +165,7 @@ def product_term_vectors(p):
 def explicit_ground_state(p):
     """Closed-form ground state as a superposition of two product states."""
     term_a, term_b = product_term_vectors(p)
-
-    def tensor_power(vectors):
-        out = np.array([1.0 + 0j])
-        for v in vectors:
-            out = np.kron(out, v)
-        return out
-
-    amps = tensor_power(term_a) + tensor_power(term_b)
+    amps = kron_all(term_a) + kron_all(term_b)
     z = float(np.sum(np.abs(amps) ** 2))
     if z < 1e-28:
         raise ValueError("explicit ground state vanishes identically")

@@ -35,7 +35,7 @@ class NullSpaceProblem:
         return self.kernel.shape[1]
 
 
-def null_space_k2(a0, a1, rtol=KERNEL_RTOL):
+def null_space_k2(a0, a1):
     """Set up and solve the two-site null-space equation.
 
     The unknown vector is (c00, c01, c10, c11); row e of M holds entry e
@@ -48,7 +48,7 @@ def null_space_k2(a0, a1, rtol=KERNEL_RTOL):
     ]
     m = np.array(cols).T
     _, s, vh = np.linalg.svd(m)
-    tol = rtol * (s[0] if s[0] > 0 else 1.0)
+    tol = KERNEL_RTOL * (s[0] if s[0] > 0 else 1.0)
     rank = int(np.sum(s > tol))
     kernel = vh[rank:].conj().T
     return NullSpaceProblem(m=m, kernel=kernel)
@@ -77,7 +77,7 @@ def constant_shift(p):
     return p.j + (1 + p.g * p.g) / 2
 
 
-def pauli_decompose(h2, tol=1e-12):
+def pauli_decompose(h2):
     """Coefficients of a Hermitian 4x4 operator in the two-site Pauli basis.
 
     Returns a dict keyed by label pairs like "xx", "1x"; coefficients are
@@ -86,7 +86,7 @@ def pauli_decompose(h2, tol=1e-12):
     h2 = np.asarray(h2, dtype=complex)
     if h2.shape != (4, 4):
         raise ValueError("expected a 4x4 operator")
-    if np.max(np.abs(h2 - h2.conj().T)) > tol:
+    if np.max(np.abs(h2 - h2.conj().T)) > 1e-12:
         raise ValueError("operator is not Hermitian")
     coeffs = {}
     for la, lb in itertools.product(PAULI_LABELS, repeat=2):

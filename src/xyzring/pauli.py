@@ -4,6 +4,8 @@ Conventions: sigma_z|0> = +|0>, site 1 occupies the most significant
 bit of a computational-basis index.
 """
 
+from functools import reduce
+
 import numpy as np
 
 SI = np.eye(2, dtype=complex)
@@ -15,12 +17,9 @@ PAULI = {"1": SI, "x": SX, "y": SY, "z": SZ}
 PAULI_LABELS = ("1", "x", "y", "z")
 
 
-def kron_all(mats):
-    """Kronecker product of a sequence of matrices, left to right."""
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out
+def kron_all(factors):
+    """Kronecker product of a sequence of vectors or matrices, left to right."""
+    return reduce(np.kron, factors, np.ones(1, dtype=complex))
 
 
 def op_on_sites(n, site_ops):

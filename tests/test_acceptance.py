@@ -137,13 +137,13 @@ def test_criterion_04_transfer_spectrum_and_crossing():
     worst = 0.0
     for (eps, eta), g in itertools.product(CLASSES, G_GRID):
         t = mps_matrices(ModelParams(epsilon=eps, eta=eta, g=g))
-        ev = np.sort(transfer_matrix(t).eigenvalues().real)
+        ev = np.sort(np.linalg.eigvals(transfer_matrix(t)).real)
         expected = np.sort([2 * (eta + g), 2 * (eta - g), 2 * (1 + g), 2 * (1 - g)])
         worst = max(worst, float(np.max(np.abs(ev - expected))))
     # level crossing at g=0: the dominant eigenvalue switches branch
     crossing = True
     for g in (1e-3, -1e-3):
-        lam = np.max(transfer_matrix(mps_matrices(ModelParams(g=g))).eigenvalues().real)
+        lam = np.max(np.linalg.eigvals(transfer_matrix(mps_matrices(ModelParams(g=g)))).real)
         crossing &= abs(lam - 2 * (1 + abs(g))) < 1e-12
         crossing &= (2 * (1 + g) - 2 * (1 - g) > 0) == (g > 0)
     _record(4, worst < 1e-12 and crossing, f"spectrum dev {worst:.1e}")

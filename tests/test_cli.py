@@ -1,13 +1,15 @@
 import csv
-import json
-
 import dataclasses
+import importlib
+import inspect
+import json
 
 import numpy as np
 import pytest
 
-from xyzring import ed
-from xyzring.cli import main
+from xyzring import checks, cli, ed
+from xyzring.checks import VerifyConfig
+from xyzring.cli import COMMANDS, main
 
 
 def run_csv(tmp_path, argv, name="out.csv"):
@@ -33,12 +35,16 @@ class TestVerify:
         names = {r["check"] for r in records}
         assert "op-coverage" in names and "parent-hamiltonian" in names
 
-    def test_eta_minus_odd_n_rejected(self, capsys):
-        assert main(["verify", "--eta", "-1", "--n", "5"]) == 2
-        assert "even" in capsys.readouterr().err
-
     def test_invalid_j_rejected(self, capsys):
         assert main(["verify", "--j", "-1"]) == 2
+        assert "--j" in capsys.readouterr().err
+
+    def test_odd_sizes_pass(self, capsys):
+        # eta = -1 has no state on odd rings, so those checks skip that class
+        assert main(["verify", "--n-list", "5,7"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(checks._REGISTRY) + 1
+        assert all(line.startswith("PASS ") for line in lines)
 
     def test_unknown_command_rejected(self):
         assert main(["bogus"]) == 2
@@ -66,12 +72,6 @@ class TestSweep:
         _, _, first = run_csv(tmp_path, argv, "a.csv")
         _, _, second = run_csv(tmp_path, argv, "b.csv")
         assert first == second
-
-    def test_deterministic_with_workers(self, tmp_path):
-        argv = ["sweep", "--g-min", "0", "--g-max", "2", "--g-steps", "11"]
-        _, _, serial = run_csv(tmp_path, argv, "s.csv")
-        _, _, threaded = run_csv(tmp_path, argv + ["--workers", "4"], "t.csv")
-        assert serial == threaded
 
     def test_cross_check_flag(self, tmp_path):
         code, rows, _ = run_csv(
@@ -101,6 +101,25 @@ class TestSweep:
     def test_inverted_range_rejected(self, tmp_path):
         assert main(["sweep", "--g-min", "2", "--g-max", "1",
                      "--output", str(tmp_path / "x.csv")]) == 2
+
+
+UNREAD_FLAGS = [
+    (["figure1", "--check"], "--check"),
+    (["ed-compare", "--epsilon", "-1"], "--epsilon"),
+    (["verify", "--eta", "-1", "--n", "5"], "--eta"),
+    (["sweep", "--eta", "-1"], "--eta"),
+] + [([cmd, "--workers", "2"], "--workers") for cmd in COMMANDS]
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("argv,flag", UNREAD_FLAGS,
+                             ids=[argv[0] + flag for argv, flag in UNREAD_FLAGS])
+    def test_rejected(self, tmp_path, capsys, argv, flag):
+        path = tmp_path / "x.csv"
+        assert main(argv + ["--output", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
+        assert not path.exists()
 
 
 class TestGridInput:
@@ -229,8 +248,38 @@ class TestNanFails:
         assert "error: non-finite energy, residual or overlap" in err
         assert "max deviation: nan" in err
 
+    def test_sweep_check(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "state_expectation_two", lambda *args: complex(np.nan))
+        code = main(["sweep", "--check", "--n", "4", "--g-min", "0.3", "--g-max", "0.3",
+                     "--g-steps", "1", "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "cross-check failed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["eigenvalues", "ground_vectors"])
     def test_verify(self, capsys, monkeypatch, field):
         monkeypatch.setattr(ed, "dense_spectrum", _nan_spectrum(field))
         assert main(["verify", "--n", "4"]) == 1
         assert "FAIL  parent-hamiltonian" in capsys.readouterr().out
+
+
+class TestChecks:
+    def test_covers_name_functions(self):
+        for _, covers, _ in checks._REGISTRY:
+            for name in covers:
+                module, _, attr = name.partition(".")
+                fn = getattr(importlib.import_module(f"xyzring.{module}"), attr)
+                assert inspect.isfunction(fn) and fn.__name__ == attr
+
+    def test_nan_oracle_fails(self):
+        # the transfer-matrix oracles overflow to NaN at N = 1000
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok, details = checks.check_closed_form_correlators(
+                VerifyConfig(n_list=[1000], g_values=[0.3]))
+        assert not ok
+        assert np.isnan(details["max_error"])
+
+    def test_nan_overlap_fails(self, monkeypatch):
+        monkeypatch.setattr(checks, "overlap", lambda psi, chi: np.nan)
+        ok, details = checks.check_ground_state_equivalence(VerifyConfig())
+        assert not ok
+        assert np.isnan(details["min_overlap"])
