@@ -70,6 +70,20 @@ def _n_list(args, default):
     return list(default)
 
 
+def _strict_json(x):
+    """x with numpy scalars as Python numbers and non-finite floats as None,
+    so that json.dumps writes strict JSON (RFC 8259 has no NaN)."""
+    if isinstance(x, dict):
+        return {k: _strict_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict_json(v) for v in x]
+    if isinstance(x, np.generic):
+        x = x.item()
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
 def cmd_verify(args):
     cfg = VerifyConfig(
         j=args.j,
@@ -88,10 +102,10 @@ def cmd_verify(args):
             print(f"      details: {r.details}")
         records.append(
             json.dumps(
-                {"check": r.name, "status": r.status, "covers": r.covers,
-                 "details": r.details},
+                _strict_json({"check": r.name, "status": r.status, "covers": r.covers,
+                              "details": r.details}),
                 sort_keys=True,
-                default=lambda o: o.item(),  # numpy scalars
+                allow_nan=False,
             )
         )
     records.append(json.dumps({"check": "op-coverage", "status": "pass" if coverage_ok else "fail"}))

@@ -12,7 +12,7 @@ from .parent import assemble_chain_h
 
 DEGENERACY_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
-QUOTIENT_BLOCK_ROWS = 256
+BLOCK_ROWS = 256  # rows per block where a matrix-size temporary is avoided
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,11 @@ def dense_spectrum(h):
     """
     h = np.asarray(h)
     h = h.astype(complex if np.iscomplexobj(h) else float, copy=False)
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian")
+    # max |H - H^dagger|, a block of rows at a time to bound the temporaries
+    for start in range(0, len(h), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        if np.max(np.abs(h[rows] - h[:, rows].conj().T)) > HERMITICITY_TOL:
+            raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh(h)
     dim = int(np.sum(w <= w[0] + DEGENERACY_TOL))
     return SpectrumResult(
@@ -53,8 +56,8 @@ def rayleigh_quotient(h, v):
     dtype = np.clongdouble if np.iscomplexobj(h) or np.iscomplexobj(v) else np.longdouble
     v = v.astype(dtype)
     num = dtype(0)
-    for start in range(0, len(v), QUOTIENT_BLOCK_ROWS):
-        stop = start + QUOTIENT_BLOCK_ROWS
+    for start in range(0, len(v), BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
         num += np.vdot(v[start:stop], np.asarray(h[start:stop], dtype=dtype) @ v)
     return float((num / np.vdot(v, v)).real)
 

@@ -3,13 +3,14 @@ Wootters concurrence, the closed concurrence formula and its universal
 scaling limit.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .mps import product_term_vectors
+from .mps import product_term_cell
 from .pauli import SY
 
 _YY = np.kron(SY, SY).real  # real symmetric
@@ -19,7 +20,12 @@ PSD_TOL = 1e-10
 
 def pair_density(p, i, j):
     """Reduced density matrix of sites (i, j) from the two-product-term
-    structure of the ground state; cost O(n), exact for both eta sectors.
+    structure of the ground state; exact for both eta sectors.
+
+    The traced-out sites contribute the overlaps of the unit-cell vectors
+    raised to the number of traced sites of each parity.  The weights are
+    formed in the log domain and scaled by the largest, so they stay finite
+    for any n, and the cost does not grow with n.
     """
     if i == j:
         raise ValueError("sites must be distinct")
@@ -28,20 +34,20 @@ def pair_density(p, i, j):
         raise ValueError("need n >= 4")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"sites ({i}, {j}) outside 1..{n}")
-    terms = product_term_vectors(p)  # two lists of per-site vectors
-    kept = (i - 1, j - 1)
-    rho = np.zeros((4, 4), dtype=complex)
-    for s in range(2):
-        for t in range(2):
-            w = 1.0 + 0j
-            for k in range(n):
-                if k not in kept:
-                    w *= np.vdot(terms[t][k], terms[s][k])
-            ket = np.kron(terms[s][i - 1], terms[s][j - 1])
-            bra = np.kron(terms[t][i - 1], terms[t][j - 1])
-            rho += w * np.outer(ket, bra.conj())
-    rho /= np.trace(rho).real
-    return rho
+    cell = product_term_cell(p)  # cell[term][parity]
+    # traced-out sites with an even and with an odd 0-based index
+    traced = [len(range(par, n, 2)) - ((i - 1) % 2 == par) - ((j - 1) % 2 == par)
+              for par in (0, 1)]
+    log_w = np.zeros((2, 2), dtype=complex)
+    for s, t, par in itertools.product(range(2), range(2), range(2)):
+        if traced[par]:
+            ov = np.vdot(cell[t][par], cell[s][par])
+            log_w[s, t] += traced[par] * np.log(ov) if ov else -np.inf
+    w = np.exp(log_w - np.max(log_w.real))
+    kets = [np.kron(term[(i - 1) % 2], term[(j - 1) % 2]) for term in cell]
+    rho = sum(w[s, t] * np.outer(kets[s], kets[t].conj())
+              for s, t in itertools.product(range(2), range(2)))
+    return rho / np.trace(rho).real
 
 
 def phi_overlap(g):

@@ -54,14 +54,29 @@ def amplitude(t, bits):
     return np.trace(prod)
 
 
+def _site_products(mats, m):
+    """The 2^m products A_{i1} ... A_{im}, indexed by the bits i1 ... im
+    with i1 the most significant."""
+    prods = mats
+    for _ in range(m - 1):
+        prods = (prods[:, None] @ mats).reshape(-1, 2, 2)
+    return prods
+
+
 def _all_amplitudes(t, n):
-    """All 2^n trace amplitudes, site 1 in the most significant bit."""
-    a0 = np.asarray(t.a0, dtype=complex)
-    a1 = np.asarray(t.a1, dtype=complex)
-    prods = np.eye(2, dtype=complex)[None, :, :]
-    for _ in range(n):
-        prods = np.stack([prods @ a0, prods @ a1], axis=1).reshape(-1, 2, 2)
-    return np.trace(prods, axis1=1, axis2=2)
+    """All 2^n trace amplitudes, site 1 in the most significant bit.
+
+    The ring is split into sites 1..k and k+1..n with k = n // 2.  Since
+    tr(L R) = sum_ab L_ab R_ba, every amplitude is an entry of one matrix
+    product with inner size 4 between the 2^k left and the 2^(n-k) right
+    products, taken in the tensors' own dtype (real for mps_matrices) and
+    at least double precision.
+    """
+    mats = np.stack([t.a0, t.a1]).astype(np.result_type(t.a0, t.a1, np.float64))
+    k = n // 2
+    left = _site_products(mats, k).reshape(-1, 4)
+    right_t = _site_products(mats, n - k).transpose(0, 2, 1).reshape(-1, 4)
+    return (left @ right_t.T).ravel().astype(complex)
 
 
 def build_state(t, n):
@@ -104,47 +119,62 @@ def transfer_with_operator(t, op):
     return e
 
 
+def _scaled_transfers(t, *ops):
+    """E and the dressed E_O of each op, all divided by the spectral radius
+    of E.  A ratio of traces of n such factors is unchanged, while the
+    powers of E stay finite for any n.
+    """
+    e = transfer_matrix(t)
+    radius = np.max(np.abs(np.linalg.eigvals(e)))
+    return [m / radius for m in (e, *(transfer_with_operator(t, op) for op in ops))]
+
+
 def expectation_one_point(t, op, k, n):
-    """<O(k)> = tr(E^{k-1} E_O E^{n-k}) / tr(E^n)."""
+    """<O(k)> = tr(E^{k-1} E_O E^{n-k}) / tr(E^n).
+
+    Overflow or an invalid value raises FloatingPointError.
+    """
     if not 1 <= k <= n:
         raise ValueError(f"site index {k} outside 1..{n}")
-    e = transfer_matrix(t)
-    eo = transfer_with_operator(t, op)
-    num = np.trace(
-        np.linalg.matrix_power(e, k - 1) @ eo @ np.linalg.matrix_power(e, n - k)
-    )
-    return num / np.trace(np.linalg.matrix_power(e, n))
+    with np.errstate(over="raise", invalid="raise"):
+        e, eo = _scaled_transfers(t, op)
+        num = np.trace(
+            np.linalg.matrix_power(e, k - 1) @ eo @ np.linalg.matrix_power(e, n - k)
+        )
+        return num / np.trace(np.linalg.matrix_power(e, n))
 
 
 def expectation_two_point(t, op_a, op_b, r, n):
-    """<O_a(1) O_b(r)> = tr(E_a E^{r-2} E_b E^{n-r}) / tr(E^n)."""
+    """<O_a(1) O_b(r)> = tr(E_a E^{r-2} E_b E^{n-r}) / tr(E^n).
+
+    Overflow or an invalid value raises FloatingPointError.
+    """
     if not 2 <= r <= n:
         raise ValueError(f"separation {r} outside 2..{n}")
-    e = transfer_matrix(t)
-    ea = transfer_with_operator(t, op_a)
-    eb = transfer_with_operator(t, op_b)
-    num = np.trace(
-        ea
-        @ np.linalg.matrix_power(e, r - 2)
-        @ eb
-        @ np.linalg.matrix_power(e, n - r)
-    )
-    return num / np.trace(np.linalg.matrix_power(e, n))
+    with np.errstate(over="raise", invalid="raise"):
+        e, ea, eb = _scaled_transfers(t, op_a, op_b)
+        num = np.trace(
+            ea
+            @ np.linalg.matrix_power(e, r - 2)
+            @ eb
+            @ np.linalg.matrix_power(e, n - r)
+        )
+        return num / np.trace(np.linalg.matrix_power(e, n))
 
 
-def product_term_vectors(p):
-    """Per-site vectors of the two product terms of the explicit ground state.
+def product_term_cell(p):
+    """Site vectors of the two product terms of the explicit ground state
+    on one two-site unit cell.
 
-    Returns (term_a, term_b): two length-n lists of unnormalized
-    single-site 2-vectors whose tensor products sum to the (unnormalized)
-    ground state.  For g < 0 the square root continues as i*sqrt(-g).
+    Returns (term_a, term_b), each a pair (vector on sites 1, 3, 5, ...,
+    vector on sites 2, 4, 6, ...) of unnormalized single-site 2-vectors.
+    For g < 0 the square root continues as i*sqrt(-g).
     """
     sg = np.sqrt(complex(p.g))
     if p.eta == 1:
         phi_p = np.array([1 + sg, 1 - sg])
         phi_m = np.array([1 - sg, 1 + sg])
-        term_a = [phi_p] * p.n
-        term_b = [phi_m] * p.n
+        cell = ((phi_p, phi_p), (phi_m, phi_m))
     else:
         if p.n % 2 != 0:
             raise ValueError("explicit eta=-1 ground state needs even n")
@@ -152,19 +182,17 @@ def product_term_vectors(p):
         y_m = np.array([1, -1j]) / np.sqrt(2)
         chi_p = (1 + sg) * y_p + 1j * (1 - sg) * y_m
         chi_m = (1 + sg) * y_m - 1j * (1 - sg) * y_p
-        term_a = [chi_p if k % 2 == 0 else chi_m for k in range(p.n)]
-        term_b = [chi_m if k % 2 == 0 else chi_p for k in range(p.n)]
+        cell = ((chi_p, chi_m), (chi_m, chi_p))
     if p.epsilon == -1:
         # local pi-rotation around z maps the epsilon = +1 state over
         flip = np.array([1.0, -1.0])
-        term_a = [v * flip for v in term_a]
-        term_b = [v * flip for v in term_b]
-    return term_a, term_b
+        cell = tuple((v1 * flip, v2 * flip) for v1, v2 in cell)
+    return cell
 
 
 def explicit_ground_state(p):
     """Closed-form ground state as a superposition of two product states."""
-    term_a, term_b = product_term_vectors(p)
+    term_a, term_b = ([term[k % 2] for k in range(p.n)] for term in product_term_cell(p))
     amps = kron_all(term_a) + kron_all(term_b)
     z = float(np.sum(np.abs(amps) ** 2))
     if z < 1e-28:

@@ -261,6 +261,20 @@ class TestNanFails:
         assert main(["verify", "--n", "4"]) == 1
         assert "FAIL  parent-hamiltonian" in capsys.readouterr().out
 
+    def test_verify_jsonl_is_strict(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ed, "dense_spectrum", _nan_spectrum("eigenvalues"))
+        path = tmp_path / "report.jsonl"
+        assert main(["verify", "--n", "4", "--output", str(path)]) == 1
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        records = [json.loads(line, parse_constant=refuse)
+                   for line in path.read_text().splitlines()]
+        (record,) = [r for r in records if r["check"] == "parent-hamiltonian"]
+        assert record["status"] == "fail"
+        assert record["details"]["max_energy_error"] is None
+
 
 class TestChecks:
     def test_covers_name_functions(self):
@@ -270,13 +284,18 @@ class TestChecks:
                 fn = getattr(importlib.import_module(f"xyzring.{module}"), attr)
                 assert inspect.isfunction(fn) and fn.__name__ == attr
 
-    def test_nan_oracle_fails(self):
-        # the transfer-matrix oracles overflow to NaN at N = 1000
-        with np.errstate(over="ignore", invalid="ignore"):
-            ok, details = checks.check_closed_form_correlators(
-                VerifyConfig(n_list=[1000], g_values=[0.3]))
+    def test_nan_oracle_fails(self, monkeypatch):
+        monkeypatch.setattr(checks, "expectation_two_point", lambda *args: complex(np.nan))
+        ok, details = checks.check_closed_form_correlators(
+            VerifyConfig(n_list=[4], g_values=[0.3]))
         assert not ok
         assert np.isnan(details["max_error"])
+
+    def test_large_ring_oracles_pass(self):
+        # E^n overflows from N ~ 10^3 unless E is scaled first
+        ok, details = checks.check_closed_form_correlators(
+            VerifyConfig(n_list=[1000], g_values=[0.3]))
+        assert ok, details
 
     def test_nan_overlap_fails(self, monkeypatch):
         monkeypatch.setattr(checks, "overlap", lambda psi, chi: np.nan)

@@ -54,6 +54,20 @@ class TestDenseSpectrum:
         with pytest.raises(ValueError):
             dense_spectrum(m)
 
+    @pytest.mark.parametrize("row,col", [(599, 3), (300, 512), (3, 599)])
+    def test_rejects_non_hermitian_in_any_block(self, row, col):
+        # the check compares blocks of BLOCK_ROWS rows with their columns
+        m = np.zeros((600, 600))
+        m[row, col] = 1.0
+        with pytest.raises(ValueError):
+            dense_spectrum(m)
+
+    def test_accepts_complex_hermitian_across_blocks(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
+        spec = dense_spectrum(a + a.conj().T)
+        assert spec.eigenvalues.shape == (300,)
+
 
 class TestGroundMembership:
     @pytest.mark.parametrize("eps,eta", CLASSES)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,16 @@ def params(eps=1, eta=1, g=0.5, n=6):
 class TestPairDensity:
     def test_ghz_marginal(self):
         rho = pair_density(params(g=1.0, n=6), 1, 2)
+        expected = np.zeros((4, 4))
+        expected[0, 0] = expected[3, 3] = 0.5
+        assert np.allclose(rho, expected, atol=1e-14)
+
+    def test_ghz_marginal_large_ring_without_warning(self):
+        # <phi_+|phi_-> = 0 at g = 1 gives a zero weight; the diagonal
+        # weights 4^(N-2) would overflow unless scaled
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = pair_density(params(g=1.0, n=1000), 1, 500)
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[3, 3] = 0.5
         assert np.allclose(rho, expected, atol=1e-14)
@@ -108,11 +119,20 @@ class TestConcurrenceClosed:
 
     @pytest.mark.parametrize("eps,eta", CLASSES)
     @pytest.mark.parametrize("g", G_GRID)
-    @pytest.mark.parametrize("n", [4, 6, 8, 10, 20])
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 20, 10**3, 10**4])
     def test_matches_wootters(self, eps, eta, g, n):
         p = params(eps, eta, g, n=n)
         c = wootters_concurrence(pair_density(p, 1, 2)).c
         assert c == pytest.approx(concurrence_closed(g, n), abs=1e-10)
+
+    @pytest.mark.parametrize("eps,eta", CLASSES)
+    @pytest.mark.parametrize("n", [10**2, 10**3, 10**4])
+    def test_matches_wootters_scaled_g(self, eps, eta, n):
+        # at g/N the concurrence is ~ 1/N while the unscaled weights grow like 2^N
+        for g in (0.5, 2.0):
+            p = params(eps, eta, g / n, n=n)
+            c = wootters_concurrence(pair_density(p, 1, n // 2 + 1)).c
+            assert c == pytest.approx(concurrence_closed(g / n, n), rel=1e-12)
 
     @pytest.mark.parametrize("g", G_GRID)
     def test_distance_independence(self, g):

@@ -11,11 +11,14 @@ from xyzring import (
     expectation_one_point,
     expectation_two_point,
     explicit_ground_state,
+    general_mps_matrices,
+    mps,
     mps_matrices,
     overlap,
     transfer_matrix,
     transfer_with_operator,
 )
+from xyzring.observables import correlations, correlations_eta_minus, magnetization_x
 from xyzring.pauli import SI, SX, SY, SZ
 
 CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
@@ -99,6 +102,33 @@ class TestBuildState:
         with pytest.raises(ValueError):
             build_state(mps_matrices(params(n=21)), 21)
 
+    @staticmethod
+    def _assert_all_amplitudes(t, n):
+        # every pattern against the per-pattern trace, to a bound on the
+        # rounding of n-fold products (eta = -1 odd rings vanish exactly)
+        want = np.array([amplitude(t, f"{idx:0{n}b}") for idx in range(2**n)])
+        got = mps._all_amplitudes(t, n)
+        assert got.dtype == np.complex128 and got.shape == (2**n,)
+        scale = max(np.linalg.norm(t.a0, 2), np.linalg.norm(t.a1, 2)) ** n
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("eps,eta", CLASSES)
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_every_amplitude_is_the_trace(self, eps, eta, n):
+        for g in G_GRID:
+            self._assert_all_amplitudes(mps_matrices(params(eps, eta, g, n=n)), n)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_every_amplitude_complex_tensors(self, n):
+        t = general_mps_matrices(0.3 + 0.2j, 1.1, -0.7j, 0.4 - 0.5j, epsilon=-1)
+        self._assert_all_amplitudes(t, n)
+
+    def test_normalization_mismatch_raises(self, monkeypatch):
+        real = mps.transfer_matrix
+        monkeypatch.setattr(mps, "transfer_matrix", lambda t: 2 * real(t))
+        with pytest.raises(ArithmeticError, match="normalization mismatch"):
+            build_state(mps_matrices(params(g=0.7, n=6)), 6)
+
 
 class TestTransferMatrix:
     def test_spectrum_eta_plus(self):
@@ -164,6 +194,21 @@ class TestExpectations:
     def test_two_point_identity(self):
         t = mps_matrices(params(g=0.8, n=5))
         assert expectation_two_point(t, SI, SI, 3, 5) == pytest.approx(1, abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("g", [-2.0, -0.5, 0.63, 1.5])
+    @pytest.mark.parametrize("n", [10**3, 10**5])
+    def test_large_rings_match_closed_forms(self, eps, g, n):
+        # E^n alone overflows from n ~ 10^3; the ratio must stay finite
+        t = mps_matrices(params(eps, 1, g, n=10))
+        r = n // 2 + 1
+        assert expectation_one_point(t, SX, n // 2, n) == pytest.approx(
+            magnetization_x(eps, g, n), abs=1e-14)
+        for op, want in zip((SX, SY, SZ), correlations(g, n)):
+            assert expectation_two_point(t, op, op, r, n) == pytest.approx(want, abs=1e-14)
+        tm = mps_matrices(params(eps, -1, g, n=10))
+        for op, want in zip((SX, SY, SZ), correlations_eta_minus(g, n, r)):
+            assert expectation_two_point(tm, op, op, r, n) == pytest.approx(want, abs=1e-14)
 
 
 class TestExplicitGroundState:
