@@ -12,6 +12,7 @@ from .model import (
     couplings_from_params,
     general_mps_matrices,
     mps_matrices,
+    ring_points,
 )
 from .mps import (
     PureState,
@@ -58,7 +59,9 @@ from .entanglement import (
     wootters_concurrence,
 )
 from .ed import (
+    Certificate,
     SpectrumResult,
+    certify,
     dense_spectrum,
     ground_degeneracy_scan,
     ground_membership,

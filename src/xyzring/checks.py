@@ -20,6 +20,7 @@ from .model import (
     couplings_from_params,
     general_mps_matrices,
     mps_matrices,
+    ring_points,
 )
 from .mps import (
     amplitude,
@@ -33,7 +34,7 @@ from .mps import (
     transfer_with_operator,
 )
 from .observables import SingularParameterError
-from .pauli import SI, SX, SY, SZ
+from .pauli import SX, SY, SZ
 
 
 def worst_error(*errors):
@@ -43,9 +44,6 @@ def worst_error(*errors):
     0.0), which would let a check pass on NaN.
     """
     return float(np.max(errors, initial=0.0))
-
-
-CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 
 @dataclass
@@ -78,24 +76,19 @@ def _check(name, covers):
     return wrap
 
 
-def _params(eps, eta, g, j, n):
-    return ModelParams(epsilon=eps, eta=eta, g=g, j=j, n=n)
-
-
-def _regular_g(cfg):
-    """Grid points where the closed forms are defined, plus the skipped ones."""
-    good = [g for g in cfg.g_values if g != -1]
-    skipped = [g for g in cfg.g_values if g == -1]
-    return good, skipped
+def _singular_skips(cfg):
+    """Skip records for the grid points g = -1, where the closed forms are singular."""
+    skipped = [{"g": g, "reason": "singular parameter"} for g in cfg.g_values if g == -1]
+    return {"skipped": skipped} if skipped else {}
 
 
 @_check("coupling-surface", [couplings_from_params])
 def check_couplings(cfg):
     errs = []
-    for (eps, eta), g in itertools.product(CLASSES, cfg.g_values):
-        c = couplings_from_params(_params(eps, eta, g, cfg.j, 4))
-        errs += [abs(c.jy + c.jz + 2 * eta * cfg.j), abs(c.jy - c.jz - 2 * g),
-                 abs(c.b - eps * (g * g - 1))]
+    for p in ring_points(cfg.g_values, [4], cfg.j):
+        c = couplings_from_params(p)
+        errs += [abs(c.jy + c.jz + 2 * p.eta * cfg.j), abs(c.jy - c.jz - 2 * p.g),
+                 abs(c.b - p.epsilon * (p.g * p.g - 1))]
     worst = worst_error(*errs)
     return worst < 1e-12, {"max_error": worst}
 
@@ -103,20 +96,18 @@ def check_couplings(cfg):
 @_check("tensor-symmetries", [mps_matrices, check_symmetries])
 def check_tensor_symmetries(cfg):
     ok = True
-    for (eps, eta), g in itertools.product(CLASSES, cfg.g_values):
-        rep = check_symmetries(mps_matrices(_params(eps, eta, g, cfg.j, 4)), eps)
+    for p in ring_points(cfg.g_values, [4], cfg.j):
+        rep = check_symmetries(mps_matrices(p), p.epsilon)
         ok &= rep.spin_flip and rep.time_reversal
-        ok &= rep.parity is None if g == 0 else rep.parity is True
+        ok &= rep.parity is None if p.g == 0 else rep.parity is True
     return ok, {}
 
 
 @_check("normalization-consistency", [amplitude, build_state, transfer_matrix])
 def check_normalization(cfg):
     errs = []
-    for (eps, eta), g, n in itertools.product(CLASSES, cfg.g_values, cfg.n_list):
-        if eta == -1 and n % 2 != 0:
-            continue  # every amplitude vanishes
-        t = mps_matrices(_params(eps, eta, g, cfg.j, n))
+    for p in ring_points(cfg.g_values, cfg.n_list, cfg.j):
+        t, n = mps_matrices(p), p.n
         psi = build_state(t, n)  # build_state cross-checks Z = tr(E^n)
         # spot-check two amplitudes against the direct trace
         for bits in ("0" * n, "01" * (n // 2) + "0" * (n % 2)):
@@ -129,15 +120,13 @@ def check_normalization(cfg):
 @_check("transfer-spectrum", [transfer_matrix, transfer_with_operator])
 def check_transfer_spectrum(cfg):
     errs = []
-    for (eps, eta), g in itertools.product(CLASSES, cfg.g_values):
-        t = mps_matrices(_params(eps, eta, g, cfg.j, 4))
+    for p in ring_points(cfg.g_values, [4], cfg.j):
+        t, eta, g = mps_matrices(p), p.eta, p.g
         ev = np.sort_complex(np.linalg.eigvals(transfer_matrix(t)))
         expect = np.sort_complex(
             np.array([2 * (eta + g), 2 * (eta - g), 2 * (1 + g), 2 * (1 - g)], complex)
         )
         errs.append(np.max(np.abs(ev - expect)))
-        # identity dressing reproduces E itself
-        errs.append(np.max(np.abs(transfer_with_operator(t, SI) - transfer_matrix(t))))
     worst = worst_error(*errs)
     return worst < 1e-12, {"max_error": worst}
 
@@ -154,47 +143,33 @@ def check_transfer_spectrum(cfg):
     ],
 )
 def check_closed_form_correlators(cfg):
-    good, skipped = _regular_g(cfg)
     errs = []
-    for eps, g, n in itertools.product((1, -1), good, cfg.n_list):
-        t = mps_matrices(_params(eps, 1, g, cfg.j, n))
-        mx = observables.magnetization_x(eps, g, n)
-        gx, gy, gz = observables.correlations(g, n)
-        for k in range(1, n + 1):
-            errs += [abs(expectation_one_point(t, SX, k, n) - mx),
-                     abs(expectation_one_point(t, SY, k, n)),
-                     abs(expectation_one_point(t, SZ, k, n))]
-        for r in range(2, n + 1):
-            errs += [abs(expectation_two_point(t, SX, SX, r, n) - gx),
-                     abs(expectation_two_point(t, SY, SY, r, n) - gy),
-                     abs(expectation_two_point(t, SZ, SZ, r, n) - gz)]
-        # identities
-        errs += [abs(gx + gy + gz - 1), abs((1 - gz) * (1 - gy) - mx * mx)]
-        # eta = -1 sector through the alternating map
-        if n % 2 == 0:
-            tm = mps_matrices(_params(eps, -1, g, cfg.j, n))
-            for r in range(2, n + 1):
-                gxm, gym, gzm = observables.correlations_eta_minus(g, n, r)
-                errs += [abs(expectation_two_point(tm, SX, SX, r, n) - gxm),
-                         abs(expectation_two_point(tm, SY, SY, r, n) - gym),
-                         abs(expectation_two_point(tm, SZ, SZ, r, n) - gzm)]
+    for p in ring_points([g for g in cfg.g_values if g != -1], cfg.n_list, cfg.j):
+        t, g, n = mps_matrices(p), p.g, p.n
+        if p.eta == 1:
+            mx = observables.magnetization_x(p.epsilon, g, n)
+            gx, gy, gz = observables.correlations(g, n)
+            for k in range(1, n + 1):
+                errs += [abs(expectation_one_point(t, SX, k, n) - mx),
+                         abs(expectation_one_point(t, SY, k, n)),
+                         abs(expectation_one_point(t, SZ, k, n))]
+            # identities
+            errs += [abs(gx + gy + gz - 1), abs((1 - gz) * (1 - gy) - mx * mx)]
+            expected = [(gx, gy, gz)] * (n - 1)
+        else:
+            # the eta = -1 sector through the alternating map
+            expected = [observables.correlations_eta_minus(g, n, r) for r in range(2, n + 1)]
+        for r, values in enumerate(expected, start=2):
+            errs += [abs(expectation_two_point(t, op, op, r, n) - value)
+                     for op, value in zip((SX, SY, SZ), values)]
     worst = worst_error(*errs)
-    details = {"max_error": worst}
-    if skipped:
-        details["skipped"] = [
-            {"g": g, "reason": "singular parameter"} for g in skipped
-        ]
-    return worst < cfg.tolerance, details
+    return worst < cfg.tolerance, {"max_error": worst, **_singular_skips(cfg)}
 
 
 @_check("ground-state-equivalence", [build_state, explicit_ground_state])
 def check_ground_state_equivalence(cfg):
-    ovs = []
-    for (eps, eta), g, n in itertools.product(CLASSES, cfg.g_values, cfg.n_list):
-        if eta == -1 and n % 2 != 0:
-            continue
-        p = _params(eps, eta, g, cfg.j, n)
-        ovs.append(abs(overlap(build_state(mps_matrices(p), n), explicit_ground_state(p))))
+    ovs = [abs(overlap(build_state(mps_matrices(p), p.n), explicit_ground_state(p)))
+           for p in ring_points(cfg.g_values, cfg.n_list, cfg.j)]
     worst = float(np.min(ovs, initial=1.0))  # NaN when any overlap is NaN
     return worst > 1 - 1e-10, {"min_overlap": worst}
 
@@ -202,8 +177,10 @@ def check_ground_state_equivalence(cfg):
 @_check("bell-pair-commutation", [bell_pair_matrices])
 def check_bell_pairs(cfg):
     errs = []
-    for eps, g in itertools.product((1, -1), cfg.g_values):
-        phis = bell_pair_matrices(mps_matrices(_params(eps, -1, g, cfg.j, 4)))
+    for p in ring_points(cfg.g_values, [4], cfg.j):
+        if p.eta == 1:
+            continue  # the pairs commute for the eta = -1 tensors
+        phis = bell_pair_matrices(mps_matrices(p))
         errs += [np.max(np.abs(a @ b - b @ a)) for a, b in itertools.combinations(phis, 2)]
     worst = worst_error(*errs)
     return worst < 1e-12, {"max_commutator": worst}
@@ -213,11 +190,10 @@ def check_bell_pairs(cfg):
 def check_null_space(cfg):
     errs = []
     dims = {}
-    for (eps, eta), g in itertools.product(CLASSES, cfg.g_values):
-        p = _params(eps, eta, g, cfg.j, 4)
+    for p in ring_points(cfg.g_values, [4], cfg.j):
         t = mps_matrices(p)
         prob = parent.null_space_k2(t.a0, t.a1)
-        dims[(eps, eta, g)] = prob.kernel_dim
+        dims[(p.epsilon, p.eta, p.g)] = prob.kernel_dim
         # null-space membership of each kernel vector
         mats = (t.a0.astype(complex), t.a1.astype(complex))
         for c in prob.kernel.T:
@@ -244,8 +220,7 @@ def check_null_space(cfg):
 def check_coupling_recovery(cfg):
     errs = []
     diag = {"xx": "jx", "yy": "jy", "zz": "jz"}
-    for (eps, eta), g in itertools.product(CLASSES, cfg.g_values):
-        p = _params(eps, eta, g, cfg.j, 4)
+    for p in ring_points(cfg.g_values, [4], cfg.j):
         coeffs = parent.pauli_decompose(parent.local_h(p))
         c = couplings_from_params(p)
         errs += [abs(coeffs[label] - getattr(c, attr)) for label, attr in diag.items()]
@@ -262,23 +237,15 @@ def check_coupling_recovery(cfg):
 
 @_check(
     "parent-hamiltonian",
-    [parent.assemble_chain_h, ed.dense_spectrum, ed.ground_membership],
+    [parent.assemble_chain_h, ed.dense_spectrum, ed.ground_membership, ed.certify],
 )
 def check_parent_hamiltonian(cfg):
     res_errs, energy_errs, form_errs = [], [], []
-    for (eps, eta), g, n in itertools.product(CLASSES, cfg.g_values, cfg.n_list):
-        if eta == -1 and n % 2 != 0:
-            continue
-        p = _params(eps, eta, g, cfg.j, n)
-        h_proj = parent.assemble_chain_h(p, form="projector")
-        h_coupling = parent.assemble_chain_h(p, form="coupling")
-        c0 = parent.constant_shift(p)
-        form_errs.append(np.max(np.abs(h_coupling - h_proj + n * c0 * np.eye(2**n))))
-        # the two forms share eigenvectors, so one eigensolve serves both
-        spec = ed.dense_spectrum(h_coupling)
-        res, ov = ed.ground_membership(h_proj, explicit_ground_state(p), spec)
-        res_errs += [res, 1 - ov]
-        energy_errs.append(abs(spec.eigenvalues[0] + n * c0))
+    for p in ring_points(cfg.g_values, cfg.n_list, cfg.j):
+        cert = ed.certify(p)
+        res_errs += [cert.residual, 1 - cert.overlap]
+        energy_errs.append(abs(cert.lowest_eigenvalue - cert.expected))
+        form_errs.append(cert.form_mismatch)
     worst_res = worst_error(*res_errs)
     worst_energy = worst_error(*energy_errs)
     worst_forms = worst_error(*form_errs)
@@ -292,7 +259,7 @@ def check_parent_hamiltonian(cfg):
 
 @_check("degeneracy-scan", [ed.ground_degeneracy_scan])
 def check_degeneracy_scan(cfg):
-    p = _params(1, 1, 0.5, cfg.j, min(cfg.n_list))
+    p = ModelParams(g=0.5, j=cfg.j, n=min(cfg.n_list))
     scan = ed.ground_degeneracy_scan(p, [g for g in cfg.g_values if g not in (0, 1)])
     # dimension 2 is the generic expectation; larger values are recorded
     # as measured degeneracies, never inflated away
@@ -310,14 +277,11 @@ def check_degeneracy_scan(cfg):
 )
 def check_concurrence(cfg):
     errs = []
-    for (eps, eta), g, n in itertools.product(CLASSES, cfg.g_values, cfg.n_list):
-        if eta == -1 and n % 2 != 0:
-            continue
-        p = _params(eps, eta, g, cfg.j, n)
-        closed = entanglement.concurrence_closed(g, n)
+    for p in ring_points(cfg.g_values, cfg.n_list, cfg.j):
+        closed = entanglement.concurrence_closed(p.g, p.n)
         cs = [
             entanglement.wootters_concurrence(entanglement.pair_density(p, i, j)).c
-            for i, j in itertools.combinations(range(1, n + 1), 2)
+            for i, j in itertools.combinations(range(1, p.n + 1), 2)
         ]
         errs += [np.ptp(cs), abs(np.mean(cs) - closed)]
     worst = worst_error(*errs)
@@ -350,11 +314,10 @@ def check_scaling(cfg):
     [observables.thermodynamic_magnetization, observables.thermodynamic_correlations],
 )
 def check_thermodynamic(cfg):
-    good, skipped = _regular_g(cfg)
     ok = True
     errs = []
-    for g in good:
-        if g == 0:
+    for g in cfg.g_values:
+        if g in (0, -1):
             continue
         lim = observables.thermodynamic_magnetization(1, g)
         prev = None
@@ -372,9 +335,8 @@ def check_thermodynamic(cfg):
         "reciprocal_form(g=0.5)": observables.thermodynamic_magnetization_alt(1, 0.5),
         "note": "reciprocal form exceeds |mx| <= 1; the finite-N-consistent limit is used",
     }
-    details = {"identity_error": worst, "magnetization_limit_discrepancy": report}
-    if skipped:
-        details["skipped"] = [{"g": g, "reason": "singular parameter"} for g in skipped]
+    details = {"identity_error": worst, "magnetization_limit_discrepancy": report,
+               **_singular_skips(cfg)}
     return ok and worst < 1e-12, details
 
 

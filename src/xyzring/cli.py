@@ -14,16 +14,16 @@ import numpy as np
 
 from . import ed, observables, parent
 from .checks import VerifyConfig, run_verify, worst_error
-from .ed import state_expectation_one, state_expectation_two
+from .ed import mps_state, state_expectation_one, state_expectation_two
 from .entanglement import concurrence_closed, scaling_limit
-from .model import ModelParams, mps_matrices
-from .mps import build_state, explicit_ground_state
+from .model import ModelParams, ring_points
 from .observables import DiscontinuityError, SingularParameterError
 from .pauli import SX, SY, SZ
 
 DEFAULT_G_VALUES = [-2.0, -0.5, 0.3, 0.7, 1.0, 1.5]
 FIGURE1_SIZES = [6, 7, 8, 9, 10, 20, 30, 40, 50]
 DEFAULT_G_STEPS = 41
+CHECK_MAX_N = 10  # sweep --check builds a dense state for each row up to this size
 
 
 def _fmt(x):
@@ -45,11 +45,11 @@ def _write_lines(path, lines):
             fh.write(text)
 
 
-def _g_grid(args, default=None):
+def _g_grid(args, default):
     if args.g_min is None and args.g_max is None:
         if args.g_steps is not None:
             raise ValueError("--g-steps needs --g-min or --g-max")
-        return list(default) if default is not None else None
+        return list(default)
     g_min = args.g_min if args.g_min is not None else args.g_max
     g_max = args.g_max if args.g_max is not None else args.g_min
     steps = args.g_steps if args.g_steps is not None else DEFAULT_G_STEPS
@@ -63,11 +63,9 @@ def _g_grid(args, default=None):
 
 
 def _n_list(args, default):
-    if args.n_list:
-        return args.n_list
     if args.n is not None:
         return [args.n]
-    return list(default)
+    return args.n_list or list(default)
 
 
 def _strict_json(x):
@@ -118,6 +116,10 @@ def cmd_verify(args):
 def cmd_sweep(args):
     g_values = _g_grid(args, np.linspace(0.0, 2.0, 41))
     n_list = _n_list(args, [8])
+    unchecked = sorted({n for n in n_list if n > CHECK_MAX_N})
+    if args.check and unchecked:
+        print(f"warning: --check skips rings above n={CHECK_MAX_N} "
+              f"(unchecked n={','.join(map(str, unchecked))})", file=sys.stderr)
 
     def row(g, n):
         if g == -1:
@@ -125,9 +127,8 @@ def cmd_sweep(args):
             return None
         rec = observables.observable_record(args.epsilon, g, n)
         c = concurrence_closed(g, n)
-        if args.check and n <= 10:
-            p = ModelParams(epsilon=args.epsilon, eta=1, g=g, j=args.j, n=n)
-            psi = build_state(mps_matrices(p), n)
+        if args.check and n <= CHECK_MAX_N:
+            psi = mps_state(ModelParams(epsilon=args.epsilon, eta=1, g=g, j=args.j, n=n))
             errs = [abs(state_expectation_one(psi, SX, 1).real - rec.mx)]
             for op, val in ((SX, rec.gx), (SY, rec.gy), (SZ, rec.gz)):
                 errs.append(abs(state_expectation_two(psi, op, op, 1, 2).real - val))
@@ -197,29 +198,19 @@ def cmd_ed_compare(args):
         return 2
     lines = ["epsilon,eta,g,J,N,energy_ed,energy_expected,residual,overlap,degeneracy"]
     worst = 0.0
-    classes = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    for (eps, eta), g, n in itertools.product(classes, g_values, n_list):
-        if eta == -1 and n % 2 != 0:
-            continue
-        p = ModelParams(epsilon=eps, eta=eta, g=g, j=args.j, n=n)
-        h_coupling = parent.assemble_chain_h(p, form="coupling")
-        h_proj = parent.assemble_chain_h(p, form="projector")
-        # the two forms share eigenvectors, so one eigensolve serves both
-        spec = ed.dense_spectrum(h_coupling)
-        energy = ed.rayleigh_quotient(h_coupling, spec.ground_vectors[:, 0])
-        expected = -n * parent.constant_shift(p)
-        res, ov = ed.ground_membership(h_proj, explicit_ground_state(p), spec)
-        dev = worst_error(abs(spec.eigenvalues[0] - expected), abs(energy - expected),
-                          res, 1 - ov)
+    for p in ring_points(g_values, n_list, args.j):
+        c = ed.certify(p)
+        dev = worst_error(abs(c.lowest_eigenvalue - c.expected), abs(c.energy - c.expected),
+                          c.residual, 1 - c.overlap, c.form_mismatch)
         if not math.isfinite(dev):
-            print(f"error: non-finite energy, residual or overlap at epsilon={eps}, "
-                  f"eta={eta}, g={_fmt(g)}, N={n}", file=sys.stderr)
+            print(f"error: non-finite energy, residual or overlap at epsilon={p.epsilon}, "
+                  f"eta={p.eta}, g={_fmt(p.g)}, N={p.n}", file=sys.stderr)
         worst = worst_error(worst, dev)
         lines.append(
             ",".join(
-                [str(eps), str(eta), _fmt(g), _fmt(args.j), str(n),
-                 _fmt(energy), _fmt(expected), _fmt(res), _fmt(ov),
-                 str(spec.ground_space_dim)]
+                [str(p.epsilon), str(p.eta), _fmt(p.g), _fmt(args.j), str(p.n),
+                 _fmt(c.energy), _fmt(c.expected), _fmt(c.residual), _fmt(c.overlap),
+                 str(c.degeneracy)]
             )
         )
     _write_lines(args.output, lines)
@@ -227,22 +218,28 @@ def cmd_ed_compare(args):
     return 0 if worst < args.tolerance else 1
 
 
-def _non_negative(text):
-    value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return value
+def _float_flag(rule, accept=lambda value: True):
+    """argparse type: a finite float with accept(value) true, else exit 2 naming the flag."""
+
+    def parse(text):
+        value = float(text)
+        if not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = "float"  # so that a non-number reads "invalid float value"
+    return parse
 
 
 # flags beyond the grid and output ones, each given only to the commands that read it
 FLAGS = {
     "--epsilon": dict(type=int, choices=(1, -1), default=1,
                       help="sign of the field term (default +1)"),
-    "--j": dict(type=_non_negative, default=1.0,
+    "--j": dict(type=_float_flag("finite and non-negative", lambda v: v >= 0), default=1.0,
                 help="non-negative coupling weight (default 1)"),
-    "--tolerance": dict(type=float, default=1e-10),
+    "--tolerance": dict(type=_float_flag("finite and positive", lambda v: v > 0), default=1e-10),
     "--check": dict(action="store_true",
-                    help="cross-check each row against a dense state (N <= 10)"),
+                    help=f"cross-check each row against a dense state (N <= {CHECK_MAX_N})"),
 }
 
 COMMANDS = {
@@ -266,11 +263,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, help_text, flags) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--n", type=int, default=None, help="single ring size")
-        sp.add_argument("--n-list", type=lambda s: [int(x) for x in s.split(",")],
-                        default=None, help="comma-separated ring sizes")
-        sp.add_argument("--g-min", type=float, default=None)
-        sp.add_argument("--g-max", type=float, default=None)
+        sizes = sp.add_mutually_exclusive_group()
+        sizes.add_argument("--n", type=int, default=None, help="single ring size")
+        sizes.add_argument("--n-list", type=lambda s: [int(x) for x in s.split(",")],
+                           default=None, help="comma-separated ring sizes")
+        sp.add_argument("--g-min", type=_float_flag("finite"), default=None)
+        sp.add_argument("--g-max", type=_float_flag("finite"), default=None)
         sp.add_argument("--g-steps", type=int, default=None,
                         help="number of grid samples between g-min and g-max "
                         f"(default {DEFAULT_G_STEPS})")

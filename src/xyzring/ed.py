@@ -6,9 +6,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mps import PureState, build_state
+from .mps import PureState, build_state, explicit_ground_state
 from .model import mps_matrices
-from .parent import assemble_chain_h
+from .parent import assemble_chain_h, constant_shift
 
 DEGENERACY_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
@@ -62,23 +62,57 @@ def rayleigh_quotient(h, v):
     return float((num / np.vdot(v, v)).real)
 
 
-def ground_membership(h, psi, spectrum=None):
+def ground_membership(h, psi, spectrum):
     """(residual norm, overlap with the ground space) of a normalized state.
 
     residual = ||H psi - <psi|H|psi> psi||; overlap = ||P_ground psi||.
-    spectrum: a precomputed dense_spectrum of h or of any h + c*identity
-    (the same eigenvectors); computed from h when omitted.
+    spectrum: the dense_spectrum of h or of any h + c*identity (the same
+    eigenvectors).
     """
     vec = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi, complex)
     if abs(np.linalg.norm(vec) - 1) > 1e-10:
         raise ValueError("state is not normalized")
-    if spectrum is None:
-        spectrum = dense_spectrum(h)
     hv = np.asarray(h) @ vec
     energy = np.vdot(vec, hv)
     residual = float(np.linalg.norm(hv - energy * vec))
     proj = spectrum.ground_vectors.conj().T @ vec
     return residual, float(np.linalg.norm(proj))
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """ED certificate of the explicit ground state at one point."""
+
+    lowest_eigenvalue: float  # of the coupling form
+    energy: float  # long-double Rayleigh quotient of the first ground vector
+    expected: float  # -n*c0
+    residual: float  # of the explicit state under the projector form
+    overlap: float  # of the explicit state with the ground space
+    degeneracy: int
+    form_mismatch: float  # max |H_coupling - H_proj + n*c0*I|
+
+
+def certify(p):
+    """Certify the explicit ground state at p with one eigensolve.
+
+    The projector form is the coupling form plus n*c0*identity, so the
+    ground space of the coupling form serves the residual and overlap under
+    the projector form; form_mismatch measures how far that identity holds.
+    """
+    h_coupling = assemble_chain_h(p, form="coupling")
+    h_proj = assemble_chain_h(p, form="projector")
+    spec = dense_spectrum(h_coupling)
+    energy = rayleigh_quotient(h_coupling, spec.ground_vectors[:, 0])
+    residual, overlap = ground_membership(h_proj, explicit_ground_state(p), spec)
+    n_c0 = p.n * constant_shift(p)
+    # in place, without a matrix-size temporary: h_proj = -(H_coupling - H_proj + n*c0*I)
+    h_proj -= h_coupling
+    h_proj.flat[:: len(h_proj) + 1] -= n_c0
+    return Certificate(
+        lowest_eigenvalue=spec.eigenvalues[0], energy=energy, expected=-n_c0,
+        residual=residual, overlap=overlap, degeneracy=spec.ground_space_dim,
+        form_mismatch=float(np.max(np.abs(h_proj, out=h_proj))),
+    )
 
 
 def ground_degeneracy_scan(p, g_grid):

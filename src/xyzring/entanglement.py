@@ -10,6 +10,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .model import ModelParams
 from .mps import product_term_cell
 from .pauli import SY
 
@@ -53,20 +54,17 @@ def pair_density(p, i, j):
 def phi_overlap(g):
     """<phi_+|phi_-> of the unnormalized single-site vectors; equals
     2(1-g) for g >= 0."""
-    sg = np.sqrt(complex(g))
-    phi_p = np.array([1 + sg, 1 - sg])
-    phi_m = np.array([1 - sg, 1 + sg])
+    (phi_p, _), (phi_m, _) = product_term_cell(ModelParams(g=g))
     return np.vdot(phi_p, phi_m)
 
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
     """Wootters concurrence with the sorted square-root eigenvalues of
-    rho*rho_tilde and the eigenvalue route that was used."""
+    rho*rho_tilde."""
 
     c: float
     sqrt_eigenvalues: Tuple[float, float, float, float]
-    method: str = "hermitian-svd"
 
 
 def wootters_concurrence(rho):

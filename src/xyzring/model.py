@@ -4,8 +4,9 @@ The family is parametrized by two signs (epsilon, eta), a continuous
 parameter g, a non-negative coupling weight J and the ring size N.
 """
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -47,11 +48,10 @@ class Couplings:
 
 @dataclass(frozen=True)
 class MpsTensors:
-    """Bond-dimension-2 site tensors, plus the optional pre-gauge form."""
+    """Bond-dimension-2 site tensors."""
 
     a0: np.ndarray
     a1: np.ndarray
-    general_form: Optional[Tuple[complex, complex, complex, complex]] = None
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,17 @@ class SymmetryReport:
     spin_flip: bool
     parity: Optional[bool]
     time_reversal: bool
+
+
+def ring_points(g_values, n_list, j):
+    """ModelParams over the four (epsilon, eta) sign classes, g_values and
+    n_list, in itertools.product order.  eta = -1 has no state on odd rings
+    (every amplitude vanishes), so those points are left out."""
+    return [
+        ModelParams(epsilon=eps, eta=eta, g=g, j=j, n=n)
+        for eps, eta, g, n in itertools.product(_SIGNS, _SIGNS, g_values, n_list)
+        if eta == 1 or n % 2 == 0
+    ]
 
 
 def couplings_from_params(p):
@@ -91,7 +102,7 @@ def general_mps_matrices(a, b, c, d, epsilon=1):
         raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
     a0 = np.array([[a, b], [c, d]], dtype=complex)
     a1 = epsilon * np.array([[a, -b], [-c, d]], dtype=complex)
-    return MpsTensors(a0=a0, a1=a1, general_form=(a, b, c, d))
+    return MpsTensors(a0=a0, a1=a1)
 
 
 def check_symmetries(t, epsilon):
@@ -111,10 +122,7 @@ def check_symmetries(t, epsilon):
         and np.allclose(sz @ a1 @ sz, epsilon * a0, atol=tol)
     )
 
-    if t.general_form is not None:
-        b, c = t.general_form[1], t.general_form[2]
-    else:
-        b, c = a0[0, 1], a0[1, 0]
+    b, c = a0[0, 1], a0[1, 0]
     if abs(b) < tol or abs(c) < tol:
         parity = None
     else:

@@ -3,11 +3,12 @@ matrices, expectation values and the explicit product-form ground states.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
 
-from .pauli import kron_all
+from .pauli import SI, kron_all
 
 DENSE_STATE_CAP = 20  # 2^20 amplitudes
 
@@ -103,30 +104,34 @@ def build_state(t, n):
 
 def transfer_matrix(t):
     """E = conj(A0) x A0 + conj(A1) x A1."""
-    a0 = np.asarray(t.a0, dtype=complex)
-    a1 = np.asarray(t.a1, dtype=complex)
-    return np.kron(a0.conj(), a0) + np.kron(a1.conj(), a1)
+    return transfer_with_operator(t, SI)
 
 
 def transfer_with_operator(t, op):
     """Dressed transfer matrix E_O = sum_ij <i|O|j> conj(A_i) x A_j."""
-    mats = (np.asarray(t.a0, dtype=complex), np.asarray(t.a1, dtype=complex))
-    op = np.asarray(op, dtype=complex)
-    e = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            e += op[i, j] * np.kron(mats[i].conj(), mats[j])
-    return e
+    mats = np.stack([t.a0, t.a1]).astype(complex)
+    e = np.einsum("ij,iac,jbd->abcd", np.asarray(op, dtype=complex), mats.conj(), mats)
+    return e.reshape(4, 4)  # row (a, b), column (c, d), as in np.kron
 
 
-def _scaled_transfers(t, *ops):
-    """E and the dressed E_O of each op, all divided by the spectral radius
-    of E.  A ratio of traces of n such factors is unchanged, while the
-    powers of E stay finite for any n.
+def _contract(t, site_ops, n):
+    """<prod_k O_k(k)> over a {site: op} dict: the trace of the product over
+    sites 1..n of E_O at the sites in site_ops and E elsewhere, over tr(E^n).
+
+    Every factor is divided by the spectral radius of E, which leaves the
+    ratio unchanged and keeps the powers of E finite for any n.
     """
-    e = transfer_matrix(t)
-    radius = np.max(np.abs(np.linalg.eigvals(e)))
-    return [m / radius for m in (e, *(transfer_with_operator(t, op) for op in ops))]
+    with np.errstate(over="raise", invalid="raise"):
+        e = transfer_matrix(t)
+        radius = np.max(np.abs(np.linalg.eigvals(e)))
+        e = e / radius
+        factors, done = [], 0
+        for site in sorted(site_ops):
+            factors += [np.linalg.matrix_power(e, site - done - 1),
+                        transfer_with_operator(t, site_ops[site]) / radius]
+            done = site
+        factors.append(np.linalg.matrix_power(e, n - done))
+        return np.trace(reduce(np.matmul, factors)) / np.trace(np.linalg.matrix_power(e, n))
 
 
 def expectation_one_point(t, op, k, n):
@@ -136,12 +141,7 @@ def expectation_one_point(t, op, k, n):
     """
     if not 1 <= k <= n:
         raise ValueError(f"site index {k} outside 1..{n}")
-    with np.errstate(over="raise", invalid="raise"):
-        e, eo = _scaled_transfers(t, op)
-        num = np.trace(
-            np.linalg.matrix_power(e, k - 1) @ eo @ np.linalg.matrix_power(e, n - k)
-        )
-        return num / np.trace(np.linalg.matrix_power(e, n))
+    return _contract(t, {k: op}, n)
 
 
 def expectation_two_point(t, op_a, op_b, r, n):
@@ -151,15 +151,7 @@ def expectation_two_point(t, op_a, op_b, r, n):
     """
     if not 2 <= r <= n:
         raise ValueError(f"separation {r} outside 2..{n}")
-    with np.errstate(over="raise", invalid="raise"):
-        e, ea, eb = _scaled_transfers(t, op_a, op_b)
-        num = np.trace(
-            ea
-            @ np.linalg.matrix_power(e, r - 2)
-            @ eb
-            @ np.linalg.matrix_power(e, n - r)
-        )
-        return num / np.trace(np.linalg.matrix_power(e, n))
+    return _contract(t, {1: op_a, r: op_b}, n)
 
 
 def product_term_cell(p):

@@ -10,6 +10,7 @@ import pytest
 from xyzring import checks, cli, ed
 from xyzring.checks import VerifyConfig
 from xyzring.cli import COMMANDS, main
+from xyzring.mps import explicit_ground_state
 
 
 def run_csv(tmp_path, argv, name="out.csv"):
@@ -98,6 +99,17 @@ class TestSweep:
         )
         assert b"-0," not in raw and not raw.endswith(b"-0\n")
 
+    def test_check_warns_about_unchecked_sizes(self, tmp_path, capsys):
+        argv = ["sweep", "--n-list", "4,64,12", "--g-min", "0.3", "--g-max", "0.3",
+                "--g-steps", "1"]
+        _, _, plain = run_csv(tmp_path, argv, "plain.csv")
+        assert capsys.readouterr().err == ""
+        code, rows, checked = run_csv(tmp_path, argv + ["--check"], "checked.csv")
+        assert code == 0 and len(rows) == 3
+        assert checked == plain
+        (warning,) = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: --check") and "n=12,64" in warning
+
     def test_inverted_range_rejected(self, tmp_path):
         assert main(["sweep", "--g-min", "2", "--g-max", "1",
                      "--output", str(tmp_path / "x.csv")]) == 2
@@ -119,6 +131,38 @@ class TestUnreadFlags:
         assert main(argv + ["--output", str(path)]) == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and flag in err
+        assert not path.exists()
+
+
+BAD_FLOATS = [
+    (["sweep", "--n", "4"], "--g-min", "inf"),
+    (["sweep", "--n", "4"], "--g-min", "nan"),
+    (["figure2"], "--g-min", "nan"),
+    (["sweep", "--n", "4"], "--g-max", "-inf"),
+    (["figure1"], "--g-max", "nan"),
+    (["sweep", "--n", "4"], "--j", "inf"),
+    (["verify"], "--j", "nan"),
+    (["ed-compare"], "--j", "-inf"),
+    (["sweep", "--n", "4"], "--tolerance", "nan"),
+    (["sweep", "--n", "4", "--check"], "--tolerance", "inf"),
+    (["verify"], "--tolerance", "0"),
+    (["ed-compare"], "--tolerance", "-1e-10"),
+]
+
+
+class TestFloatFlags:
+    @pytest.mark.parametrize("argv,flag,value", BAD_FLOATS,
+                             ids=[f"{argv[0]}{flag}={value}" for argv, flag, value in BAD_FLOATS])
+    def test_rejected(self, tmp_path, capsys, argv, flag, value):
+        path = tmp_path / "x.csv"
+        assert main(argv + [f"{flag}={value}", "--output", str(path)]) == 2
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_n_and_n_list_exclusive(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        assert main(["sweep", "--n", "4", "--n-list", "6", "--output", str(path)]) == 2
+        assert "argument --n-list: not allowed with argument --n" in capsys.readouterr().err
         assert not path.exists()
 
 
@@ -222,6 +266,41 @@ class TestEdCompare:
         assert main(["ed-compare", "--n", "14",
                      "--output", str(tmp_path / "x.csv")]) == 2
         assert "cap" in capsys.readouterr().err
+
+
+def _corrupt_projector(monkeypatch):
+    """Add 1 to one diagonal entry of the projector form, at a basis state where
+    the explicit ground state vanishes: the residual, the overlap and the
+    energies cannot see it, only the comparison of the two forms can."""
+    real = ed.assemble_chain_h
+
+    def assemble(p, form="projector"):
+        h = real(p, form)
+        if form == "projector" and explicit_ground_state(p).amplitudes[1] == 0:
+            h[1, 1] += 1.0
+        return h
+
+    monkeypatch.setattr(ed, "assemble_chain_h", assemble)
+
+
+class TestFormMismatchFails:
+    # at g = 1 the eta = +1 states are GHZ-like, so their amplitude at |0001> is 0
+    def test_ed_compare(self, tmp_path, capsys, monkeypatch):
+        _corrupt_projector(monkeypatch)
+        code, rows, _ = run_csv(tmp_path, ["ed-compare", "--n", "4", "--g-min", "1",
+                                           "--g-max", "1", "--g-steps", "1"])
+        assert code == 1
+        assert all(float(r["residual"]) < 1e-10 and float(r["overlap"]) > 1 - 1e-10
+                   and r["energy_ed"] == r["energy_expected"] for r in rows)
+        _, _, worst = capsys.readouterr().err.partition("max deviation: ")
+        assert float(worst) == pytest.approx(1.0)
+
+    def test_parent_hamiltonian(self, monkeypatch):
+        _corrupt_projector(monkeypatch)
+        ok, details = checks.check_parent_hamiltonian(VerifyConfig(n_list=[4], g_values=[1.0]))
+        assert not ok
+        assert details["max_residual"] < 1e-10 and details["max_energy_error"] < 1e-9
+        assert details["max_form_mismatch"] == pytest.approx(1.0)
 
 
 def _nan_spectrum(field):

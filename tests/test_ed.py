@@ -75,7 +75,7 @@ class TestGroundMembership:
     def test_explicit_state_in_ground_space(self, eps, eta, n):
         p = params(eps, eta, g=0.7, n=n)
         h = assemble_chain_h(p, form="projector")
-        res, ov = ground_membership(h, explicit_ground_state(p))
+        res, ov = ground_membership(h, explicit_ground_state(p), dense_spectrum(h))
         assert res < 1e-10
         assert ov > 1 - 1e-10
 
@@ -85,13 +85,13 @@ class TestGroundMembership:
         rng = np.random.default_rng(11)
         v = rng.normal(size=2**p.n) + 1j * rng.normal(size=2**p.n)
         v /= np.linalg.norm(v)
-        _, ov = ground_membership(h, v)
+        _, ov = ground_membership(h, v, dense_spectrum(h))
         assert ov < 0.9
 
     def test_eigenvector_self_consistency(self):
         h = assemble_chain_h(params(g=0.3), form="coupling")
         spec = dense_spectrum(h)
-        _, ov = ground_membership(h, spec.ground_vectors[:, 0])
+        _, ov = ground_membership(h, spec.ground_vectors[:, 0], spec)
         assert ov == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("eps,eta", CLASSES)
@@ -103,14 +103,14 @@ class TestGroundMembership:
         spec = dense_spectrum(assemble_chain_h(p, form="coupling"))
         psi = explicit_ground_state(p)
         res, ov = ground_membership(h_proj, psi, spec)
-        res_ref, ov_ref = ground_membership(h_proj, psi)
+        res_ref, ov_ref = ground_membership(h_proj, psi, dense_spectrum(h_proj))
         assert res == res_ref
         assert ov == pytest.approx(ov_ref, abs=1e-14)
 
     def test_rejects_unnormalized(self):
         h = np.eye(4)
         with pytest.raises(ValueError):
-            ground_membership(h, np.ones(4))
+            ground_membership(h, np.ones(4), dense_spectrum(h))
 
 
 class TestRayleighQuotient:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from xyzring import (
     couplings_from_params,
     general_mps_matrices,
     mps_matrices,
+    ring_points,
 )
 
 CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
@@ -98,3 +101,15 @@ def test_parity_not_applicable_when_b_zero():
     t = general_mps_matrices(1.0, 0.0, 1.0, 1.0)
     rep = check_symmetries(t, 1)
     assert rep.parity is None
+
+
+@pytest.mark.parametrize("n_list", [[4, 6], [3, 4, 5], [5], [7, 3]])
+def test_ring_points_order(n_list):
+    # itertools.product order, with eta = -1 left out on odd rings only
+    g_values = [0.3, -2.0, 1.0]
+    expected = [
+        ModelParams(epsilon=eps, eta=eta, g=g, j=0.5, n=n)
+        for (eps, eta), g, n in itertools.product(CLASSES, g_values, n_list)
+        if not (eta == -1 and n % 2)
+    ]
+    assert ring_points(g_values, n_list, 0.5) == expected
