@@ -67,6 +67,7 @@ from .ed import (
     ground_membership,
     mps_state,
     pair_density_brute,
+    ring_spectrum,
     state_expectation_one,
     state_expectation_two,
 )

@@ -231,6 +231,15 @@ def _float_flag(rule, accept=lambda value: True):
     return parse
 
 
+def _int_list(text):
+    """argparse type of --n-list: comma-separated integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 # flags beyond the grid and output ones, each given only to the commands that read it
 FLAGS = {
     "--epsilon": dict(type=int, choices=(1, -1), default=1,
@@ -265,7 +274,7 @@ def build_parser():
         sp = sub.add_parser(name, help=help_text)
         sizes = sp.add_mutually_exclusive_group()
         sizes.add_argument("--n", type=int, default=None, help="single ring size")
-        sizes.add_argument("--n-list", type=lambda s: [int(x) for x in s.split(",")],
+        sizes.add_argument("--n-list", type=_int_list,
                            default=None, help="comma-separated ring sizes")
         sp.add_argument("--g-min", type=_float_flag("finite"), default=None)
         sp.add_argument("--g-max", type=_float_flag("finite"), default=None)

@@ -1,7 +1,8 @@
-"""Dense exact diagonalization: the independent oracle for ground
-energies, degeneracies and ground-space membership.
+"""Exact diagonalization: the independent oracle for ground energies,
+degeneracies and ground-space membership.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from .parent import assemble_chain_h, constant_shift
 
 DEGENERACY_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
+SYMMETRY_TOL = 1e-10  # max |H[gi, gj] - H[i, j]| over the ring's rotation and flip
 BLOCK_ROWS = 256  # rows per block where a matrix-size temporary is avoided
 
 
@@ -39,9 +41,116 @@ def dense_spectrum(h):
             raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh(h)
     dim = int(np.sum(w <= w[0] + DEGENERACY_TOL))
+    # a copy, so that the result does not keep the whole eigenvector matrix alive
     return SpectrumResult(
-        eigenvalues=w, ground_space_dim=dim, ground_vectors=v[:, :dim]
+        eigenvalues=w, ground_space_dim=dim, ground_vectors=v[:, :dim].copy()
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _ring_sectors(n):
+    """Orbit tables of the group generated by the one-site rotation T and
+    the spin flip F on n-bit basis indices (site 1 the most significant bit).
+
+    Group element T^m F^f sits at row m + n*f. Returns
+    reps (R,): the smallest index of each orbit;
+    orbits (2n, R): g(r_a) for every group element g;
+    stab (R,): the stabilizer size of each representative;
+    chars (S, 2n): chi_{k,s}(T^m F^f) = exp(2 pi i k m / n) s^f for
+        k = 0..n//2 and s = +1, -1 (for a real H the sector -k is the
+        complex conjugate of the sector k);
+    members: per sector, the representatives on whose stabilizer chi is
+        trivial;
+    copies (S,): 1 for the real sectors k = 0 and k = n/2, else 2.
+    """
+    dim = 2**n
+    rotations = [np.arange(dim)]
+    for _ in range(n - 1):
+        last = rotations[-1]
+        rotations.append(((last << 1) | (last >> (n - 1))) & (dim - 1))
+    images = np.array(rotations + [dim - 1 - r for r in rotations])
+    reps = np.flatnonzero(images.min(axis=0) == rotations[0])
+    orbits = images[:, reps]
+    in_stab = orbits == reps
+    ks = np.arange(n // 2 + 1)
+    phases = np.exp(2j * np.pi * np.outer(ks, np.arange(n)) / n)
+    chars = np.vstack([np.hstack([phases, s * phases]) for s in (1, -1)])
+    members = [np.flatnonzero(row) for row in np.abs(chars @ in_stab) > 0.5]
+    copies = np.tile(np.where((ks == 0) | (2 * ks == n), 1, 2), 2)
+    stab = in_stab.sum(axis=0)
+    for table in (reps, orbits, stab, chars, copies, *members):
+        table.flags.writeable = False  # the cache hands the same arrays to every call
+    return reps, orbits, stab, chars, members, copies
+
+
+def _check_ring_symmetry(h, n):
+    """Raise ValueError unless H[F i, F j] and H[T i, T j] equal H[i, j].
+
+    Row i and its flip dim-1-i pair up, so the rows i < dim/2 (site 1 in
+    state 0) cover every entry of the flip check. Given the flip, they
+    cover the rotation too: for i' = F i, H[T i', T j] = H[T i, T F j]
+    = H[i, F j] = H[i', j]. The rows are compared on strided views of H,
+    a block at a time, through one block-size buffer.
+    """
+    half = 2 ** (n - 1)
+    flipped = h[::-1, ::-1]
+    buf = np.empty((min(BLOCK_ROWS, half), 2 * half))
+    for start in range(0, half, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, half)
+        d = np.subtract(h[start:stop], flipped[start:stop], out=buf[: stop - start])
+        if np.abs(d, out=d).max() > SYMMETRY_TOL:
+            raise ValueError("matrix does not commute with the global spin flip")
+        # row i < half has T i = 2i; column T j = 2r + b of j = b*half + r,
+        # read as [r, b] and transposed to [b, r], sits where j does
+        rotated = h[2 * start: 2 * stop: 2].reshape(-1, half, 2).transpose(0, 2, 1)
+        d = np.subtract(rotated, h[start:stop].reshape(-1, 2, half), out=d.reshape(-1, 2, half))
+        if np.abs(d, out=d).max() > SYMMETRY_TOL:
+            raise ValueError("matrix does not commute with the ring rotation")
+
+
+def ring_spectrum(h, n):
+    """dense_spectrum of a real symmetric ring Hamiltonian, one sector at a time.
+
+    H commutes with the one-site rotation T and the spin flip F, so it is
+    block diagonal in the sectors (k, s) of the group they generate
+    (Sandvik, arXiv:1101.3281, sec. 4.1). The block of a sector is
+    H_ks[a, b] = sum_g chi(g) H[g(r_a), r_b] / sqrt(|Stab_a| |Stab_b|)
+    over the orbit representatives r on whose stabilizer chi is trivial, in
+    the basis phi_r = sum_g conj(chi(g)) |g r> / sqrt(2n |Stab_r|). A real H
+    makes the sector -k the complex conjugate of k, so only k <= n/2 is
+    diagonalized and counted twice. A complex ground vector v of sector k
+    gives the real orthonormal pair sqrt(2) Re v, sqrt(2) Im v, which spans
+    v and its conjugate. A non-finite value in any block makes every value
+    of the result non-finite.
+    """
+    h = np.asarray(h)
+    if np.iscomplexobj(h):
+        raise ValueError("ring_spectrum needs a real symmetric matrix")
+    _check_ring_symmetry(h, n)
+    reps, orbits, stab, chars, members, copies = _ring_sectors(n)
+    size = len(reps)
+    gathered = h[orbits[:, :, None], reps] / np.sqrt(np.outer(stab, stab))  # H[g(r_a), r_b]
+    blocks = (chars @ gathered.reshape(len(orbits), -1)).reshape(-1, size, size)
+    specs = [dense_spectrum((block if twice == 2 else block.real)[sel[:, None], sel])
+             for block, sel, twice in zip(blocks, members, copies)]
+    w = np.sort(np.concatenate([s.eigenvalues for s, c in zip(specs, copies) for _ in range(c)]))
+    top = w[0] + DEGENERACY_TOL
+    dim = int(np.sum(w <= top))
+    if not (np.isfinite(w).all() and all(np.isfinite(s.ground_vectors).all() for s in specs)):
+        w[0] = np.nan  # np.sort moved any NaN to the end
+        return SpectrumResult(w, dim, np.full((len(h), dim), np.nan))
+    columns = []
+    for spec, sel, char, twice in zip(specs, members, chars, copies):
+        c = spec.ground_vectors[:, spec.eigenvalues[:spec.ground_space_dim] <= top]
+        if c.shape[1]:
+            # each state of the orbit of r_a is g(r_a) for |Stab_a| elements g
+            # with the same chi(g), so one assignment per state times |Stab_a|
+            # stands for the sum: |Stab_a| / sqrt(2n |Stab_a|)
+            weights = c * np.sqrt(stab[sel] / (2 * n))[:, None]
+            v = np.zeros((len(h), c.shape[1]), complex)
+            v[orbits[:, sel]] = char.conj()[:, None, None] * weights
+            columns += [v.real] if twice == 1 else [np.sqrt(2) * v.real, np.sqrt(2) * v.imag]
+    return SpectrumResult(eigenvalues=w, ground_space_dim=dim, ground_vectors=np.hstack(columns))
 
 
 def rayleigh_quotient(h, v):
@@ -66,13 +175,18 @@ def ground_membership(h, psi, spectrum):
     """(residual norm, overlap with the ground space) of a normalized state.
 
     residual = ||H psi - <psi|H|psi> psi||; overlap = ||P_ground psi||.
-    spectrum: the dense_spectrum of h or of any h + c*identity (the same
-    eigenvectors).
+    spectrum: the dense_spectrum or ring_spectrum of h or of any
+    h + c*identity (the same eigenvectors).
     """
     vec = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi, complex)
     if abs(np.linalg.norm(vec) - 1) > 1e-10:
         raise ValueError("state is not normalized")
-    hv = np.asarray(h) @ vec
+    h = np.asarray(h)
+    if np.iscomplexobj(h):
+        hv = h @ vec
+    else:  # real H on the real and imaginary parts, without a complex copy of H
+        parts = h @ np.column_stack([vec.real, vec.imag])
+        hv = parts[:, 0] + 1j * parts[:, 1]
     energy = np.vdot(vec, hv)
     residual = float(np.linalg.norm(hv - energy * vec))
     proj = spectrum.ground_vectors.conj().T @ vec
@@ -93,7 +207,7 @@ class Certificate:
 
 
 def certify(p):
-    """Certify the explicit ground state at p with one eigensolve.
+    """Certify the explicit ground state at p with one sector-wise eigensolve.
 
     The projector form is the coupling form plus n*c0*identity, so the
     ground space of the coupling form serves the residual and overlap under
@@ -101,7 +215,7 @@ def certify(p):
     """
     h_coupling = assemble_chain_h(p, form="coupling")
     h_proj = assemble_chain_h(p, form="projector")
-    spec = dense_spectrum(h_coupling)
+    spec = ring_spectrum(h_coupling, p.n)
     energy = rayleigh_quotient(h_coupling, spec.ground_vectors[:, 0])
     residual, overlap = ground_membership(h_proj, explicit_ground_state(p), spec)
     n_c0 = p.n * constant_shift(p)
@@ -121,7 +235,7 @@ def ground_degeneracy_scan(p, g_grid):
     out = []
     for g in g_grid:
         h = assemble_chain_h(replace(p, g=float(g)))
-        out.append((float(g), dense_spectrum(h).ground_space_dim))
+        out.append((float(g), ring_spectrum(h, p.n).ground_space_dim))
     return out
 
 

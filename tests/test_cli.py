@@ -10,7 +10,9 @@ import pytest
 from xyzring import checks, cli, ed
 from xyzring.checks import VerifyConfig
 from xyzring.cli import COMMANDS, main
+from xyzring.model import ModelParams
 from xyzring.mps import explicit_ground_state
+from xyzring.parent import constant_shift
 
 
 def run_csv(tmp_path, argv, name="out.csv"):
@@ -46,6 +48,18 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == len(checks._REGISTRY) + 1
         assert all(line.startswith("PASS ") for line in lines)
+
+    def test_ring_of_three_passes(self, tmp_path, capsys):
+        # pair_density needs n >= 4, so concurrence-agreement records a skip
+        # for n = 3 instead of ending the run
+        path = tmp_path / "report.jsonl"
+        assert main(["verify", "--n", "3", "--output", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(checks._REGISTRY) + 1
+        assert all(line.startswith("PASS ") for line in lines)
+        records = {r["check"]: r for r in map(json.loads, path.read_text().splitlines())}
+        assert records["concurrence-agreement"]["details"]["skipped"] == [
+            {"n": 3, "reason": "pair density needs n >= 4"}]
 
     def test_unknown_command_rejected(self):
         assert main(["bogus"]) == 2
@@ -163,6 +177,13 @@ class TestFloatFlags:
         path = tmp_path / "x.csv"
         assert main(["sweep", "--n", "4", "--n-list", "6", "--output", str(path)]) == 2
         assert "argument --n-list: not allowed with argument --n" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_bad_n_list_names_the_format(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        assert main(["sweep", "--n-list", "4,x", "--output", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "argument --n-list: expected comma-separated integers, got '4,x'" in err
         assert not path.exists()
 
 
@@ -353,6 +374,42 @@ class TestNanFails:
         (record,) = [r for r in records if r["check"] == "parent-hamiltonian"]
         assert record["status"] == "fail"
         assert record["details"]["max_energy_error"] is None
+
+
+def _nan_in_excited_blocks(p):
+    """dense_spectrum with a NaN put into the eigenvalues of every sector block
+    of p's coupling form that holds no ground state."""
+    real = ed.dense_spectrum
+    excited = -p.n * constant_shift(p) + 1e-6
+
+    def spectrum(h):
+        spec = real(h)
+        if spec.eigenvalues[0] <= excited:
+            return spec
+        value = spec.eigenvalues.copy()
+        value[-1] = np.nan
+        return dataclasses.replace(spec, eigenvalues=value)
+
+    return spectrum
+
+
+class TestNanInExcitedBlock:
+    p = ModelParams(epsilon=1, eta=1, g=0.3, j=1.0, n=4)
+
+    def test_ed_compare(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ed, "dense_spectrum", _nan_in_excited_blocks(self.p))
+        code, rows, _ = run_csv(tmp_path, ["ed-compare", "--n", "4", "--g-min", "0.3",
+                                           "--g-max", "0.3", "--g-steps", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: non-finite energy, residual or overlap at epsilon=1, eta=1" in err
+        assert "max deviation: nan" in err
+
+    def test_parent_hamiltonian(self, monkeypatch):
+        monkeypatch.setattr(ed, "dense_spectrum", _nan_in_excited_blocks(self.p))
+        ok, details = checks.check_parent_hamiltonian(VerifyConfig(n_list=[4], g_values=[0.3]))
+        assert not ok
+        assert np.isnan(details["max_energy_error"])
 
 
 class TestChecks:

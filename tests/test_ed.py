@@ -1,8 +1,12 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from xyzring import (
     ModelParams,
+    certify,
     assemble_chain_h,
     constant_shift,
     dense_spectrum,
@@ -10,7 +14,9 @@ from xyzring import (
     ground_degeneracy_scan,
     ground_membership,
     mps_state,
+    ring_spectrum,
 )
+from xyzring import ed
 from xyzring.ed import rayleigh_quotient
 from xyzring.pauli import SX, op_on_sites
 
@@ -62,6 +68,11 @@ class TestDenseSpectrum:
         with pytest.raises(ValueError):
             dense_spectrum(m)
 
+    def test_ground_vectors_own_their_data(self):
+        # a view would keep the whole eigenvector matrix alive
+        spec = dense_spectrum(assemble_chain_h(params(g=0.3), form="coupling"))
+        assert spec.ground_vectors.flags.owndata
+
     def test_accepts_complex_hermitian_across_blocks(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
@@ -107,6 +118,21 @@ class TestGroundMembership:
         assert res == res_ref
         assert ov == pytest.approx(ov_ref, abs=1e-14)
 
+    @pytest.mark.parametrize("eps,eta", CLASSES)
+    def test_real_h_matches_complex_product(self, eps, eta):
+        # real H is applied to the real and imaginary parts of psi separately
+        p = params(eps, eta, g=0.37, n=8)
+        h = assemble_chain_h(p, form="projector")
+        spec = ring_spectrum(h, p.n)
+        psi = explicit_ground_state(p)
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=2**p.n) + 1j * rng.normal(size=2**p.n)
+        for state in (psi, v / np.linalg.norm(v)):
+            res, ov = ground_membership(h, state, spec)
+            res_ref, ov_ref = ground_membership(h.astype(complex), state, spec)
+            assert res == pytest.approx(res_ref, abs=1e-15, rel=1e-14)
+            assert ov == pytest.approx(ov_ref, abs=1e-15)
+
     def test_rejects_unnormalized(self):
         h = np.eye(4)
         with pytest.raises(ValueError):
@@ -124,6 +150,136 @@ class TestRayleighQuotient:
     def test_unnormalized_complex_vector(self):
         h = np.array([[2.0, 1j], [-1j, 2.0]])
         assert rayleigh_quotient(h, np.array([1.0, 1j]) * 3) == pytest.approx(1.0)
+
+
+RING_G = [-2.0, -1.0, -0.5, 0.0, 0.37, 1.0, 1.5]
+RING_J = [0.0, 0.4, 1.0]
+
+
+def _ground_residual(h, spec):
+    v = spec.ground_vectors
+    return np.linalg.norm(h @ v - spec.eigenvalues[0] * v, 2)
+
+
+class TestRingSpectrum:
+    @pytest.mark.parametrize("eta", [1, -1])
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_matches_dense(self, n, eta):
+        # One dense reference per (g, J) serves both signs of epsilon and both
+        # forms. U = prod sigma_z flips the sign of the field term only, so
+        # H(-epsilon) = U H(epsilon) U with the same spectrum and ground
+        # projector U P U; the projector form is the coupling form plus
+        # n*c0*identity.
+        u = (-1.0) ** np.array([bin(i).count("1") for i in range(2**n)])
+        for g, j in itertools.product(RING_G, RING_J):
+            h_ref = assemble_chain_h(params(1, eta, g, j, n), form="coupling")
+            ref = dense_spectrum(h_ref)
+            gap = ref.eigenvalues[ref.ground_space_dim] - ref.eigenvalues[0]
+            ref_residual = _ground_residual(h_ref, ref)
+            for eps, form in itertools.product((1, -1), ("coupling", "projector")):
+                p = params(eps, eta, g, j, n)
+                h = assemble_chain_h(p, form=form)
+                spec = ring_spectrum(h, n)
+                where = (eps, g, j, form)
+                shift = n * constant_shift(p) if form == "projector" else 0.0
+                assert spec.ground_space_dim == ref.ground_space_dim, where
+                assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues - shift)) < 1e-12, where
+                v = spec.ground_vectors
+                assert v.dtype == np.float64 and v.flags.owndata
+                assert np.max(np.abs(v.T @ v - np.eye(spec.ground_space_dim))) < 1e-12, where
+                ref_v = ref.ground_vectors * (u[:, None] if eps == -1 else 1.0)
+                # the ground projectors agree to 1e-12, or to the Davis-Kahan
+                # bound (residuals / gap) where a small gap makes them ill-conditioned
+                bound = (_ground_residual(h, spec) + ref_residual) / gap
+                assert np.max(np.abs(v @ v.T - ref_v @ ref_v.T)) < max(1e-12, bound), where
+
+    # (257, 259) is seen only by the second block of rows the check compares
+    @pytest.mark.parametrize("i,j", [(1, 2), (5, 900), (257, 259), (1000, 1001)])
+    def test_rejects_broken_rotation(self, i, j):
+        # i<->j and their flips stay symmetric and flip-invariant, but their
+        # rotated images do not move with them
+        h = assemble_chain_h(params(n=10), form="coupling")
+        flip = len(h) - 1
+        for a, b in ((i, j), (j, i), (flip - i, flip - j), (flip - j, flip - i)):
+            h[a, b] += 1e-6
+        with pytest.raises(ValueError, match="rotation"):
+            ring_spectrum(h, 10)
+
+    @pytest.mark.parametrize("state", [0, 1, 3])
+    def test_rejects_broken_flip(self, state):
+        # a shift on the diagonal of a whole rotation orbit keeps T, breaks F
+        h = assemble_chain_h(params(n=10), form="coupling")
+        for m in range(10):
+            rotated = ((state << m) | (state >> (10 - m))) & (len(h) - 1)
+            h[rotated, rotated] = h[rotated, rotated] + 1e-6
+        with pytest.raises(ValueError, match="flip"):
+            ring_spectrum(h, 10)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_random_invariant_matrix(self, n):
+        # Beyond the model: a random symmetric matrix averaged over the group,
+        # with no site-reversal symmetry, so the blocks k and -k are complex
+        # and not equivalent. Lowering span{Re w, Im w} for w in the sector
+        # k = 1, s = -1 (a group-invariant plane) puts a twofold ground space
+        # near it into a complex sector pair.
+        dim = 2**n
+        rng = np.random.default_rng(n)
+        idx = np.arange(dim)
+        rotations = [idx]
+        for _ in range(n - 1):
+            rotations.append(((rotations[-1] << 1) | (rotations[-1] >> (n - 1))) & (dim - 1))
+        a = rng.normal(size=(dim, dim))
+        a += a.T
+        h = sum(a[np.ix_(r, r)] + a[np.ix_(dim - 1 - r, dim - 1 - r)] for r in rotations)
+        x = rng.normal(size=dim)
+        w = sum(np.exp(-2j * np.pi * m / n) * (x[r] - x[dim - 1 - r])
+                for m, r in enumerate(rotations))
+        plane = np.linalg.qr(np.column_stack([w.real, w.imag]))[0]
+        h -= 1e3 * plane @ plane.T
+        spec, ref = ring_spectrum(h, n), dense_spectrum(h)
+        assert spec.ground_space_dim == ref.ground_space_dim == 2
+        assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues)) < 1e-9
+        v, ref_v = spec.ground_vectors, ref.ground_vectors
+        assert np.max(np.abs(v @ v.T - ref_v @ ref_v.T)) < 1e-12
+
+    def test_rejects_complex(self):
+        h = assemble_chain_h(params(n=4), form="coupling").astype(complex)
+        with pytest.raises(ValueError, match="real"):
+            ring_spectrum(h, 4)
+
+    @pytest.mark.parametrize("field", ["eigenvalues", "ground_vectors"])
+    def test_nan_in_a_block_without_ground_state(self, monkeypatch, field):
+        # np.sort would move a NaN eigenvalue of an excited block out of sight
+        h = assemble_chain_h(params(n=6, g=0.3), form="coupling")
+        excited = dense_spectrum(h).eigenvalues[0] + 1
+        real, poisoned = ed.dense_spectrum, []
+
+        def spectrum(block):
+            spec = real(block)
+            if spec.eigenvalues[0] < excited:
+                return spec
+            poisoned.append(len(block))
+            value = getattr(spec, field).copy()
+            value.flat[-1] = np.nan
+            return dataclasses.replace(spec, **{field: value})
+
+        monkeypatch.setattr(ed, "dense_spectrum", spectrum)
+        assert np.isnan(ring_spectrum(h, 6).eigenvalues[0])
+        assert poisoned
+
+    def test_certify_diagonalizes_blocks_only(self, monkeypatch):
+        real, sizes = ed.dense_spectrum, []
+
+        def spectrum(block):
+            sizes.append(len(block))
+            return real(block)
+
+        monkeypatch.setattr(ed, "dense_spectrum", spectrum)
+        assert certify(params(n=8, g=0.37)).degeneracy == 2
+        assert 0 < max(sizes) < 2**8 // 8
+        sizes.clear()
+        ground_degeneracy_scan(params(n=8), [0.3])
+        assert 0 < max(sizes) < 2**8 // 8
 
 
 class TestDegeneracyScan:
