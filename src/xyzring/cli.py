@@ -62,12 +62,6 @@ def _g_grid(args, default):
     return list(np.linspace(g_min, g_max, steps))
 
 
-def _n_list(args, default):
-    if args.n is not None:
-        return [args.n]
-    return args.n_list or list(default)
-
-
 def _strict_json(x):
     """x with numpy scalars as Python numbers and non-finite floats as None,
     so that json.dumps writes strict JSON (RFC 8259 has no NaN)."""
@@ -85,7 +79,7 @@ def _strict_json(x):
 def cmd_verify(args):
     cfg = VerifyConfig(
         j=args.j,
-        n_list=_n_list(args, [4, 6]),
+        n_list=args.n_list or [4, 6],
         g_values=_g_grid(args, DEFAULT_G_VALUES),
         tolerance=args.tolerance,
     )
@@ -115,7 +109,7 @@ def cmd_verify(args):
 
 def cmd_sweep(args):
     g_values = _g_grid(args, np.linspace(0.0, 2.0, 41))
-    n_list = _n_list(args, [8])
+    n_list = args.n_list or [8]
     unchecked = sorted({n for n in n_list if n > CHECK_MAX_N})
     if args.check and unchecked:
         print(f"warning: --check skips rings above n={CHECK_MAX_N} "
@@ -154,7 +148,7 @@ def cmd_sweep(args):
 
 def cmd_figure1(args):
     g_values = _g_grid(args, np.linspace(0.0, 5.0, 101))
-    sizes = _n_list(args, FIGURE1_SIZES)
+    sizes = args.n_list or FIGURE1_SIZES
 
     def row(g):
         vals = [n * concurrence_closed(g / n, n) for n in sizes]
@@ -168,7 +162,7 @@ def cmd_figure1(args):
 
 def cmd_figure2(args):
     g_values = _g_grid(args, np.linspace(-2.0, 2.0, 81))
-    sizes = _n_list(args, [4, 8, 16, 64])
+    sizes = args.n_list or [4, 8, 16, 64]
 
     def safe(fn, *a):
         try:
@@ -192,7 +186,7 @@ def cmd_figure2(args):
 
 def cmd_ed_compare(args):
     g_values = _g_grid(args, DEFAULT_G_VALUES)
-    n_list = _n_list(args, [4, 6])
+    n_list = args.n_list or [4, 6]
     if any(n > parent.DENSE_CAP for n in n_list):
         print(f"error: ring sizes above dense cap {parent.DENSE_CAP}", file=sys.stderr)
         return 2
@@ -232,12 +226,23 @@ def _float_flag(rule, accept=lambda value: True):
 
 
 def _int_list(text):
-    """argparse type of --n-list: comma-separated integers."""
+    """argparse type of --n-list: comma-separated ring sizes, each at least 3."""
     try:
-        return [int(x) for x in text.split(",")]
+        sizes = [int(x) for x in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
+    if min(sizes) < 3:
+        raise argparse.ArgumentTypeError(f"ring sizes must be at least 3, got {text}")
+    return sizes
+
+
+def _ring_size(text):
+    """argparse type of --n: one ring size, checked and stored as by --n-list."""
+    return _int_list(str(int(text)))
+
+
+_ring_size.__name__ = "int"  # so that a non-integer reads "invalid int value"
 
 
 # flags beyond the grid and output ones, each given only to the commands that read it
@@ -273,9 +278,9 @@ def build_parser():
     for name, (fn, help_text, flags) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sizes = sp.add_mutually_exclusive_group()
-        sizes.add_argument("--n", type=int, default=None, help="single ring size")
-        sizes.add_argument("--n-list", type=_int_list,
-                           default=None, help="comma-separated ring sizes")
+        sizes.add_argument("--n", type=_ring_size, dest="n_list", metavar="N",
+                           help="single ring size")
+        sizes.add_argument("--n-list", type=_int_list, help="comma-separated ring sizes")
         sp.add_argument("--g-min", type=_float_flag("finite"), default=None)
         sp.add_argument("--g-max", type=_float_flag("finite"), default=None)
         sp.add_argument("--g-steps", type=int, default=None,

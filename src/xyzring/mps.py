@@ -70,14 +70,14 @@ def _all_amplitudes(t, n):
     The ring is split into sites 1..k and k+1..n with k = n // 2.  Since
     tr(L R) = sum_ab L_ab R_ba, every amplitude is an entry of one matrix
     product with inner size 4 between the 2^k left and the 2^(n-k) right
-    products, taken in the tensors' own dtype (real for mps_matrices) and
-    at least double precision.
+    products, taken and returned in the tensors' own dtype (real for
+    mps_matrices) and at least double precision.
     """
     mats = np.stack([t.a0, t.a1]).astype(np.result_type(t.a0, t.a1, np.float64))
     k = n // 2
     left = _site_products(mats, k).reshape(-1, 4)
     right_t = _site_products(mats, n - k).transpose(0, 2, 1).reshape(-1, 4)
-    return (left @ right_t.T).ravel().astype(complex)
+    return (left @ right_t.T).ravel()
 
 
 def build_state(t, n):
@@ -99,7 +99,8 @@ def build_state(t, n):
         raise ArithmeticError(
             f"normalization mismatch: tr(E^n)={z_trace} vs sum |amp|^2={z}"
         )
-    return PureState(amplitudes=amps / np.sqrt(z), n=n, z=z)
+    # a reciprocal multiply, as in numpy's complex-by-real division, keeps the bits
+    return PureState(amplitudes=(amps * (1 / np.sqrt(z))).astype(complex, copy=False), n=n, z=z)
 
 
 def transfer_matrix(t):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import couplings_from_params
-from .pauli import PAULI, PAULI_LABELS, SI, SX, SY, SZ
+from .pauli import PAULI
 
 DENSE_CAP = 12
 
@@ -19,6 +19,8 @@ PSI_PLUS = np.array([0, 1, 1, 0]) / np.sqrt(2)
 PSI_MINUS = np.array([0, 1, -1, 0]) / np.sqrt(2)
 PHI_PLUS = np.array([1, 0, 0, 1]) / np.sqrt(2)
 PHI_MINUS = np.array([1, 0, 0, -1]) / np.sqrt(2)
+
+_PAULI_PAIRS = {a + b: np.kron(PAULI[a], PAULI[b]) for a, b in itertools.product(PAULI, repeat=2)}
 
 
 @dataclass(frozen=True)
@@ -88,18 +90,14 @@ def pauli_decompose(h2):
         raise ValueError("expected a 4x4 operator")
     if np.max(np.abs(h2 - h2.conj().T)) > 1e-12:
         raise ValueError("operator is not Hermitian")
-    coeffs = {}
-    for la, lb in itertools.product(PAULI_LABELS, repeat=2):
-        c = np.trace(h2 @ np.kron(PAULI[la], PAULI[lb])) / 4
-        coeffs[la + lb] = float(c.real)
-    return coeffs
+    return {label: float((np.trace(h2 @ op) / 4).real) for label, op in _PAULI_PAIRS.items()}
 
 
 def pauli_reconstruct(coeffs):
     """Inverse of pauli_decompose."""
     h2 = np.zeros((4, 4), dtype=complex)
     for label, c in coeffs.items():
-        h2 += c * np.kron(PAULI[label[0]], PAULI[label[1]])
+        h2 += c * _PAULI_PAIRS[label]
     return h2
 
 
@@ -123,24 +121,27 @@ def _ring_sum(h2, n):
     return h_total
 
 
-def assemble_chain_h(p, form="projector"):
-    """Dense real ring Hamiltonian on 2^n dimensions (float64).
-
-    form="projector": sum of embedded local projectors h_{l,l+1}
-    (positive semidefinite, annihilates the MPS state).
-    form="coupling": the coupling form with couplings_from_params; equals the
-    projector form minus n*c0*identity.
-    Both forms are real because sigma_y x sigma_y is a real matrix.
+def bond_operator(p, form="projector"):
+    """Real 4x4 bond term of the ring Hamiltonian, which sums it over the bonds.
+    form="projector": local_h (positive semidefinite, annihilates the MPS state).
+    form="coupling": jx sx.sx + jy sy.sy + jz sz.sz + (b/2)(sx.1 + 1.sx), which
+    is the projector term minus c0*identity; split over both sites, the field
+    makes this hold bond by bond and not only summed around the ring.
     """
-    n = p.n
-    if n > DENSE_CAP:
-        raise ValueError(f"ring size {n} exceeds dense cap {DENSE_CAP}")
     if form == "projector":
         h2 = local_h(p)
     elif form == "coupling":
         c = couplings_from_params(p)
-        h2 = (c.jx * np.kron(SX, SX) + c.jy * np.kron(SY, SY)
-              + c.jz * np.kron(SZ, SZ) + c.b * np.kron(SX, SI))
+        h2 = pauli_reconstruct({"xx": c.jx, "yy": c.jy, "zz": c.jz, "x1": c.b / 2, "1x": c.b / 2})
     else:
         raise ValueError(f"unknown form {form!r}")
-    return _ring_sum(h2.real, n)
+    return h2.real  # real, because sigma_y x sigma_y is a real matrix
+
+
+def assemble_chain_h(p, form="projector"):
+    """Dense real ring Hamiltonian on 2^n dimensions (float64): bond_operator
+    summed over the ring bonds. The coupling form is the projector form minus
+    n*c0*identity."""
+    if p.n > DENSE_CAP:
+        raise ValueError(f"ring size {p.n} exceeds dense cap {DENSE_CAP}")
+    return _ring_sum(bond_operator(p, form), p.n)

@@ -14,7 +14,6 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 PAULI = {"1": SI, "x": SX, "y": SY, "z": SZ}
-PAULI_LABELS = ("1", "x", "y", "z")
 
 
 def kron_all(factors):

@@ -11,7 +11,6 @@ from xyzring import checks, cli, ed
 from xyzring.checks import VerifyConfig
 from xyzring.cli import COMMANDS, main
 from xyzring.model import ModelParams
-from xyzring.mps import explicit_ground_state
 from xyzring.parent import constant_shift
 
 
@@ -179,6 +178,16 @@ class TestFloatFlags:
         assert "argument --n-list: not allowed with argument --n" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("flag,value", [("--n", "2"), ("--n-list", "4,0")])
+    def test_ring_size_below_three(self, tmp_path, capsys, command, flag, value):
+        path = tmp_path / "x.csv"
+        assert main([command, flag, value, "--output", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: ring sizes must be at least 3, got {value}" in err
+        assert "Warning" not in err
+        assert not path.exists()
+
     def test_bad_n_list_names_the_format(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
         assert main(["sweep", "--n-list", "4,x", "--output", str(path)]) == 2
@@ -290,22 +299,21 @@ class TestEdCompare:
 
 
 def _corrupt_projector(monkeypatch):
-    """Add 1 to one diagonal entry of the projector form, at a basis state where
-    the explicit ground state vanishes: the residual, the overlap and the
-    energies cannot see it, only the comparison of the two forms can."""
-    real = ed.assemble_chain_h
+    """Add 1 to entry [1, 1] of the projector bond term: the residual, the
+    overlap and the energies come from the coupling form and cannot see it,
+    only the comparison of the two bond terms can."""
+    real = ed.bond_operator
 
-    def assemble(p, form="projector"):
-        h = real(p, form)
-        if form == "projector" and explicit_ground_state(p).amplitudes[1] == 0:
-            h[1, 1] += 1.0
-        return h
+    def bond(p, form="projector"):
+        h2 = real(p, form)
+        if form == "projector":
+            h2[1, 1] += 1.0
+        return h2
 
-    monkeypatch.setattr(ed, "assemble_chain_h", assemble)
+    monkeypatch.setattr(ed, "bond_operator", bond)
 
 
 class TestFormMismatchFails:
-    # at g = 1 the eta = +1 states are GHZ-like, so their amplitude at |0001> is 0
     def test_ed_compare(self, tmp_path, capsys, monkeypatch):
         _corrupt_projector(monkeypatch)
         code, rows, _ = run_csv(tmp_path, ["ed-compare", "--n", "4", "--g-min", "1",

@@ -133,6 +133,22 @@ class TestGroundMembership:
             assert res == pytest.approx(res_ref, abs=1e-15, rel=1e-14)
             assert ov == pytest.approx(ov_ref, abs=1e-15)
 
+    def test_matches_direct_product(self):
+        # the reference is the plain complex product, not ground_membership
+        # itself, for a real and a complex Hermitian H and a complex state
+        p = params(eta=-1, g=0.37)
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(2**p.n, 2**p.n))
+        v = rng.normal(size=2**p.n) + 1j * rng.normal(size=2**p.n)
+        v /= np.linalg.norm(v)
+        for h in (assemble_chain_h(p, form="coupling"),
+                  assemble_chain_h(p, form="coupling") + 0.1j * (a - a.T)):
+            spec = dense_spectrum(h)
+            hv = h.astype(complex) @ v
+            res, ov = ground_membership(h, v, spec)
+            assert res == pytest.approx(np.linalg.norm(hv - np.vdot(v, hv) * v), rel=1e-13)
+            assert ov == pytest.approx(np.linalg.norm(spec.ground_vectors.conj().T @ v), rel=1e-13)
+
     def test_rejects_unnormalized(self):
         h = np.eye(4)
         with pytest.raises(ValueError):
@@ -280,6 +296,19 @@ class TestRingSpectrum:
         sizes.clear()
         ground_degeneracy_scan(params(n=8), [0.3])
         assert 0 < max(sizes) < 2**8 // 8
+
+    def test_certify_assembles_one_coupling_form(self, monkeypatch):
+        real, forms = ed.assemble_chain_h, []
+
+        def assemble(p, form="projector"):
+            forms.append(form)
+            return real(p, form)
+
+        monkeypatch.setattr(ed, "assemble_chain_h", assemble)
+        points = [params(eps, eta, g=0.37, j=0.4, n=n) for (eps, eta) in CLASSES for n in (4, 6)]
+        for p in points:
+            certify(p)
+        assert forms == ["coupling"] * len(points)
 
 
 class TestDegeneracyScan:

@@ -78,6 +78,15 @@ class TestBuildState:
         assert np.allclose(psi.amplitudes, expected)
         assert np.count_nonzero(np.abs(psi.amplitudes) > 1e-12) == 2
 
+    def test_amplitudes_are_complex128(self):
+        # real tensors give real amplitudes; the state is complex either way
+        for t in (mps_matrices(params(g=0.7, n=6)),
+                  general_mps_matrices(0.3 + 0.2j, 1.1, -0.7j, 0.4 - 0.5j, epsilon=-1)):
+            psi = build_state(t, 6)
+            assert psi.amplitudes.dtype == np.complex128
+            assert np.allclose(psi.amplitudes, mps._all_amplitudes(t, 6) / np.sqrt(psi.z),
+                               rtol=1e-15, atol=0)
+
     def test_product_state_at_g_zero(self):
         psi = build_state(mps_matrices(params(g=0.0, n=4)), 4)
         assert np.allclose(psi.amplitudes, np.full(16, 0.25))
@@ -108,7 +117,7 @@ class TestBuildState:
         # rounding of n-fold products (eta = -1 odd rings vanish exactly)
         want = np.array([amplitude(t, f"{idx:0{n}b}") for idx in range(2**n)])
         got = mps._all_amplitudes(t, n)
-        assert got.dtype == np.complex128 and got.shape == (2**n,)
+        assert got.dtype == np.result_type(t.a0, t.a1, np.float64) and got.shape == (2**n,)
         scale = max(np.linalg.norm(t.a0, 2), np.linalg.norm(t.a1, 2)) ** n
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 

@@ -17,6 +17,7 @@ from xyzring import (
     pauli_decompose,
     pauli_reconstruct,
 )
+from xyzring.parent import bond_operator
 from xyzring.pauli import PAULI, SX, SY, SZ, op_on_sites
 
 CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
@@ -195,6 +196,14 @@ class TestAssembleChain:
         he = assemble_chain_h(p, form="coupling")
         c0 = constant_shift(p)
         assert np.max(np.abs(he - hp + p.n * c0 * np.eye(2**p.n))) < 1e-10
+
+    @pytest.mark.parametrize("eps,eta", CLASSES)
+    def test_bond_terms_differ_by_constant(self, eps, eta):
+        # the field is split over both sites, so the identity holds per bond
+        for g, j in itertools.product([-2.0, -1.0, -0.5, 0.0, 0.37, 1.0, 1.5], [0.0, 0.4, 1.0]):
+            p = params(eps, eta, g, j)
+            gap = bond_operator(p, "coupling") - bond_operator(p, "projector")
+            assert np.max(np.abs(gap + constant_shift(p) * np.eye(4))) <= 1e-14
 
     def test_annihilates_product_terms_individually(self):
         # both product states and their combinations are zero modes (eta=1)
