@@ -35,6 +35,7 @@ from .parent import (
     null_space_k2,
     pauli_decompose,
     pauli_reconstruct,
+    ring_apply,
 )
 from .observables import (
     DiscontinuityError,

@@ -237,7 +237,7 @@ def check_coupling_recovery(cfg):
 
 @_check(
     "parent-hamiltonian",
-    [parent.assemble_chain_h, ed.dense_spectrum, ed.ring_spectrum, ed.ground_membership,
+    [parent.ring_apply, ed.dense_spectrum, ed.ring_spectrum, ed.ground_membership,
      ed.certify],
 )
 def check_parent_hamiltonian(cfg):

@@ -9,12 +9,11 @@ import numpy as np
 
 from .mps import PureState, build_state, explicit_ground_state
 from .model import mps_matrices
-from .parent import assemble_chain_h, bond_operator, constant_shift
+from .parent import DENSE_CAP, bond_operator, constant_shift, ring_apply
 
 DEGENERACY_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
-SYMMETRY_TOL = 1e-10  # max |H[gi, gj] - H[i, j]| over the ring's rotation and flip
-BLOCK_ROWS = 256  # rows per block where a matrix-size temporary is avoided
+SYMMETRY_TOL = 1e-10  # max |h2 - (sx.sx) h2 (sx.sx)| over the 16 entries of the bond term
 
 
 @dataclass(frozen=True)
@@ -34,11 +33,8 @@ def dense_spectrum(h):
     """
     h = np.asarray(h)
     h = h.astype(complex if np.iscomplexobj(h) else float, copy=False)
-    # max |H - H^dagger|, a block of rows at a time to bound the temporaries
-    for start in range(0, len(h), BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        if np.max(np.abs(h[rows] - h[:, rows].conj().T)) > HERMITICITY_TOL:
-            raise ValueError("matrix is not Hermitian")
+    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
+        raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh(h)
     dim = int(np.sum(w <= w[0] + DEGENERACY_TOL))
     # a copy, so that the result does not keep the whole eigenvector matrix alive
@@ -83,36 +79,13 @@ def _ring_sectors(n):
     return reps, orbits, stab, chars, members, copies
 
 
-def _check_ring_symmetry(h, n):
-    """Raise ValueError unless H[F i, F j] and H[T i, T j] equal H[i, j].
+def ring_spectrum(h2, n):
+    """dense_spectrum of the ring Hamiltonian of a real symmetric bond term
+    h2 (the sum of h2 over the n bonds), one sector at a time.
 
-    Row i and its flip dim-1-i pair up, so the rows i < dim/2 (site 1 in
-    state 0) cover every entry of the flip check. Given the flip, they
-    cover the rotation too: for i' = F i, H[T i', T j] = H[T i, T F j]
-    = H[i, F j] = H[i', j]. The rows are compared on strided views of H,
-    a block at a time, through one block-size buffer.
-    """
-    half = 2 ** (n - 1)
-    flipped = h[::-1, ::-1]
-    buf = np.empty((min(BLOCK_ROWS, half), 2 * half))
-    for start in range(0, half, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, half)
-        d = np.subtract(h[start:stop], flipped[start:stop], out=buf[: stop - start])
-        if np.abs(d, out=d).max() > SYMMETRY_TOL:
-            raise ValueError("matrix does not commute with the global spin flip")
-        # row i < half has T i = 2i; column T j = 2r + b of j = b*half + r,
-        # read as [r, b] and transposed to [b, r], sits where j does
-        rotated = h[2 * start: 2 * stop: 2].reshape(-1, half, 2).transpose(0, 2, 1)
-        d = np.subtract(rotated, h[start:stop].reshape(-1, 2, half), out=d.reshape(-1, 2, half))
-        if np.abs(d, out=d).max() > SYMMETRY_TOL:
-            raise ValueError("matrix does not commute with the ring rotation")
-
-
-def ring_spectrum(h, n):
-    """dense_spectrum of a real symmetric ring Hamiltonian, one sector at a time.
-
-    H commutes with the one-site rotation T and the spin flip F, so it is
-    block diagonal in the sectors (k, s) of the group they generate
+    Every bond applies the same h2, so H commutes with the one-site rotation
+    T; it commutes with the spin flip F when (sx.sx) h2 (sx.sx) = h2. So it
+    is block diagonal in the sectors (k, s) of the group they generate
     (Sandvik, arXiv:1101.3281, sec. 4.1). The block of a sector is
     H_ks[a, b] = sum_g chi(g) H[g(r_a), r_b] / sqrt(|Stab_a| |Stab_b|)
     over the orbit representatives r on whose stabilizer chi is trivial, in
@@ -121,15 +94,22 @@ def ring_spectrum(h, n):
     diagonalized and counted twice. A complex ground vector v of sector k
     gives the real orthonormal pair sqrt(2) Re v, sqrt(2) Im v, which spans
     v and its conjugate. A non-finite value in any block makes every value
-    of the result non-finite.
+    of the result non-finite. The blocks are gathered from the columns of H
+    at the representatives, ring_apply of h2 to their unit vectors.
     """
-    h = np.asarray(h)
-    if np.iscomplexobj(h):
-        raise ValueError("ring_spectrum needs a real symmetric matrix")
-    _check_ring_symmetry(h, n)
+    h2 = np.asarray(h2)
+    if n > DENSE_CAP:
+        raise ValueError(f"ring size {n} exceeds dense cap {DENSE_CAP}")
+    if np.iscomplexobj(h2):
+        raise ValueError("ring_spectrum needs a real symmetric bond term")
+    if np.max(np.abs(h2 - h2[::-1, ::-1])) > SYMMETRY_TOL:  # sx.sx reverses the 4 states
+        raise ValueError("bond term does not commute with the spin flip")
     reps, orbits, stab, chars, members, copies = _ring_sectors(n)
     size = len(reps)
-    gathered = h[orbits[:, :, None], reps] / np.sqrt(np.outer(stab, stab))  # H[g(r_a), r_b]
+    units = np.zeros((2**n, size))
+    units[reps, np.arange(size)] = 1.0
+    cols = ring_apply(h2, units, n)  # H[:, r_b]
+    gathered = cols[orbits] / np.sqrt(np.outer(stab, stab))  # H[g(r_a), r_b]
     blocks = (chars @ gathered.reshape(len(orbits), -1)).reshape(-1, size, size)
     specs = [dense_spectrum((block if twice == 2 else block.real)[sel[:, None], sel])
              for block, sel, twice in zip(blocks, members, copies)]
@@ -138,7 +118,7 @@ def ring_spectrum(h, n):
     dim = int(np.sum(w <= top))
     if not (np.isfinite(w).all() and all(np.isfinite(s.ground_vectors).all() for s in specs)):
         w[0] = np.nan  # np.sort moved any NaN to the end
-        return SpectrumResult(w, dim, np.full((len(h), dim), np.nan))
+        return SpectrumResult(w, dim, np.full((len(cols), dim), np.nan))
     columns = []
     for spec, sel, char, twice in zip(specs, members, chars, copies):
         c = spec.ground_vectors[:, spec.eigenvalues[:spec.ground_space_dim] <= top]
@@ -147,43 +127,40 @@ def ring_spectrum(h, n):
             # with the same chi(g), so one assignment per state times |Stab_a|
             # stands for the sum: |Stab_a| / sqrt(2n |Stab_a|)
             weights = c * np.sqrt(stab[sel] / (2 * n))[:, None]
-            v = np.zeros((len(h), c.shape[1]), complex)
+            v = np.zeros((len(cols), c.shape[1]), complex)
             v[orbits[:, sel]] = char.conj()[:, None, None] * weights
             columns += [v.real] if twice == 1 else [np.sqrt(2) * v.real, np.sqrt(2) * v.imag]
     return SpectrumResult(eigenvalues=w, ground_space_dim=dim, ground_vectors=np.hstack(columns))
 
 
-def rayleigh_quotient(h, v):
-    """<v|H|v> / <v|v> accumulated in long double.
+def rayleigh_quotient(h2, v):
+    """<v|H|v> / <v|v> accumulated in long double, for the ring Hamiltonian
+    of the bond term h2 (ring_apply on v in long double).
 
-    Evaluated on an eigenvector of h, the quotient is accurate to second
+    Evaluated on an eigenvector of H, the quotient is accurate to second
     order in the eigenvector error, so it does not carry the last-digit
-    noise of the eigensolver's eigenvalue. H is converted a block of rows
-    at a time to bound the long-double copy.
+    noise of the eigensolver's eigenvalue.
     """
     v = np.asarray(v)
-    dtype = np.clongdouble if np.iscomplexobj(h) or np.iscomplexobj(v) else np.longdouble
-    v = v.astype(dtype)
-    num = dtype(0)
-    for start in range(0, len(v), BLOCK_ROWS):
-        stop = start + BLOCK_ROWS
-        num += np.vdot(v[start:stop], np.asarray(h[start:stop], dtype=dtype) @ v)
-    return float((num / np.vdot(v, v)).real)
+    v = v.astype(np.clongdouble if np.iscomplexobj(v) else np.longdouble)
+    hv = ring_apply(h2, v[:, None], len(v).bit_length() - 1)[:, 0]
+    return float((np.vdot(v, hv) / np.vdot(v, v)).real)
 
 
-def ground_membership(h, psi, spectrum):
-    """(residual norm, overlap with the ground space) of a normalized state.
+def ground_membership(h2, psi, spectrum):
+    """(residual norm, overlap with the ground space) of a normalized state
+    under the ring Hamiltonian of the bond term h2.
 
     residual = ||H psi - <psi|H|psi> psi||; overlap = ||P_ground psi||.
-    spectrum: the dense_spectrum or ring_spectrum of h or of any
-    h + c*identity (the same eigenvectors).
+    spectrum: the dense_spectrum or ring_spectrum of H or of any
+    H + c*identity (the same eigenvectors).
     """
     vec = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi, complex)
     if abs(np.linalg.norm(vec) - 1) > 1e-10:
         raise ValueError("state is not normalized")
     # H on the real and imaginary parts (by linearity, for a real or a
-    # complex H), so that a real H gets no complex copy
-    parts = np.asarray(h) @ np.column_stack([vec.real, vec.imag])
+    # complex h2), so that a real h2 gets no complex copy
+    parts = ring_apply(h2, np.column_stack([vec.real, vec.imag]), len(vec).bit_length() - 1)
     hv = parts[:, 0] + 1j * parts[:, 1]
     energy = np.vdot(vec, hv)
     residual = float(np.linalg.norm(hv - energy * vec))
@@ -205,17 +182,18 @@ class Certificate:
 
 
 def certify(p):
-    """Certify the explicit ground state at p from the dense coupling form,
-    with one sector-wise eigensolve. The projector form adds c0*identity to
-    each bond term, so it has the same eigenvectors and residuals;
-    form_mismatch checks that identity on the 4x4 bond terms.
+    """Certify the explicit ground state at p under the coupling form, with
+    one sector-wise eigensolve; H is only ever applied bond by bond. The
+    projector form adds c0*identity to each bond term, so it has the same
+    eigenvectors and residuals; form_mismatch checks that identity on the
+    4x4 bond terms.
     """
-    h = assemble_chain_h(p, form="coupling")
-    spec = ring_spectrum(h, p.n)
-    energy = rayleigh_quotient(h, spec.ground_vectors[:, 0])
-    residual, overlap = ground_membership(h, explicit_ground_state(p), spec)
+    h2 = bond_operator(p, "coupling")
+    spec = ring_spectrum(h2, p.n)
+    energy = rayleigh_quotient(h2, spec.ground_vectors[:, 0])
+    residual, overlap = ground_membership(h2, explicit_ground_state(p), spec)
     c0 = constant_shift(p)
-    bond_gap = bond_operator(p, "coupling") - bond_operator(p, "projector") + c0 * np.eye(4)
+    bond_gap = h2 - bond_operator(p, "projector") + c0 * np.eye(4)
     return Certificate(
         lowest_eigenvalue=spec.eigenvalues[0], energy=energy, expected=-p.n * c0,
         residual=residual, overlap=overlap, degeneracy=spec.ground_space_dim,
@@ -226,11 +204,8 @@ def certify(p):
 def ground_degeneracy_scan(p, g_grid):
     """Measured ground-space dimension of the projector form across a g grid
     at fixed (eps, eta, J, n)."""
-    out = []
-    for g in g_grid:
-        h = assemble_chain_h(replace(p, g=float(g)))
-        out.append((float(g), ring_spectrum(h, p.n).ground_space_dim))
-    return out
+    return [(float(g), ring_spectrum(bond_operator(replace(p, g=float(g))), p.n).ground_space_dim)
+            for g in g_grid]
 
 
 def state_expectation_one(psi, op, k):

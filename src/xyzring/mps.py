@@ -92,9 +92,12 @@ def build_state(t, n):
         raise ValueError("need at least 3 sites")
     amps = _all_amplitudes(t, n)
     z = float(np.sum(np.abs(amps) ** 2))
-    if z < 1e-28:
+    e_n = np.linalg.matrix_power(transfer_matrix(t), n)
+    # z = tr(E^n) is at most sum |(E^n)_ij|; a state that vanishes leaves
+    # only rounding, ~1e-32 of that scale
+    if z <= 1e-16 * np.abs(e_n).sum():
         raise ValueError("all amplitudes vanish for these tensors")
-    z_trace = np.trace(np.linalg.matrix_power(transfer_matrix(t), n))
+    z_trace = np.trace(e_n)
     if abs(z_trace - z) > 1e-10 * max(z, 1.0):
         raise ArithmeticError(
             f"normalization mismatch: tr(E^n)={z_trace} vs sum |amp|^2={z}"

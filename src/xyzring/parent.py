@@ -1,5 +1,5 @@
 """Two-site null space, local projector Hamiltonian, Pauli decomposition
-and dense assembly of the ring Hamiltonian.
+and the ring Hamiltonian applied bond by bond.
 """
 
 import itertools
@@ -101,26 +101,6 @@ def pauli_reconstruct(coeffs):
     return h2
 
 
-def _ring_sum(h2, n):
-    """Dense real sum over the ring bonds of a real two-site operator h2.
-
-    Bond l acts on sites (l, l+1) as h2[(s_l' s_{l+1}'), (s_l s_{l+1})],
-    and bond n wraps around to (n, 1). Site k is bit n-k of a basis index,
-    so each bond maps a column to four rows by rewriting two bits.
-    """
-    dim = 2**n
-    cols = np.arange(dim)
-    h_total = np.zeros((dim, dim))
-    for l in range(1, n + 1):
-        shift_a, shift_b = n - l, n - (l % n + 1)
-        pair = 2 * ((cols >> shift_a) & 1) + ((cols >> shift_b) & 1)
-        rest = cols & ~((1 << shift_a) | (1 << shift_b))
-        for out in range(4):
-            rows = rest | ((out >> 1) << shift_a) | ((out & 1) << shift_b)
-            h_total[rows, cols] += h2[out, pair]
-    return h_total
-
-
 def bond_operator(p, form="projector"):
     """Real 4x4 bond term of the ring Hamiltonian, which sums it over the bonds.
     form="projector": local_h (positive semidefinite, annihilates the MPS state).
@@ -138,10 +118,31 @@ def bond_operator(p, form="projector"):
     return h2.real  # real, because sigma_y x sigma_y is a real matrix
 
 
+def ring_apply(h2, vecs, n):
+    """Sum over the ring bonds of the two-site operator h2 applied to each
+    column of vecs, a (2^n, m) array; the result has dtype
+    np.result_type(h2, vecs).
+
+    Bond l acts on sites (l, l+1) as h2[(s_l' s_{l+1}'), (s_l s_{l+1})],
+    and bond n wraps around to (n, 1). Site k is bit n-k of a basis index,
+    so for l < n the bond's two bits are axis 1 of vecs viewed as
+    (2^(l-1), 4, rest); the wrap bond moves site 1 next to site n and back.
+    """
+    vecs = np.asarray(vecs)
+    out = np.zeros(vecs.shape, np.result_type(h2, vecs))
+    for l in range(1, n):
+        out += (h2 @ vecs.reshape(2 ** (l - 1), 4, -1)).reshape(out.shape)
+    # (s_1, middle, s_n, column) -> (middle, (s_n s_1), column) and back
+    m = vecs.shape[1]
+    wrap = vecs.reshape(2, -1, 2, m).transpose(1, 2, 0, 3).reshape(-1, 4, m)
+    out += (h2 @ wrap).reshape(-1, 2, 2, m).transpose(2, 0, 1, 3).reshape(out.shape)
+    return out
+
+
 def assemble_chain_h(p, form="projector"):
-    """Dense real ring Hamiltonian on 2^n dimensions (float64): bond_operator
-    summed over the ring bonds. The coupling form is the projector form minus
-    n*c0*identity."""
+    """Dense real ring Hamiltonian on 2^n dimensions (float64): ring_apply of
+    bond_operator to the identity. The coupling form is the projector form
+    minus n*c0*identity."""
     if p.n > DENSE_CAP:
         raise ValueError(f"ring size {p.n} exceeds dense cap {DENSE_CAP}")
-    return _ring_sum(bond_operator(p, form), p.n)
+    return ring_apply(bond_operator(p, form), np.eye(2**p.n), p.n)

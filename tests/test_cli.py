@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -427,6 +428,25 @@ class TestChecks:
                 module, _, attr = name.partition(".")
                 fn = getattr(importlib.import_module(f"xyzring.{module}"), attr)
                 assert inspect.isfunction(fn) and fn.__name__ == attr
+
+    def test_covers_are_called(self):
+        # each check runs, under the default config, every function it covers
+        for check, covers, fn in checks._REGISTRY:
+            called = set()
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    called.add(frame.f_code)
+
+            sys.setprofile(profile)
+            try:
+                fn(VerifyConfig())
+            finally:
+                sys.setprofile(None)
+            for name in covers:
+                module, _, attr = name.partition(".")
+                fn_code = getattr(importlib.import_module(f"xyzring.{module}"), attr).__code__
+                assert fn_code in called, (check, name)
 
     def test_nan_oracle_fails(self, monkeypatch):
         monkeypatch.setattr(checks, "expectation_two_point", lambda *args: complex(np.nan))

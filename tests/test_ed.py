@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,17 +15,60 @@ from xyzring import (
     ground_degeneracy_scan,
     ground_membership,
     mps_state,
+    ring_apply,
     ring_spectrum,
 )
 from xyzring import ed
 from xyzring.ed import rayleigh_quotient
-from xyzring.pauli import SX, op_on_sites
+from xyzring.parent import bond_operator
+from xyzring.pauli import PAULI, SX, op_on_sites
 
 CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 
 def params(eps=1, eta=1, g=0.5, j=1.0, n=6):
     return ModelParams(epsilon=eps, eta=eta, g=g, j=j, n=n)
+
+
+def _kron_ring(h2, n):
+    """Independent dense reference for the ring sum of any 4x4 h2: each
+    matrix unit h2[(a b), (c d)] |a><c| x |b><d| embedded on bond (l, l+1)
+    with op_on_sites, bond n wrapping to (n, 1)."""
+    ref = np.zeros((2**n, 2**n), dtype=complex)
+    for a, b, c, d in itertools.product(range(2), repeat=4):
+        first, second = np.zeros((2, 2)), np.zeros((2, 2))
+        first[a, c] = second[b, d] = 1.0
+        for l in range(1, n + 1):
+            ref += h2[2 * a + b, 2 * c + d] * op_on_sites(n, {l: first, l % n + 1: second})
+    return ref
+
+
+class TestRingApply:
+    @pytest.mark.parametrize("kind", ["real", "complex", "longdouble"])
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_matches_kron_reference(self, n, kind):
+        rng = np.random.default_rng(n)
+        h2 = rng.normal(size=(4, 4))  # neither symmetric nor flip invariant
+        vecs = rng.normal(size=(2**n, 3))
+        if kind == "complex":
+            h2 = h2 + 1j * rng.normal(size=(4, 4))
+            vecs = vecs + 1j * rng.normal(size=(2**n, 3))
+        elif kind == "longdouble":
+            vecs = vecs.astype(np.longdouble)
+        out = ring_apply(h2, vecs, n)
+        assert out.dtype == np.result_type(h2, vecs) and out.shape == vecs.shape
+        ref = _kron_ring(h2, n) @ vecs.astype(complex)
+        assert np.max(np.abs(out - ref)) < 1e-12
+
+
+class TestDenseCap:
+    def test_certify(self):
+        with pytest.raises(ValueError, match="dense cap"):
+            certify(params(n=13))
+
+    def test_degeneracy_scan(self):
+        with pytest.raises(ValueError, match="dense cap"):
+            ground_degeneracy_scan(params(n=13), [0.3])
 
 
 class TestDenseSpectrum:
@@ -62,7 +106,6 @@ class TestDenseSpectrum:
 
     @pytest.mark.parametrize("row,col", [(599, 3), (300, 512), (3, 599)])
     def test_rejects_non_hermitian_in_any_block(self, row, col):
-        # the check compares blocks of BLOCK_ROWS rows with their columns
         m = np.zeros((600, 600))
         m[row, col] = 1.0
         with pytest.raises(ValueError):
@@ -86,7 +129,7 @@ class TestGroundMembership:
     def test_explicit_state_in_ground_space(self, eps, eta, n):
         p = params(eps, eta, g=0.7, n=n)
         h = assemble_chain_h(p, form="projector")
-        res, ov = ground_membership(h, explicit_ground_state(p), dense_spectrum(h))
+        res, ov = ground_membership(bond_operator(p), explicit_ground_state(p), dense_spectrum(h))
         assert res < 1e-10
         assert ov > 1 - 1e-10
 
@@ -96,13 +139,13 @@ class TestGroundMembership:
         rng = np.random.default_rng(11)
         v = rng.normal(size=2**p.n) + 1j * rng.normal(size=2**p.n)
         v /= np.linalg.norm(v)
-        _, ov = ground_membership(h, v, dense_spectrum(h))
+        _, ov = ground_membership(bond_operator(p, "coupling"), v, dense_spectrum(h))
         assert ov < 0.9
 
     def test_eigenvector_self_consistency(self):
-        h = assemble_chain_h(params(g=0.3), form="coupling")
-        spec = dense_spectrum(h)
-        _, ov = ground_membership(h, spec.ground_vectors[:, 0], spec)
+        p = params(g=0.3)
+        spec = dense_spectrum(assemble_chain_h(p, form="coupling"))
+        _, ov = ground_membership(bond_operator(p, "coupling"), spec.ground_vectors[:, 0], spec)
         assert ov == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("eps,eta", CLASSES)
@@ -113,8 +156,8 @@ class TestGroundMembership:
         h_proj = assemble_chain_h(p, form="projector")
         spec = dense_spectrum(assemble_chain_h(p, form="coupling"))
         psi = explicit_ground_state(p)
-        res, ov = ground_membership(h_proj, psi, spec)
-        res_ref, ov_ref = ground_membership(h_proj, psi, dense_spectrum(h_proj))
+        res, ov = ground_membership(bond_operator(p), psi, spec)
+        res_ref, ov_ref = ground_membership(bond_operator(p), psi, dense_spectrum(h_proj))
         assert res == res_ref
         assert ov == pytest.approx(ov_ref, abs=1e-14)
 
@@ -122,7 +165,7 @@ class TestGroundMembership:
     def test_real_h_matches_complex_product(self, eps, eta):
         # real H is applied to the real and imaginary parts of psi separately
         p = params(eps, eta, g=0.37, n=8)
-        h = assemble_chain_h(p, form="projector")
+        h = bond_operator(p)
         spec = ring_spectrum(h, p.n)
         psi = explicit_ground_state(p)
         rng = np.random.default_rng(3)
@@ -135,17 +178,17 @@ class TestGroundMembership:
 
     def test_matches_direct_product(self):
         # the reference is the plain complex product, not ground_membership
-        # itself, for a real and a complex Hermitian H and a complex state
+        # itself, for a real and a complex Hermitian bond term and a complex state
         p = params(eta=-1, g=0.37)
         rng = np.random.default_rng(5)
-        a = rng.normal(size=(2**p.n, 2**p.n))
+        a = rng.normal(size=(4, 4))
         v = rng.normal(size=2**p.n) + 1j * rng.normal(size=2**p.n)
         v /= np.linalg.norm(v)
-        for h in (assemble_chain_h(p, form="coupling"),
-                  assemble_chain_h(p, form="coupling") + 0.1j * (a - a.T)):
+        for h2 in (bond_operator(p, "coupling"), bond_operator(p, "coupling") + 0.1j * (a - a.T)):
+            h = _kron_ring(h2, p.n)
             spec = dense_spectrum(h)
-            hv = h.astype(complex) @ v
-            res, ov = ground_membership(h, v, spec)
+            hv = h @ v
+            res, ov = ground_membership(h2, v, spec)
             assert res == pytest.approx(np.linalg.norm(hv - np.vdot(v, hv) * v), rel=1e-13)
             assert ov == pytest.approx(np.linalg.norm(spec.ground_vectors.conj().T @ v), rel=1e-13)
 
@@ -158,14 +201,27 @@ class TestGroundMembership:
 class TestRayleighQuotient:
     def test_ground_vector_gives_expected_energy(self):
         p = params(eta=-1, g=0.3, j=0.5)
-        h = assemble_chain_h(p, form="coupling")
-        spec = dense_spectrum(h)
-        energy = rayleigh_quotient(h, spec.ground_vectors[:, 0])
+        spec = dense_spectrum(assemble_chain_h(p, form="coupling"))
+        energy = rayleigh_quotient(bond_operator(p, "coupling"), spec.ground_vectors[:, 0])
         assert energy == pytest.approx(-p.n * constant_shift(p), abs=1e-13)
 
+    @pytest.mark.parametrize("g", [-2.0, -0.5, 0.37, 1.5])
+    def test_long_double_at_n10(self, g):
+        # a float64 quotient of these ground vectors is off by up to ~30 ulp
+        for eps, eta in CLASSES:
+            p = params(eps, eta, g, j=0.4, n=10)
+            h2 = bond_operator(p, "coupling")
+            energy = rayleigh_quotient(h2, ring_spectrum(h2, p.n).ground_vectors[:, 0])
+            expected = -p.n * constant_shift(p)
+            assert abs(energy - expected) <= 2 * np.spacing(abs(expected)), (eps, eta)
+
     def test_unnormalized_complex_vector(self):
-        h = np.array([[2.0, 1j], [-1j, 2.0]])
-        assert rayleigh_quotient(h, np.array([1.0, 1j]) * 3) == pytest.approx(1.0)
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h2 = a + a.conj().T
+        v = 3 * (rng.normal(size=8) + 1j * rng.normal(size=8))
+        want = np.vdot(v, _kron_ring(h2, 3) @ v).real / np.vdot(v, v).real
+        assert rayleigh_quotient(h2, v) == pytest.approx(want, rel=1e-14)
 
 
 RING_G = [-2.0, -1.0, -0.5, 0.0, 0.37, 1.0, 1.5]
@@ -195,7 +251,7 @@ class TestRingSpectrum:
             for eps, form in itertools.product((1, -1), ("coupling", "projector")):
                 p = params(eps, eta, g, j, n)
                 h = assemble_chain_h(p, form=form)
-                spec = ring_spectrum(h, n)
+                spec = ring_spectrum(bond_operator(p, form), n)
                 where = (eps, g, j, form)
                 shift = n * constant_shift(p) if form == "projector" else 0.0
                 assert spec.ground_space_dim == ref.ground_space_dim, where
@@ -209,65 +265,50 @@ class TestRingSpectrum:
                 bound = (_ground_residual(h, spec) + ref_residual) / gap
                 assert np.max(np.abs(v @ v.T - ref_v @ ref_v.T)) < max(1e-12, bound), where
 
-    # (257, 259) is seen only by the second block of rows the check compares
-    @pytest.mark.parametrize("i,j", [(1, 2), (5, 900), (257, 259), (1000, 1001)])
-    def test_rejects_broken_rotation(self, i, j):
-        # i<->j and their flips stay symmetric and flip-invariant, but their
-        # rotated images do not move with them
-        h = assemble_chain_h(params(n=10), form="coupling")
-        flip = len(h) - 1
-        for a, b in ((i, j), (j, i), (flip - i, flip - j), (flip - j, flip - i)):
-            h[a, b] += 1e-6
-        with pytest.raises(ValueError, match="rotation"):
-            ring_spectrum(h, 10)
-
-    @pytest.mark.parametrize("state", [0, 1, 3])
-    def test_rejects_broken_flip(self, state):
-        # a shift on the diagonal of a whole rotation orbit keeps T, breaks F
-        h = assemble_chain_h(params(n=10), form="coupling")
-        for m in range(10):
-            rotated = ((state << m) | (state >> (10 - m))) & (len(h) - 1)
-            h[rotated, rotated] = h[rotated, rotated] + 1e-6
+    @pytest.mark.parametrize("entry", [0, 1, 3])
+    def test_rejects_broken_flip(self, entry):
+        # sx.sx maps the bond state |ab> to |(1-a)(1-b)>, entry e to 3 - e
+        h2 = bond_operator(params(n=10), "coupling")
+        h2[entry, entry] += 1e-6
         with pytest.raises(ValueError, match="flip"):
-            ring_spectrum(h, 10)
+            ring_spectrum(h2, 10)
 
-    @pytest.mark.parametrize("n", range(3, 9))
-    def test_random_invariant_matrix(self, n):
-        # Beyond the model: a random symmetric matrix averaged over the group,
-        # with no site-reversal symmetry, so the blocks k and -k are complex
-        # and not equivalent. Lowering span{Re w, Im w} for w in the sector
-        # k = 1, s = -1 (a group-invariant plane) puts a twofold ground space
-        # near it into a complex sector pair.
-        dim = 2**n
-        rng = np.random.default_rng(n)
-        idx = np.arange(dim)
-        rotations = [idx]
-        for _ in range(n - 1):
-            rotations.append(((rotations[-1] << 1) | (rotations[-1] >> (n - 1))) & (dim - 1))
-        a = rng.normal(size=(dim, dim))
-        a += a.T
-        h = sum(a[np.ix_(r, r)] + a[np.ix_(dim - 1 - r, dim - 1 - r)] for r in rotations)
-        x = rng.normal(size=dim)
-        w = sum(np.exp(-2j * np.pi * m / n) * (x[r] - x[dim - 1 - r])
-                for m, r in enumerate(rotations))
-        plane = np.linalg.qr(np.column_stack([w.real, w.imag]))[0]
-        h -= 1e3 * plane @ plane.T
-        spec, ref = ring_spectrum(h, n), dense_spectrum(h)
-        assert spec.ground_space_dim == ref.ground_space_dim == 2
+    @staticmethod
+    def _assert_matches_dense(h2, n):
+        spec, ref = ring_spectrum(h2, n), dense_spectrum(_kron_ring(h2, n).real)
+        assert spec.ground_space_dim == ref.ground_space_dim
         assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues)) < 1e-9
         v, ref_v = spec.ground_vectors, ref.ground_vectors
         assert np.max(np.abs(v @ v.T - ref_v @ ref_v.T)) < 1e-12
+        return spec
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_antiferromagnetic_pair_sectors(self, n):
+        # sigma.sigma on an odd ring: a fourfold ground space in the complex
+        # sector pair k = +-1 (n = 3, 5) or k = +-2 (n = 7), both s
+        h2 = sum(np.kron(PAULI[a], PAULI[a]) for a in "xyz").real
+        assert self._assert_matches_dense(h2, n).ground_space_dim == 4
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_random_invariant_matrix(self, n):
+        # Beyond the model: the ring sum of a random real symmetric bond term,
+        # averaged over the flip, is a random invariant matrix; with no
+        # site-swap symmetry its blocks k and -k are complex and not equivalent
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(4, 4))
+        a += a.T
+        self._assert_matches_dense(a + a[::-1, ::-1], n)
 
     def test_rejects_complex(self):
-        h = assemble_chain_h(params(n=4), form="coupling").astype(complex)
+        h2 = bond_operator(params(n=4), "coupling").astype(complex)
         with pytest.raises(ValueError, match="real"):
-            ring_spectrum(h, 4)
+            ring_spectrum(h2, 4)
 
     @pytest.mark.parametrize("field", ["eigenvalues", "ground_vectors"])
     def test_nan_in_a_block_without_ground_state(self, monkeypatch, field):
         # np.sort would move a NaN eigenvalue of an excited block out of sight
-        h = assemble_chain_h(params(n=6, g=0.3), form="coupling")
-        excited = dense_spectrum(h).eigenvalues[0] + 1
+        p = params(n=6, g=0.3)
+        excited = dense_spectrum(assemble_chain_h(p, form="coupling")).eigenvalues[0] + 1
         real, poisoned = ed.dense_spectrum, []
 
         def spectrum(block):
@@ -280,7 +321,7 @@ class TestRingSpectrum:
             return dataclasses.replace(spec, **{field: value})
 
         monkeypatch.setattr(ed, "dense_spectrum", spectrum)
-        assert np.isnan(ring_spectrum(h, 6).eigenvalues[0])
+        assert np.isnan(ring_spectrum(bond_operator(p, "coupling"), 6).eigenvalues[0])
         assert poisoned
 
     def test_certify_diagonalizes_blocks_only(self, monkeypatch):
@@ -297,18 +338,17 @@ class TestRingSpectrum:
         ground_degeneracy_scan(params(n=8), [0.3])
         assert 0 < max(sizes) < 2**8 // 8
 
-    def test_certify_assembles_one_coupling_form(self, monkeypatch):
-        real, forms = ed.assemble_chain_h, []
-
-        def assemble(p, form="projector"):
-            forms.append(form)
-            return real(p, form)
-
-        monkeypatch.setattr(ed, "assemble_chain_h", assemble)
-        points = [params(eps, eta, g=0.37, j=0.4, n=n) for (eps, eta) in CLASSES for n in (4, 6)]
-        for p in points:
+    def test_certify_holds_no_dense_matrix(self):
+        # one 2^10 x 2^10 float64 matrix alone would take 8 MB
+        p = params(n=10, g=0.37)
+        certify(p)  # lazy imports and the cached sector tables
+        tracemalloc.start()
+        try:
             certify(p)
-        assert forms == ["coupling"] * len(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestDegeneracyScan:

@@ -132,6 +132,14 @@ class TestBuildState:
         t = general_mps_matrices(0.3 + 0.2j, 1.1, -0.7j, 0.4 - 0.5j, epsilon=-1)
         self._assert_all_amplitudes(t, n)
 
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("n", range(3, 20, 2))
+    def test_vanishing_state_raises(self, eps, n):
+        # eta = -1 has no state on odd rings; the rounding left in z grows
+        # with n, so the test is relative to sum |(E^n)_ij|
+        with pytest.raises(ValueError, match="vanish"):
+            build_state(mps_matrices(params(eps, -1, g=0.37, n=n)), n)
+
     def test_normalization_mismatch_raises(self, monkeypatch):
         real = mps.transfer_matrix
         monkeypatch.setattr(mps, "transfer_matrix", lambda t: 2 * real(t))
