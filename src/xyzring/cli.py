@@ -27,13 +27,8 @@ CHECK_MAX_N = 10  # sweep --check builds a dense state for each row up to this s
 
 
 def _fmt(x):
-    """Deterministic 15-significant-digit float formatting."""
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return "nan"
-    x = float(x)
-    if x == 0:
-        x = 0.0  # avoid "-0"
-    return f"{x:.15g}"
+    """15-significant-digit text; adding 0.0 turns -0 into 0, and NaN prints as nan."""
+    return f"{float(x) + 0.0:.15g}"
 
 
 def _write_lines(path, lines):
@@ -49,7 +44,7 @@ def _g_grid(args, default):
     if args.g_min is None and args.g_max is None:
         if args.g_steps is not None:
             raise ValueError("--g-steps needs --g-min or --g-max")
-        return list(default)
+        return list(map(float, default))
     g_min = args.g_min if args.g_min is not None else args.g_max
     g_max = args.g_max if args.g_max is not None else args.g_min
     steps = args.g_steps if args.g_steps is not None else DEFAULT_G_STEPS
@@ -57,9 +52,7 @@ def _g_grid(args, default):
         raise ValueError(f"--g-min {g_min} exceeds --g-max {g_max}")
     if steps < 1:
         raise ValueError(f"--g-steps must be at least 1, got {steps}")
-    if steps == 1:
-        return [g_min]
-    return list(np.linspace(g_min, g_max, steps))
+    return np.linspace(g_min, g_max, steps).tolist()
 
 
 def _strict_json(x):

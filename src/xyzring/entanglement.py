@@ -102,16 +102,17 @@ def concurrence_closed(g, n):
         raise ValueError("n must be >= 3")
     if g == 0 or abs(g) == 1:
         return 0.0
-    log_p = math.log(abs(1 + g))
-    log_q = math.log(abs(1 - g))
-    # signs of (1+-g)^n
-    s_p = (-1) ** n if g < -1 else 1
-    s_q = (-1) ** n if g > 1 else 1
-    terms = [(n * log_p, s_p), (n * log_q, s_q)]
-    m = max(t[0] for t in terms)
-    denom = abs(sum(s * math.exp(t - m) for t, s in terms))
-    log_num = math.log(4 * abs(g)) + (n - 2) * math.log(abs(1 - abs(g)))
-    return math.exp(log_num - m) / denom
+    four_g = 4 * abs(g)  # overflows for |g| > 4.5e307
+    log_four_g = math.log(four_g) if four_g < math.inf else math.log(4) + math.log(abs(g))
+    if abs(g) > 1 and n % 2:
+        # (1+g)^n and (1-g)^n have opposite signs; with x = log((|g|+1)/(|g|-1)),
+        # C = 4|g| (|g|-1)^{n-2} / ((|g|+1)^n (1 - e^{-nx})) has no cancellation
+        x = math.log1p(2 / (abs(g) - 1))
+        return math.exp(log_four_g - 2 * math.log(abs(g) + 1) - (n - 2) * x) / -math.expm1(-n * x)
+    t_p, t_q = n * math.log(abs(1 + g)), n * math.log(abs(1 - g))
+    m = max(t_p, t_q)
+    log_num = log_four_g + (n - 2) * math.log(abs(1 - abs(g)))
+    return math.exp(log_num - m) / (math.exp(t_p - m) + math.exp(t_q - m))
 
 
 def scaled_concurrence_curve(n, g_grid):
@@ -121,4 +122,6 @@ def scaled_concurrence_curve(n, g_grid):
 
 def scaling_limit(g):
     """Universal large-n limit 2|g| e^{-|g|} / cosh(g) of n*C(g/n, n)."""
+    if abs(g) > 700:  # cosh overflows from 710, and the limit underflows from ~377
+        return 0.0
     return 2 * abs(g) * math.exp(-abs(g)) / math.cosh(g)

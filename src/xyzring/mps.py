@@ -3,12 +3,12 @@ matrices, expectation values and the explicit product-form ground states.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 import numpy as np
 
-from .pauli import SI, kron_all
+from .model import MpsTensors
+from .pauli import SI
 
 DENSE_STATE_CAP = 20  # 2^20 amplitudes
 
@@ -118,9 +118,9 @@ def transfer_with_operator(t, op):
     return e.reshape(4, 4)  # row (a, b), column (c, d), as in np.kron
 
 
-def _contract(t, site_ops, n):
-    """<prod_k O_k(k)> over a {site: op} dict: the trace of the product over
-    sites 1..n of E_O at the sites in site_ops and E elsewhere, over tr(E^n).
+def _contract(t, op_a, op_b, r, n):
+    """tr(E_a E^{r-2} E_b E^{n-r}) / tr(E^n), with E_a and E_b the
+    transfer matrices dressed with op_a and op_b.
 
     Every factor is divided by the spectral radius of E, which leaves the
     ratio unchanged and keeps the powers of E finite for any n.
@@ -129,23 +129,20 @@ def _contract(t, site_ops, n):
         e = transfer_matrix(t)
         radius = np.max(np.abs(np.linalg.eigvals(e)))
         e = e / radius
-        factors, done = [], 0
-        for site in sorted(site_ops):
-            factors += [np.linalg.matrix_power(e, site - done - 1),
-                        transfer_with_operator(t, site_ops[site]) / radius]
-            done = site
-        factors.append(np.linalg.matrix_power(e, n - done))
-        return np.trace(reduce(np.matmul, factors)) / np.trace(np.linalg.matrix_power(e, n))
+        e_a, e_b = (transfer_with_operator(t, op) / radius for op in (op_a, op_b))
+        power = np.linalg.matrix_power
+        return np.trace(e_a @ power(e, r - 2) @ e_b @ power(e, n - r)) / np.trace(power(e, n))
 
 
 def expectation_one_point(t, op, k, n):
-    """<O(k)> = tr(E^{k-1} E_O E^{n-k}) / tr(E^n).
+    """<O(k)> = tr(E^{k-1} E_O E^{n-k}) / tr(E^n), which by cyclicity of the
+    trace is tr(E_O E^{n-1}) / tr(E^n) for every k.
 
     Overflow or an invalid value raises FloatingPointError.
     """
     if not 1 <= k <= n:
         raise ValueError(f"site index {k} outside 1..{n}")
-    return _contract(t, {k: op}, n)
+    return _contract(t, op, SI, 2, n)
 
 
 def expectation_two_point(t, op_a, op_b, r, n):
@@ -155,7 +152,7 @@ def expectation_two_point(t, op_a, op_b, r, n):
     """
     if not 2 <= r <= n:
         raise ValueError(f"separation {r} outside 2..{n}")
-    return _contract(t, {1: op_a, r: op_b}, n)
+    return _contract(t, op_a, op_b, r, n)
 
 
 def product_term_cell(p):
@@ -187,13 +184,15 @@ def product_term_cell(p):
 
 
 def explicit_ground_state(p):
-    """Closed-form ground state as a superposition of two product states."""
-    term_a, term_b = ([term[k % 2] for k in range(p.n)] for term in product_term_cell(p))
-    amps = kron_all(term_a) + kron_all(term_b)
-    z = float(np.sum(np.abs(amps) ** 2))
-    if z < 1e-28:
-        raise ValueError("explicit ground state vanishes identically")
-    return PureState(amplitudes=amps / np.sqrt(z), n=p.n, z=z)
+    """Closed-form ground state: the sum of two product states with site-1
+    vectors a and b is the trace state of A_s = diag(a_s, b_s).  For eta = -1
+    the terms alternate (a, b) and (b, a) over the sites, and A_s = diag(a_s,
+    b_s) sigma^x gives A_s1 A_s2 = diag(a_s1 b_s2, b_s1 a_s2) on each pair."""
+    (a, _), (b, _) = product_term_cell(p)
+    mats = [np.diag([a[s], b[s]]) for s in (0, 1)]
+    if p.eta == -1:
+        mats = [m[:, ::-1] for m in mats]  # times sigma^x: swap the columns
+    return build_state(MpsTensors(*mats), p.n)
 
 
 def bell_pair_matrices(t):

@@ -8,10 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from xyzring import checks, cli, ed
+from xyzring import checks, cli, ed, entanglement, mps
 from xyzring.checks import VerifyConfig
 from xyzring.cli import COMMANDS, main
-from xyzring.model import ModelParams
+from xyzring.model import ModelParams, ring_points
 from xyzring.parent import constant_shift
 
 
@@ -237,6 +237,14 @@ class TestFigure1:
         assert code == 0
         assert set(rows[0]) == {"g", "NC_N10", "NC_N100", "limit"}
 
+    def test_huge_g_on_odd_ring(self, tmp_path):
+        # (1+g)^N and (1-g)^N cancel in the log domain, and cosh(g) overflows
+        code, rows, _ = run_csv(
+            tmp_path, ["figure1", "--n", "3", "--g-min=-3e17", "--g-max=-3e17", "--g-steps", "1"])
+        assert code == 0
+        assert float(rows[0]["NC_N3"]) == pytest.approx(2.0, rel=1e-12)
+        assert float(rows[0]["limit"]) == 0.0
+
 
 class TestFigure2:
     def test_reciprocal_column(self, tmp_path):
@@ -460,6 +468,41 @@ class TestChecks:
         ok, details = checks.check_closed_form_correlators(
             VerifyConfig(n_list=[1000], g_values=[0.3]))
         assert ok, details
+
+    def test_each_oracle_value_computed_once(self):
+        # one pair per parity class, and one-point values at one site only
+        cfg = VerifyConfig()
+        counted = {entanglement.pair_density.__code__: 0,
+                   mps.expectation_one_point.__code__: 0}
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in counted:
+                counted[frame.f_code] += 1
+
+        sys.setprofile(profile)
+        try:
+            checks.run_verify(cfg)
+        finally:
+            sys.setprofile(None)
+        pair_points = ring_points(cfg.g_values, [n for n in cfg.n_list if n >= 4], cfg.j)
+        one_point = [p for p in ring_points(cfg.g_values, cfg.n_list, cfg.j)
+                     if p.eta == 1 and p.g != -1]
+        assert counted[entanglement.pair_density.__code__] <= 4 * len(pair_points)
+        assert counted[mps.expectation_one_point.__code__] == 3 * len(one_point)
+
+    def test_one_parity_class_off_fails(self, monkeypatch):
+        real = entanglement.pair_density
+
+        def perturbed(p, i, j):
+            rho = real(p, i, j)
+            if i % 2 == 0 and j % 2 == 0:
+                rho = (1 - 1e-6) * rho + 1e-6 * np.eye(4) / 4
+            return rho
+
+        monkeypatch.setattr(entanglement, "pair_density", perturbed)
+        ok, details = checks.check_concurrence(VerifyConfig())
+        assert not ok
+        assert details["max_error"] > 1e-8
 
     def test_nan_overlap_fails(self, monkeypatch):
         monkeypatch.setattr(checks, "overlap", lambda psi, chi: np.nan)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,12 +154,31 @@ class TestConcurrenceClosed:
         for g in np.linspace(-3, 3, 25):
             assert 0 <= concurrence_closed(float(g), 12) <= 1
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("a", [1.5, 10, 1e3, 1e8, 1e17])
+    def test_odd_n_large_g_exact(self, n, a):
+        # (1+g)^n and (1-g)^n have opposite signs here; exact rationals as reference
+        for g in (a, -a):
+            q = Fraction(g)
+            want = 4 * abs(q) * abs(1 - abs(q)) ** (n - 2) / abs((1 + q) ** n + (1 - q) ** n)
+            assert concurrence_closed(g, n) == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_finite_where_four_g_overflows(self, n):
+        for g in (1e308, -1e308):
+            c = concurrence_closed(g, n)
+            assert math.isfinite(c) and 0 <= c <= 1
+
 
 class TestScaling:
     def test_limit_values(self):
         assert scaling_limit(0.0) == 0.0
         assert scaling_limit(1.0) == pytest.approx(2 / math.e / math.cosh(1), rel=1e-12)
         assert scaling_limit(1.0) == pytest.approx(0.4768, abs=1e-4)
+
+    def test_limit_past_cosh_overflow(self):
+        for g in (400.0, 700.0, 710.0, -800.0, 3e17):
+            assert scaling_limit(g) == 0.0
 
     def test_limit_even(self):
         for g in (0.3, 1.2, 2.5):

@@ -19,7 +19,7 @@ from xyzring import (
     transfer_with_operator,
 )
 from xyzring.observables import correlations, correlations_eta_minus, magnetization_x
-from xyzring.pauli import SI, SX, SY, SZ
+from xyzring.pauli import SI, SX, SY, SZ, kron_all
 
 CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 G_GRID = [-2.0, -0.5, 0.3, 1.0, 1.5]
@@ -257,6 +257,24 @@ class TestExplicitGroundState:
     def test_eta_minus_requires_even_n(self):
         with pytest.raises(ValueError):
             explicit_ground_state(params(eta=-1, g=0.5, n=5))
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_matches_kron_of_product_terms(self, n):
+        # the trace state of the diagonal (eta = +1) or anti-diagonal
+        # (eta = -1) tensors is the sum of the two product terms
+        for (eps, eta), g in itertools.product(CLASSES, [-2, -1, -0.5, 0, 0.37, 1, 1.5, 3]):
+            if eta == -1 and n % 2:
+                continue
+            p = params(eps, eta, g, n=n)
+            terms = [kron_all(term[k % 2] for k in range(n)) for term in mps.product_term_cell(p)]
+            want = terms[0] + terms[1]
+            want /= np.linalg.norm(want)
+            got = explicit_ground_state(p).amplitudes
+            assert np.max(np.abs(got - want)) <= 1e-14, (eps, eta, g)
+
+    def test_cap_enforced(self):
+        with pytest.raises(ValueError, match="dense cap"):
+            explicit_ground_state(params(g=0.37, n=21))
 
 
 class TestBellPairMatrices:
