@@ -14,16 +14,19 @@ import numpy as np
 
 from . import ed, observables, parent
 from .checks import VerifyConfig, run_verify, worst_error
-from .ed import mps_state, state_expectation_one, state_expectation_two
+from .ed import mps_state
 from .entanglement import concurrence_closed, scaling_limit
 from .model import ModelParams, ring_points
 from .observables import DiscontinuityError, SingularParameterError
-from .pauli import SX, SY, SZ
+from .pauli import SI, SX, SY, SZ
 
 DEFAULT_G_VALUES = [-2.0, -0.5, 0.3, 0.7, 1.0, 1.5]
 FIGURE1_SIZES = [6, 7, 8, 9, 10, 20, 30, 40, 50]
 DEFAULT_G_STEPS = 41
 CHECK_MAX_N = 10  # sweep --check builds a dense state for each row up to this size
+# sigma^x x 1, sigma^x x sigma^x, sigma^y x sigma^y, sigma^z x sigma^z on sites (1, 2):
+# their traces against the pair density are <sigma^x_1>, Gx, Gy and Gz
+CHECK_OPS = np.stack([np.kron(SX, SI), np.kron(SX, SX), np.kron(SY, SY), np.kron(SZ, SZ)])
 
 
 def _fmt(x):
@@ -116,10 +119,9 @@ def cmd_sweep(args):
         c = concurrence_closed(g, n)
         if args.check and n <= CHECK_MAX_N:
             psi = mps_state(ModelParams(epsilon=args.epsilon, eta=1, g=g, j=args.j, n=n))
-            errs = [abs(state_expectation_one(psi, SX, 1).real - rec.mx)]
-            for op, val in ((SX, rec.gx), (SY, rec.gy), (SZ, rec.gz)):
-                errs.append(abs(state_expectation_two(psi, op, op, 1, 2).real - val))
-            worst = worst_error(*errs)
+            rho = ed.pair_density_brute(psi, 1, 2)
+            values = (CHECK_OPS @ rho).trace(axis1=1, axis2=2).real
+            worst = worst_error(*np.abs(values - (rec.mx, rec.gx, rec.gy, rec.gz)))
             if not worst <= args.tolerance:
                 raise ArithmeticError(
                     f"cross-check failed at g={g}, n={n}: max error {worst}"

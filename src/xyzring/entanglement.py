@@ -45,7 +45,7 @@ def pair_density(p, i, j):
             ov = np.vdot(cell[t][par], cell[s][par])
             log_w[s, t] += traced[par] * np.log(ov) if ov else -np.inf
     w = np.exp(log_w - np.max(log_w.real))
-    kets = [np.kron(term[(i - 1) % 2], term[(j - 1) % 2]) for term in cell]
+    kets = [np.outer(term[(i - 1) % 2], term[(j - 1) % 2]).ravel() for term in cell]
     rho = sum(w[s, t] * np.outer(kets[s], kets[t].conj())
               for s, t in itertools.product(range(2), range(2)))
     return rho / np.trace(rho).real

@@ -3,6 +3,7 @@ u = (1-g)/(1+g), with numerically stable evaluation for large rings and
 explicit handling of the g = 0 discontinuity of the large-N limits.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -50,6 +51,13 @@ def _reduced_u(g):
     return u, False
 
 
+def _one_minus_abs_power(g, k):
+    """1 - |v|^k for |g| > 1, where the reduced v = -(|g|-1)/(|g|+1) sits near
+    -1 and 1 + v^k = 1 - |v|^k cancels at odd k; taken as
+    -expm1(k log1p(-2/(|g|+1))), which has no cancellation."""
+    return -math.expm1(k * math.log1p(-2 / (abs(g) + 1)))
+
+
 def magnetization_x(eps, g, n):
     """Magnetization per site <sigma_x> = eps*u*(1 + u^{n-2})/(1 + u^n).
 
@@ -59,10 +67,13 @@ def magnetization_x(eps, g, n):
     if n < 3:
         raise ValueError("n must be >= 3")
     v, _ = _reduced_u(g)
-    denom = 1 + v**n
+    if n % 2 and abs(g) > 1:
+        num, denom = _one_minus_abs_power(g, n - 2), _one_minus_abs_power(g, n)
+    else:
+        num, denom = 1 + v ** (n - 2), 1 + v**n
     if denom == 0:
         raise SingularParameterError(f"1 + u^n vanishes at g = {g}, n = {n}")
-    return eps * v * (1 + v ** (n - 2)) / denom
+    return eps * v * num / denom
 
 
 def correlations(g, n):
@@ -76,12 +87,21 @@ def correlations(g, n):
     if n < 3:
         raise ValueError("n must be >= 3")
     v, swapped = _reduced_u(g)
-    denom = 1 + v**n
+    if n % 2 and abs(g) > 1:
+        # v near -1: v^2 + v^{n-2} = v^m (1 + v^{|n-4|}) with m = min(2, n-2) and
+        # 1 - v^2 = (1 + v)(1 - v), so that every cancelling sum is an odd 1 + v^k
+        denom = _one_minus_abs_power(g, n)
+        gx_num = v ** min(2, n - 2) * _one_minus_abs_power(g, abs(n - 4))
+        one_minus_v2 = _one_minus_abs_power(g, 1) * (1 - v)
+    else:
+        denom = 1 + v**n
+        gx_num = v**2 + v ** (n - 2)
+        one_minus_v2 = 1 - v**2
     if denom == 0:
         raise SingularParameterError(f"1 + u^n vanishes at g = {g}, n = {n}")
-    gx = (v**2 + v ** (n - 2)) / denom
-    gy = v ** (n - 2) * (v**2 - 1) / denom
-    gz = (1 - v**2) / denom
+    gx = gx_num / denom
+    gy = v ** (n - 2) * -one_minus_v2 / denom
+    gz = one_minus_v2 / denom
     if swapped:
         gy, gz = gz, gy
     return gx, gy, gz

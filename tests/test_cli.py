@@ -124,6 +124,14 @@ class TestSweep:
         (warning,) = capsys.readouterr().err.splitlines()
         assert warning.startswith("warning: --check") and "n=12,64" in warning
 
+    def test_odd_ring_at_huge_field(self, tmp_path):
+        # v rounds to -1 there, but 1 + v^3 does not vanish
+        code, rows, _ = run_csv(
+            tmp_path, ["sweep", "--n", "3", "--g-min=-3e17", "--g-max=-3e17", "--g-steps", "1"])
+        assert code == 0
+        (row,) = rows
+        assert float(row["mx"]) == pytest.approx(-1 / 3, rel=1e-14)
+
     def test_inverted_range_rejected(self, tmp_path):
         assert main(["sweep", "--g-min", "2", "--g-max", "1",
                      "--output", str(tmp_path / "x.csv")]) == 2
@@ -366,7 +374,18 @@ class TestNanFails:
         assert "max deviation: nan" in err
 
     def test_sweep_check(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "state_expectation_two", lambda *args: complex(np.nan))
+        monkeypatch.setattr(ed, "pair_density_brute", lambda *args: np.full((4, 4), np.nan))
+        code = main(["sweep", "--check", "--n", "4", "--g-min", "0.3", "--g-max", "0.3",
+                     "--g-steps", "1", "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "cross-check failed" in capsys.readouterr().err
+
+    def test_sweep_check_site_one_marginal(self, tmp_path, capsys, monkeypatch):
+        # (sigma^x x 1)/4 moves only the site-1 marginal: Gx, Gy and Gz keep their
+        # values, so only the <sigma^x_1> check can see it
+        real = ed.pair_density_brute
+        shift = 1e-6 * np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)) / 4
+        monkeypatch.setattr(ed, "pair_density_brute", lambda *args: real(*args) + shift)
         code = main(["sweep", "--check", "--n", "4", "--g-min", "0.3", "--g-max", "0.3",
                      "--g-steps", "1", "--output", str(tmp_path / "x.csv")])
         assert code == 1
@@ -473,7 +492,8 @@ class TestChecks:
         # one pair per parity class, and one-point values at one site only
         cfg = VerifyConfig()
         counted = {entanglement.pair_density.__code__: 0,
-                   mps.expectation_one_point.__code__: 0}
+                   mps.expectation_one_point.__code__: 0,
+                   mps.expectation_two_point.__code__: 0}
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_code in counted:
@@ -489,6 +509,9 @@ class TestChecks:
                      if p.eta == 1 and p.g != -1]
         assert counted[entanglement.pair_density.__code__] <= 4 * len(pair_points)
         assert counted[mps.expectation_one_point.__code__] == 3 * len(one_point)
+        # one batched r-sweep per operator: at most 3 two-point calls per point
+        two_point = [p for p in ring_points(cfg.g_values, cfg.n_list, cfg.j) if p.g != -1]
+        assert counted[mps.expectation_two_point.__code__] <= 3 * len(two_point)
 
     def test_one_parity_class_off_fails(self, monkeypatch):
         real = entanglement.pair_density

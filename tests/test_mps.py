@@ -5,6 +5,7 @@ import pytest
 
 from xyzring import (
     ModelParams,
+    MpsTensors,
     amplitude,
     bell_pair_matrices,
     build_state,
@@ -15,6 +16,7 @@ from xyzring import (
     mps,
     mps_matrices,
     overlap,
+    ring_points,
     transfer_matrix,
     transfer_with_operator,
 )
@@ -23,6 +25,9 @@ from xyzring.pauli import SI, SX, SY, SZ, kron_all
 
 CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 G_GRID = [-2.0, -0.5, 0.3, 1.0, 1.5]
+# a non-Hermitian pair with no symmetry that would make the correlator vanish
+GENERIC_A = 0.3 * SI + SX - 0.2j * SY + 0.7 * SZ
+GENERIC_B = SX + 0.5 * SY - 0.4j * SZ
 
 
 def params(eps=1, eta=1, g=0.5, j=1.0, n=4):
@@ -226,6 +231,54 @@ class TestExpectations:
         tm = mps_matrices(params(eps, -1, g, n=10))
         for op, want in zip((SX, SY, SZ), correlations_eta_minus(g, n, r)):
             assert expectation_two_point(tm, op, op, r, n) == pytest.approx(want, abs=1e-14)
+
+
+class TestBatchedSeparations:
+    """_contract over an integer array r: one batched contraction per call."""
+
+    @pytest.mark.parametrize("g", [0.0, 0.3, 1.0, -0.5, 1.5])  # E is defective at g = 0
+    @pytest.mark.parametrize("n", [*range(3, 13), 1000])
+    def test_matches_scalar_calls(self, g, n):
+        rs = np.arange(2, n + 1)
+        for p in ring_points([g], [n], 1.0):  # the four classes, eta = -1 on even n only
+            t = mps_matrices(p)
+            batch = mps._contract(t, GENERIC_A, GENERIC_B, rs, n)
+            scalar = [mps._contract(t, GENERIC_A, GENERIC_B, int(r), n) for r in rs]
+            assert batch.shape == rs.shape
+            assert np.max(np.abs(batch - scalar)) <= 1e-15, p
+
+    def test_row_blocks(self, monkeypatch):
+        t = mps_matrices(params(g=0.3, n=12))
+        rs = np.arange(2, 13)
+        whole = expectation_two_point(t, GENERIC_A, GENERIC_B, rs, 12)
+        monkeypatch.setattr(mps, "ROW_BLOCK", 4)  # 23 powers in blocks of 4, 4, ..., 3
+        assert np.array_equal(expectation_two_point(t, GENERIC_A, GENERIC_B, rs, 12), whole)
+
+    def test_result_takes_the_shape_of_r(self):
+        t = mps_matrices(params(g=0.3, n=8))
+        rs = np.array([[2, 5], [8, 3]])
+        batch = expectation_two_point(t, SZ, SZ, rs, 8)
+        assert batch.shape == (2, 2)
+        assert batch[1, 0] == expectation_two_point(t, SZ, SZ, 8, 8)
+        assert np.isscalar(expectation_two_point(t, SZ, SZ, np.int64(4), 8))
+
+    @pytest.mark.parametrize("rs", [[1, 2, 3], [2, 7], [[2, 3], [4, 0]]])
+    def test_separation_outside_raises(self, rs):
+        t = mps_matrices(params(g=0.3, n=6))
+        with pytest.raises(ValueError, match="outside 2..6"):
+            expectation_two_point(t, SX, SX, np.array(rs), 6)
+
+    @pytest.mark.parametrize("r", [2, np.arange(2, 11)])
+    def test_overflow_raises(self, r):
+        # E = (1 + bN) x (1 + bN), N nilpotent: spectral radius 1, so the scaling
+        # leaves it alone, but E^k has entries ~ (k b)^2, past the float range
+        # for b = 1e150 and k ~ 1e5
+        t = MpsTensors(np.array([[1.0, 1e150], [0.0, 1.0]]), np.zeros((2, 2)))
+        assert np.all(np.isfinite(expectation_two_point(t, SZ, SZ, r, 10)))
+        with pytest.raises(FloatingPointError):
+            expectation_two_point(t, SZ, SZ, r, 10**5)
+        with pytest.raises(FloatingPointError):
+            expectation_one_point(t, SZ, 1, 10**5)
 
 
 class TestExplicitGroundState:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,31 @@ class TestCorrelations:
         assert gx + gy + gz == pytest.approx(1.0, abs=1e-12)
         assert (1 - gz) * (1 - gy) == pytest.approx(mx * mx, abs=1e-12)
         assert abs(mx) <= 1 and all(abs(v) <= 1 for v in (gx, gy, gz))
+
+
+class TestOddRingsAtLargeField:
+    """Odd n and |g| > 1: v = -(|g|-1)/(|g|+1) sits near -1, where 1 + v^n cancels."""
+
+    @staticmethod
+    def exact(g, n):
+        u = (1 - Fraction(g)) / (1 + Fraction(g))
+        d = 1 + u**n
+        return (u * (1 + u ** (n - 2)) / d, (u**2 + u ** (n - 2)) / d,
+                u ** (n - 2) * (u**2 - 1) / d, (1 - u**2) / d)
+
+    @pytest.mark.parametrize("g", [1e8, -1e8])
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_against_exact_fractions(self, g, n):
+        got = (magnetization_x(1, g, n), *correlations(g, n))
+        for value, want in zip(got, self.exact(g, n)):
+            assert abs(Fraction(value) - want) <= 2e-15 * abs(want), (value, float(want))
+
+    def test_no_false_singularity(self):
+        # 2/(|g|+1) is below half an ulp of 1, so v rounds to -1 and 1 + v^3 to 0
+        mx = magnetization_x(1, -3e17, 3)
+        gx, gy, gz = correlations(-3e17, 3)
+        assert mx == pytest.approx(-1 / 3, rel=1e-15)
+        assert (gx, gy, gz) == pytest.approx((-1 / 3, 2 / 3, 2 / 3), rel=1e-15)
 
 
 class TestThermodynamicLimits:
