@@ -149,6 +149,11 @@ def check_closed_form_correlators(cfg):
         if p.eta == 1:
             mx = observables.magnetization_x(p.epsilon, g, n)
             gx, gy, gz = observables.correlations(g, n)
+            # the log-domain form against eps u (1 + u^{n-2})/(1 + u^n) in plain powers,
+            # taken at 1/u where |u| > 1 (the form is invariant under u -> 1/u)
+            u = observables.u_param(g)
+            u = u if abs(u) <= 1 else 1 / u
+            errs.append(abs(p.epsilon * u * (1 + u ** (n - 2)) / (1 + u**n) - mx))
             # the transfer-matrix trace is cyclic, so every site gives the site-1 value
             errs += [abs(expectation_one_point(t, SX, 1, n) - mx),
                      abs(expectation_one_point(t, SY, 1, n)),

@@ -34,6 +34,13 @@ def _fmt(x):
     return f"{float(x) + 0.0:.15g}"
 
 
+def _write_table(path, header, rows):
+    """CSV of the header names and of rows of values, every cell through _fmt
+    (which prints an int as str does); rows may be a lazy iterable, which is
+    consumed before the output is opened."""
+    _write_lines(path, [",".join(header)] + [",".join(map(_fmt, row)) for row in rows])
+
+
 def _write_lines(path, lines):
     text = "\n".join(lines) + "\n"
     if path is None:
@@ -116,7 +123,6 @@ def cmd_sweep(args):
             print(f"warning: skipping singular point g=-1 (n={n})", file=sys.stderr)
             return None
         rec = observables.observable_record(args.epsilon, g, n)
-        c = concurrence_closed(g, n)
         if args.check and n <= CHECK_MAX_N:
             psi = mps_state(ModelParams(epsilon=args.epsilon, eta=1, g=g, j=args.j, n=n))
             rho = ed.pair_density_brute(psi, 1, 2)
@@ -126,18 +132,15 @@ def cmd_sweep(args):
                 raise ArithmeticError(
                     f"cross-check failed at g={g}, n={n}: max error {worst}"
                 )
-        return ",".join(
-            [_fmt(g), str(n), _fmt(rec.u), _fmt(rec.mx), _fmt(rec.gx), _fmt(rec.gy),
-             _fmt(rec.gz), _fmt(c)]
-        )
+        return g, n, rec.u, rec.mx, rec.gx, rec.gy, rec.gz, rec.c
 
-    try:
-        rows = [row(g, n) for g, n in itertools.product(g_values, n_list)]
+    rows = itertools.starmap(row, itertools.product(g_values, n_list))
+    try:  # every row is formatted before the output is opened
+        _write_table(args.output, ["g", "N", "u", "mx", "Gx", "Gy", "Gz", "C"],
+                     filter(None, rows))
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    lines = ["g,N,u,mx,Gx,Gy,Gz,C"] + [r for r in rows if r is not None]
-    _write_lines(args.output, lines)
     return 0
 
 
@@ -146,12 +149,10 @@ def cmd_figure1(args):
     sizes = args.n_list or FIGURE1_SIZES
 
     def row(g):
-        vals = [n * concurrence_closed(g / n, n) for n in sizes]
-        return ",".join([_fmt(g)] + [_fmt(v) for v in vals] + [_fmt(scaling_limit(g))])
+        return [g] + [n * concurrence_closed(g / n, n) for n in sizes] + [scaling_limit(g)]
 
-    header = ",".join(["g"] + [f"NC_N{n}" for n in sizes] + ["limit"])
-    lines = [header] + [row(g) for g in g_values]
-    _write_lines(args.output, lines)
+    header = ["g"] + [f"NC_N{n}" for n in sizes] + ["limit"]
+    _write_table(args.output, header, map(row, g_values))
     return 0
 
 
@@ -169,13 +170,10 @@ def cmd_figure2(args):
         finite = [safe(observables.magnetization_x, args.epsilon, g, n) for n in sizes]
         lim = safe(observables.thermodynamic_magnetization, args.epsilon, g)
         alt = safe(observables.thermodynamic_magnetization_alt, args.epsilon, g)
-        return ",".join([_fmt(g)] + [_fmt(v) for v in finite] + [_fmt(lim), _fmt(alt)])
+        return [g] + finite + [lim, alt]
 
-    header = ",".join(
-        ["g"] + [f"mx_N{n}" for n in sizes] + ["mx_limit", "mx_limit_reciprocal"]
-    )
-    lines = [header] + [row(g) for g in g_values]
-    _write_lines(args.output, lines)
+    header = ["g"] + [f"mx_N{n}" for n in sizes] + ["mx_limit", "mx_limit_reciprocal"]
+    _write_table(args.output, header, map(row, g_values))
     return 0
 
 
@@ -185,7 +183,7 @@ def cmd_ed_compare(args):
     if any(n > parent.DENSE_CAP for n in n_list):
         print(f"error: ring sizes above dense cap {parent.DENSE_CAP}", file=sys.stderr)
         return 2
-    lines = ["epsilon,eta,g,J,N,energy_ed,energy_expected,residual,overlap,degeneracy"]
+    rows = []
     worst = 0.0
     for p in ring_points(g_values, n_list, args.j):
         c = ed.certify(p)
@@ -195,14 +193,10 @@ def cmd_ed_compare(args):
             print(f"error: non-finite energy, residual or overlap at epsilon={p.epsilon}, "
                   f"eta={p.eta}, g={_fmt(p.g)}, N={p.n}", file=sys.stderr)
         worst = worst_error(worst, dev)
-        lines.append(
-            ",".join(
-                [str(p.epsilon), str(p.eta), _fmt(p.g), _fmt(args.j), str(p.n),
-                 _fmt(c.energy), _fmt(c.expected), _fmt(c.residual), _fmt(c.overlap),
-                 str(c.degeneracy)]
-            )
-        )
-    _write_lines(args.output, lines)
+        rows.append((p.epsilon, p.eta, p.g, args.j, p.n, c.energy, c.expected, c.residual,
+                     c.overlap, c.degeneracy))
+    _write_table(args.output, ["epsilon", "eta", "g", "J", "N", "energy_ed", "energy_expected",
+                               "residual", "overlap", "degeneracy"], rows)
     print(f"max deviation: {_fmt(worst)}", file=sys.stderr)
     return 0 if worst < args.tolerance else 1
 

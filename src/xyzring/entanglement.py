@@ -12,6 +12,7 @@ import numpy as np
 
 from .model import ModelParams
 from .mps import product_term_cell
+from .observables import _reduced
 from .pauli import SY
 
 _YY = np.kron(SY, SY).real  # real symmetric
@@ -93,26 +94,15 @@ def wootters_concurrence(rho):
 
 
 def concurrence_closed(g, n):
-    """Closed form C = 4|g| |1-|g||^{n-2} / |(1+g)^n + (1-g)^n|.
+    """Closed form C = 4|g| |1-|g||^{n-2} / |(1+g)^n + (1-g)^n| of every pair.
 
-    Evaluated in the log domain so that n up to ~1e6 neither overflows
-    nor underflows prematurely.
+    In the reduced parameter v = (1-|g|)/(1+|g|) this is
+    C = |v|^{n-2}(1-v^2)/|1+v^n|, the |Gy| of g >= 0 and the |Gz| of g < 0,
+    so C = min(|Gy|, |Gz|).  It is read from the same log-domain evaluation
+    as the correlators: n up to ~1e6 neither overflows nor underflows
+    prematurely, and C is 0 at g = 0 and at |g| = 1 (g = -1 included).
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if g == 0 or abs(g) == 1:
-        return 0.0
-    four_g = 4 * abs(g)  # overflows for |g| > 4.5e307
-    log_four_g = math.log(four_g) if four_g < math.inf else math.log(4) + math.log(abs(g))
-    if abs(g) > 1 and n % 2:
-        # (1+g)^n and (1-g)^n have opposite signs; with x = log((|g|+1)/(|g|-1)),
-        # C = 4|g| (|g|-1)^{n-2} / ((|g|+1)^n (1 - e^{-nx})) has no cancellation
-        x = math.log1p(2 / (abs(g) - 1))
-        return math.exp(log_four_g - 2 * math.log(abs(g) + 1) - (n - 2) * x) / -math.expm1(-n * x)
-    t_p, t_q = n * math.log(abs(1 + g)), n * math.log(abs(1 - g))
-    m = max(t_p, t_q)
-    log_num = log_four_g + (n - 2) * math.log(abs(1 - abs(g)))
-    return math.exp(log_num - m) / (math.exp(t_p - m) + math.exp(t_q - m))
+    return abs(_reduced(g, n)[2])
 
 
 def scaled_concurrence_curve(n, g_grid):

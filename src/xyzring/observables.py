@@ -1,5 +1,6 @@
 """Closed-form magnetization and correlation functions in the parameter
-u = (1-g)/(1+g), with numerically stable evaluation for large rings and
+u = (1-g)/(1+g), all evaluated through one log-domain kernel in the reduced
+parameter v = (1-|g|)/(1+|g|), stable for large rings and large |g|, with
 explicit handling of the g = 0 discontinuity of the large-N limits.
 """
 
@@ -8,8 +9,8 @@ from dataclasses import dataclass
 
 
 class SingularParameterError(ValueError):
-    """Raised where the closed forms are undefined (g = -1, or a
-    vanishing denominator 1 + u^N)."""
+    """Raised where a closed form is undefined: g = -1 for u, and |g| = 1
+    for the reciprocal limit form."""
 
 
 class DiscontinuityError(ValueError):
@@ -33,6 +34,7 @@ class ObservableRecord:
     gx: float
     gy: float
     gz: float
+    c: float
 
 
 def u_param(g):
@@ -42,38 +44,61 @@ def u_param(g):
     return (1 - g) / (1 + g)
 
 
-def _reduced_u(g):
-    """(v, swapped): v = u or 1/u with |v| <= 1, and whether the
-    inversion (which exchanges the y and z correlators) was applied."""
-    u = u_param(g)
-    if abs(u) > 1:
-        return 1.0 / u, True
-    return u, False
+def _log_v(g):
+    """The kernel of every finite-n closed form: (v, l) with the reduced
+    parameter v = (1-|g|)/(1+|g|) and l = log|v|.
+
+    v is u for g >= 0 and 1/u for g < 0, so |v| <= 1 and every power
+    |v|^k = exp(k l) stays bounded for any n.  With d = 1 - |v| =
+    2 min(|g|, 1)/(1+|g|), l is log1p(-d) while d < 1/2, which loses nothing
+    to rounding 1 - d near |v| = 1, and log|v| beyond, where 1 - |g| is exact
+    near |g| = 1; at |g| = 1, v = 0 and l = -inf.
+    """
+    a = abs(g)
+    v = (1 - a) / (1 + a)
+    d = 2 * (a if a < 1 else 1) / (1 + a)
+    if d < 0.5:
+        return v, math.log1p(-d)
+    return v, math.log(abs(v)) if v else -math.inf
 
 
-def _one_minus_abs_power(g, k):
-    """1 - |v|^k for |g| > 1, where the reduced v = -(|g|-1)/(|g|+1) sits near
-    -1 and 1 + v^k = 1 - |v|^k cancels at odd k; taken as
-    -expm1(k log1p(-2/(|g|+1))), which has no cancellation."""
-    return -math.expm1(k * math.log1p(-2 / (abs(g) + 1)))
+def _reduced(g, n):
+    """(mx/eps, Gx, Gy, Gz) in the reduced parameter v, with the Gy and Gz of
+    g >= 0 (they exchange at g < 0, where v = 1/u):
+    mx/eps = v(1 - Gy) = v(1 + v^{n-2})/(1 + v^n), Gx = (v^2 + v^{n-2})/(1 + v^n),
+    Gy = v^{n-2}(v^2 - 1)/(1 + v^n) and Gz = (1 - v^2)/(1 + v^n).
+    """
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    v, l = _log_v(g)
+    w = -math.expm1(2 * l)  # 1 - v^2
+    k = (n - 2) * l
+    p = math.exp(k)  # |v|^{n-2}
+    # |v|^{n-2}(1 - v^2), in one exp where |v|^{n-2} alone would be subnormal
+    pw = p * w if k > -700 else math.exp(k + math.log(w))
+    if v < 0 and n % 2:
+        # v^{n-2} = -p, and each 1 + v^j at odd j is 1 - |v|^j = -expm1(j l):
+        # the only sums that cancel, here 1 + v^n and, with m = min(2, n-2),
+        # v^2 + v^{n-2} = v^m (1 + v^{|n-4|})
+        denom = -math.expm1(n * l)
+        gx = (v if n == 3 else v * v) * -math.expm1(abs(n - 4) * l) / denom
+        gy = pw / denom
+    else:
+        denom = 1 + p * v * v
+        gx = (v * v + p) / denom
+        gy = -pw / denom
+    return v * (1 - gy), gx, gy, w / denom
 
 
 def magnetization_x(eps, g, n):
     """Magnetization per site <sigma_x> = eps*u*(1 + u^{n-2})/(1 + u^n).
 
-    The expression is invariant under u -> 1/u, which is used to keep all
-    powers bounded for arbitrarily large n.
+    The expression is invariant under u -> 1/u, so it is evaluated in the
+    reduced parameter v, with all powers bounded for arbitrarily large n.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    v, _ = _reduced_u(g)
-    if n % 2 and abs(g) > 1:
-        num, denom = _one_minus_abs_power(g, n - 2), _one_minus_abs_power(g, n)
-    else:
-        num, denom = 1 + v ** (n - 2), 1 + v**n
-    if denom == 0:
-        raise SingularParameterError(f"1 + u^n vanishes at g = {g}, n = {n}")
-    return eps * v * num / denom
+    if g == -1:
+        raise SingularParameterError("u(g) is singular at g = -1")
+    return eps * _reduced(g, n)[0]
 
 
 def correlations(g, n):
@@ -82,29 +107,12 @@ def correlations(g, n):
     Gx = (u^2 + u^{n-2})/(1 + u^n), Gy = u^{n-2}(u^2 - 1)/(1 + u^n),
     Gz = (1 - u^2)/(1 + u^n); independent of the separation.  Under
     u -> 1/u the forms exchange Gy and Gz, so evaluation always uses the
-    branch with |u| <= 1.
+    reduced parameter v with |v| <= 1.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    v, swapped = _reduced_u(g)
-    if n % 2 and abs(g) > 1:
-        # v near -1: v^2 + v^{n-2} = v^m (1 + v^{|n-4|}) with m = min(2, n-2) and
-        # 1 - v^2 = (1 + v)(1 - v), so that every cancelling sum is an odd 1 + v^k
-        denom = _one_minus_abs_power(g, n)
-        gx_num = v ** min(2, n - 2) * _one_minus_abs_power(g, abs(n - 4))
-        one_minus_v2 = _one_minus_abs_power(g, 1) * (1 - v)
-    else:
-        denom = 1 + v**n
-        gx_num = v**2 + v ** (n - 2)
-        one_minus_v2 = 1 - v**2
-    if denom == 0:
-        raise SingularParameterError(f"1 + u^n vanishes at g = {g}, n = {n}")
-    gx = gx_num / denom
-    gy = v ** (n - 2) * -one_minus_v2 / denom
-    gz = one_minus_v2 / denom
-    if swapped:
-        gy, gz = gz, gy
-    return gx, gy, gz
+    if g == -1:
+        raise SingularParameterError("u(g) is singular at g = -1")
+    _, gx, gy, gz = _reduced(g, n)
+    return (gx, gz, gy) if g < 0 else (gx, gy, gz)
 
 
 def correlations_eta_minus(g, n, r):
@@ -122,11 +130,14 @@ def correlations_eta_minus(g, n, r):
 
 
 def observable_record(eps, g, n):
-    """Bundle u, mx and the correlators for one grid point."""
-    gx, gy, gz = correlations(g, n)
-    return ObservableRecord(
-        g=g, n=n, u=u_param(g), mx=magnetization_x(eps, g, n), gx=gx, gy=gy, gz=gz
-    )
+    """Bundle u, mx, the correlators and the concurrence |Gy| for one grid
+    point, all from one evaluation of the reduced forms."""
+    u = u_param(g)
+    m, gx, gy, gz = _reduced(g, n)
+    c = abs(gy)
+    if g < 0:
+        gy, gz = gz, gy
+    return ObservableRecord(g=g, n=n, u=u, mx=eps * m, gx=gx, gy=gy, gz=gz, c=c)
 
 
 def thermodynamic_magnetization(eps, g):
@@ -173,8 +184,6 @@ def thermodynamic_correlations(g):
             limit_pos=(1.0, 0.0, 0.0),
             limit_neg=(1.0, 0.0, 0.0),
         )
-    v, swapped = _reduced_u(g)
-    gx, gy, gz = v**2, 0.0, 1 - v**2
-    if swapped:
-        gy, gz = gz, gy
-    return gx, gy, gz
+    _, l = _log_v(g)
+    v2, one_minus_v2 = math.exp(2 * l), -math.expm1(2 * l)
+    return (v2, one_minus_v2, 0.0) if g < 0 else (v2, 0.0, one_minus_v2)

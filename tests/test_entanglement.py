@@ -163,6 +163,23 @@ class TestConcurrenceClosed:
             want = 4 * abs(q) * abs(1 - abs(q)) ** (n - 2) / abs((1 + q) ** n + (1 - q) ** n)
             assert concurrence_closed(g, n) == pytest.approx(float(want), rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_large_n_scaled_g_exact(self, scale):
+        # g = m/2^e, so C = 4m 2^e (2^e-m)^(n-2) / ((2^e+m)^n + (2^e-m)^n) in integers,
+        # rounded once by the true division
+        n = 10**4
+        g = scale / n
+        m, two_e = g.as_integer_ratio()
+        want = 4 * m * two_e * (two_e - m) ** (n - 2) / ((two_e + m) ** n + (two_e - m) ** n)
+        assert concurrence_closed(g, n) == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_edge_points(self, n):
+        # C = 0 at |g| = 1, also at g = -1 where u is singular; numpy scalars for g
+        assert concurrence_closed(1.0, n) == concurrence_closed(-1.0, n) == 0.0
+        for g in (0.3, -0.5, 1.0, -1.0, -2.0):
+            assert concurrence_closed(np.float64(g), n) == concurrence_closed(g, n)
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_finite_where_four_g_overflows(self, n):
         for g in (1e308, -1e308):

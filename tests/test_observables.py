@@ -103,7 +103,8 @@ class TestCorrelations:
 
 
 class TestOddRingsAtLargeField:
-    """Odd n and |g| > 1: v = -(|g|-1)/(|g|+1) sits near -1, where 1 + v^n cancels."""
+    """|g| >> 1: v = -(|g|-1)/(|g|+1) sits near -1, where 1 - v^2 cancels at
+    every n and 1 + v^n at odd n."""
 
     @staticmethod
     def exact(g, n):
@@ -113,11 +114,18 @@ class TestOddRingsAtLargeField:
                 u ** (n - 2) * (u**2 - 1) / d, (1 - u**2) / d)
 
     @pytest.mark.parametrize("g", [1e8, -1e8])
-    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_against_exact_fractions(self, g, n):
         got = (magnetization_x(1, g, n), *correlations(g, n))
         for value, want in zip(got, self.exact(g, n)):
             assert abs(Fraction(value) - want) <= 2e-15 * abs(want), (value, float(want))
+
+    @pytest.mark.parametrize("g", [1e8, -1e8])
+    def test_limits_against_exact_fractions(self, g):
+        v = (1 - abs(Fraction(g))) / (1 + abs(Fraction(g)))
+        want = (v**2, 1 - v**2, 0) if g < 0 else (v**2, 0, 1 - v**2)
+        for value, w in zip(thermodynamic_correlations(g), want):
+            assert abs(Fraction(value) - w) <= 2e-15 * abs(w), (value, float(w))
 
     def test_no_false_singularity(self):
         # 2/(|g|+1) is below half an ulp of 1, so v rounds to -1 and 1 + v^3 to 0
@@ -125,6 +133,29 @@ class TestOddRingsAtLargeField:
         gx, gy, gz = correlations(-3e17, 3)
         assert mx == pytest.approx(-1 / 3, rel=1e-15)
         assert (gx, gy, gz) == pytest.approx((-1 / 3, 2 / 3, 2 / 3), rel=1e-15)
+
+
+class TestEdgePoints:
+    """|g| = 1, where v = 0 and log|v| = -inf, and numpy scalars for g."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_g_one(self, n):
+        assert magnetization_x(1, 1.0, n) == 0.0
+        assert correlations(1.0, n) == (0.0, 0.0, 1.0)  # v^0 = 1 at n = 4, not NaN
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_singular_at_g_minus_one_only(self, n):
+        with pytest.raises(SingularParameterError):
+            magnetization_x(1, -1.0, n)
+        with pytest.raises(SingularParameterError):
+            correlations(-1.0, n)
+        assert np.isfinite([magnetization_x(1, g, n) for g in (1.0, -1 + 1e-12, -1 - 1e-12)]).all()
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("g", [0.3, -0.5, 1.0, -2.0, 1e8])
+    def test_numpy_scalar_g(self, g, n):
+        assert magnetization_x(1, np.float64(g), n) == magnetization_x(1, g, n)
+        assert correlations(np.float64(g), n) == correlations(g, n)
 
 
 class TestThermodynamicLimits:
