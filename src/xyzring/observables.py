@@ -72,21 +72,18 @@ def _reduced(g, n):
         raise ValueError("n must be >= 3")
     v, l = _log_v(g)
     w = -math.expm1(2 * l)  # 1 - v^2
-    k = (n - 2) * l
-    p = math.exp(k)  # |v|^{n-2}
-    # |v|^{n-2}(1 - v^2), in one exp where |v|^{n-2} alone would be subnormal
-    pw = p * w if k > -700 else math.exp(k + math.log(w))
+    p = math.exp((n - 2) * l)  # |v|^{n-2}
     if v < 0 and n % 2:
         # v^{n-2} = -p, and each 1 + v^j at odd j is 1 - |v|^j = -expm1(j l):
         # the only sums that cancel, here 1 + v^n and, with m = min(2, n-2),
         # v^2 + v^{n-2} = v^m (1 + v^{|n-4|})
         denom = -math.expm1(n * l)
         gx = (v if n == 3 else v * v) * -math.expm1(abs(n - 4) * l) / denom
-        gy = pw / denom
+        gy = p * w / denom
     else:
         denom = 1 + p * v * v
         gx = (v * v + p) / denom
-        gy = -pw / denom
+        gy = -p * w / denom
     return v * (1 - gy), gx, gy, w / denom
 
 
