@@ -146,6 +146,7 @@ def check_closed_form_correlators(cfg):
     errs = []
     for p in ring_points([g for g in cfg.g_values if g != -1], cfg.n_list, cfg.j):
         t, g, n = mps_matrices(p), p.g, p.n
+        separations = np.arange(2, n + 1)  # every r, in one contraction per operator
         if p.eta == 1:
             mx = observables.magnetization_x(p.epsilon, g, n)
             gx, gy, gz = observables.correlations(g, n)
@@ -160,13 +161,11 @@ def check_closed_form_correlators(cfg):
                      abs(expectation_one_point(t, SZ, 1, n))]
             # identities
             errs += [abs(gx + gy + gz - 1), abs((1 - gz) * (1 - gy) - mx * mx)]
-            expected = [(gx, gy, gz)] * (n - 1)
+            expected = (gx, gy, gz)
         else:
             # the eta = -1 sector through the alternating map
-            expected = [observables.correlations_eta_minus(g, n, r) for r in range(2, n + 1)]
-        # every separation r = 2..n in one contraction per operator
-        separations = np.arange(2, n + 1)
-        for op, values in zip((SX, SY, SZ), np.transpose(expected)):
+            expected = observables.correlations_eta_minus(g, n, separations)
+        for op, values in zip((SX, SY, SZ), expected):
             errs.append(np.max(np.abs(expectation_two_point(t, op, op, separations, n) - values)))
     worst = worst_error(*errs)
     return worst < cfg.tolerance, {"max_error": worst, **_singular_skips(cfg)}

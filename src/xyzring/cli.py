@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 verification/cross-check failure, 2 invalid input.
 """
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -17,7 +18,6 @@ from .checks import VerifyConfig, run_verify, worst_error
 from .ed import mps_state
 from .entanglement import concurrence_closed, scaling_limit
 from .model import ModelParams, ring_points
-from .observables import DiscontinuityError, SingularParameterError
 from .pauli import SI, SX, SY, SZ
 
 DEFAULT_G_VALUES = [-2.0, -0.5, 0.3, 0.7, 1.0, 1.5]
@@ -27,6 +27,7 @@ CHECK_MAX_N = 10  # sweep --check builds a dense state for each row up to this s
 # sigma^x x 1, sigma^x x sigma^x, sigma^y x sigma^y, sigma^z x sigma^z on sites (1, 2):
 # their traces against the pair density are <sigma^x_1>, Gx, Gy and Gz
 CHECK_OPS = np.stack([np.kron(SX, SI), np.kron(SX, SX), np.kron(SY, SY), np.kron(SZ, SZ)])
+ROW_BLOCK = 4096  # CSV rows formatted and written at a time
 
 
 def _fmt(x):
@@ -34,20 +35,21 @@ def _fmt(x):
     return f"{float(x) + 0.0:.15g}"
 
 
-def _write_table(path, header, rows):
-    """CSV of the header names and of rows of values, every cell through _fmt
-    (which prints an int as str does); rows may be a lazy iterable, which is
-    consumed before the output is opened."""
-    _write_lines(path, [",".join(header)] + [",".join(map(_fmt, row)) for row in rows])
+def _write_table(path, header, values):
+    """CSV of the header names and of the rows of a 2-D value array, each cell
+    as _fmt prints it (an integral value as str prints the int), written in
+    blocks of ROW_BLOCK rows, each as soon as it is formatted."""
+    row = ",".join(["%.15g"] * values.shape[1]) + "\n"
+    blocks = (values[i:i + ROW_BLOCK] + 0.0 for i in range(0, len(values), ROW_BLOCK))
+    text = ("".join([row % tuple(cells) for cells in block.tolist()]) for block in blocks)
+    _write(path, itertools.chain([",".join(header) + "\n"], text))
 
 
-def _write_lines(path, lines):
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def _write(path, chunks):
+    """Write the text chunks to the file at path, or to stdout if path is None."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="\n")) as fh:
+        fh.writelines(chunks)
 
 
 def _g_grid(args, default):
@@ -80,12 +82,8 @@ def _strict_json(x):
 
 
 def cmd_verify(args):
-    cfg = VerifyConfig(
-        j=args.j,
-        n_list=args.n_list or [4, 6],
-        g_values=_g_grid(args, DEFAULT_G_VALUES),
-        tolerance=args.tolerance,
-    )
+    cfg = VerifyConfig(j=args.j, n_list=args.n_list or [4, 6],
+                       g_values=_g_grid(args, DEFAULT_G_VALUES), tolerance=args.tolerance)
     results, coverage_ok = run_verify(cfg)
     records = []
     failed = False
@@ -95,18 +93,12 @@ def cmd_verify(args):
         if r.status == "fail":
             failed = True
             print(f"      details: {r.details}")
-        records.append(
-            json.dumps(
-                _strict_json({"check": r.name, "status": r.status, "covers": r.covers,
-                              "details": r.details}),
-                sort_keys=True,
-                allow_nan=False,
-            )
-        )
+        record = {"check": r.name, "status": r.status, "covers": r.covers, "details": r.details}
+        records.append(json.dumps(_strict_json(record), sort_keys=True, allow_nan=False))
     records.append(json.dumps({"check": "op-coverage", "status": "pass" if coverage_ok else "fail"}))
     print(f"{'PASS' if coverage_ok else 'FAIL':5s} op-coverage")
     if args.output:
-        _write_lines(args.output, records)
+        _write(args.output, ["\n".join(records) + "\n"])
     return 1 if (failed or not coverage_ok) else 0
 
 
@@ -117,63 +109,60 @@ def cmd_sweep(args):
     if args.check and unchecked:
         print(f"warning: --check skips rings above n={CHECK_MAX_N} "
               f"(unchecked n={','.join(map(str, unchecked))})", file=sys.stderr)
-
-    def row(g, n):
-        if g == -1:
-            print(f"warning: skipping singular point g=-1 (n={n})", file=sys.stderr)
-            return None
-        rec = observables.observable_record(args.epsilon, g, n)
-        if args.check and n <= CHECK_MAX_N:
-            psi = mps_state(ModelParams(epsilon=args.epsilon, eta=1, g=g, j=args.j, n=n))
-            rho = ed.pair_density_brute(psi, 1, 2)
-            values = (CHECK_OPS @ rho).trace(axis1=1, axis2=2).real
-            worst = worst_error(*np.abs(values - (rec.mx, rec.gx, rec.gy, rec.gz)))
-            if not worst <= args.tolerance:
-                raise ArithmeticError(
-                    f"cross-check failed at g={g}, n={n}: max error {worst}"
-                )
-        return g, n, rec.u, rec.mx, rec.gx, rec.gy, rec.gz, rec.c
-
-    rows = itertools.starmap(row, itertools.product(g_values, n_list))
-    try:  # every row is formatted before the output is opened
-        _write_table(args.output, ["g", "N", "u", "mx", "Gx", "Gy", "Gz", "C"],
-                     filter(None, rows))
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    g = np.array(g_values)
+    singular = g == -1
+    regular = g[~singular]
+    table = np.empty((len(regular), len(n_list), 8))  # rows g outer, n inner
+    for j, n in enumerate(n_list):
+        r = observables.observable_record(args.epsilon, regular, n)
+        columns = np.broadcast_arrays(r.g, r.n, r.u, r.mx, r.gx, r.gy, r.gz, r.c)
+        table[:, j] = np.column_stack(columns)
+    checked = {n for n in n_list if n <= CHECK_MAX_N} if args.check else set()
+    index = np.cumsum(~singular) - 1  # of each g among the regular ones
+    # in row order, before the output is opened
+    for i in (range(len(g)) if checked else np.flatnonzero(singular)):
+        for j, n in enumerate(n_list):
+            if singular[i]:
+                print(f"warning: skipping singular point g=-1 (n={n})", file=sys.stderr)
+            elif n in checked:
+                psi = mps_state(ModelParams(epsilon=args.epsilon, eta=1, g=g_values[i],
+                                            j=args.j, n=n))
+                values = (CHECK_OPS @ ed.pair_density_brute(psi, 1, 2)).trace(axis1=1, axis2=2)
+                worst = worst_error(*np.abs(values.real - table[index[i], j, 3:7]))
+                if not worst <= args.tolerance:
+                    print(f"error: cross-check failed at g={g_values[i]}, n={n}: "
+                          f"max error {worst}", file=sys.stderr)
+                    return 1
+    _write_table(args.output, ["g", "N", "u", "mx", "Gx", "Gy", "Gz", "C"], table.reshape(-1, 8))
     return 0
 
 
 def cmd_figure1(args):
-    g_values = _g_grid(args, np.linspace(0.0, 5.0, 101))
+    g = np.array(_g_grid(args, np.linspace(0.0, 5.0, 101)))
     sizes = args.n_list or FIGURE1_SIZES
-
-    def row(g):
-        return [g] + [n * concurrence_closed(g / n, n) for n in sizes] + [scaling_limit(g)]
-
+    columns = [g] + [n * concurrence_closed(g / n, n) for n in sizes] + [scaling_limit(g)]
     header = ["g"] + [f"NC_N{n}" for n in sizes] + ["limit"]
-    _write_table(args.output, header, map(row, g_values))
+    _write_table(args.output, header, np.stack(columns, axis=1))
     return 0
 
 
 def cmd_figure2(args):
-    g_values = _g_grid(args, np.linspace(-2.0, 2.0, 81))
+    g = np.array(_g_grid(args, np.linspace(-2.0, 2.0, 81)))
     sizes = args.n_list or [4, 8, 16, 64]
 
-    def safe(fn, *a):
-        try:
-            return fn(*a)
-        except (SingularParameterError, DiscontinuityError):
-            return float("nan")
+    def column(fn, defined):
+        """fn(epsilon, g) where defined, nan elsewhere."""
+        values = np.full(g.shape, np.nan)
+        values[defined] = fn(args.epsilon, g[defined])
+        return values
 
-    def row(g):
-        finite = [safe(observables.magnetization_x, args.epsilon, g, n) for n in sizes]
-        lim = safe(observables.thermodynamic_magnetization, args.epsilon, g)
-        alt = safe(observables.thermodynamic_magnetization_alt, args.epsilon, g)
-        return [g] + finite + [lim, alt]
-
+    regular = g != -1
+    finite = [column(lambda eps, x: observables.magnetization_x(eps, x, n), regular)
+              for n in sizes]
+    lim = column(observables.thermodynamic_magnetization, regular & (g != 0))
+    alt = column(observables.thermodynamic_magnetization_alt, np.abs(g) != 1)
     header = ["g"] + [f"mx_N{n}" for n in sizes] + ["mx_limit", "mx_limit_reciprocal"]
-    _write_table(args.output, header, map(row, g_values))
+    _write_table(args.output, header, np.stack([g, *finite, lim, alt], axis=1))
     return 0
 
 
@@ -196,7 +185,7 @@ def cmd_ed_compare(args):
         rows.append((p.epsilon, p.eta, p.g, args.j, p.n, c.energy, c.expected, c.residual,
                      c.overlap, c.degeneracy))
     _write_table(args.output, ["epsilon", "eta", "g", "J", "N", "energy_ed", "energy_expected",
-                               "residual", "overlap", "degeneracy"], rows)
+                               "residual", "overlap", "degeneracy"], np.array(rows, dtype=float))
     print(f"max deviation: {_fmt(worst)}", file=sys.stderr)
     return 0 if worst < args.tolerance else 1
 

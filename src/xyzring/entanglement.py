@@ -4,7 +4,6 @@ scaling limit.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -94,7 +93,8 @@ def wootters_concurrence(rho):
 
 
 def concurrence_closed(g, n):
-    """Closed form C = 4|g| |1-|g||^{n-2} / |(1+g)^n + (1-g)^n| of every pair.
+    """Closed form C = 4|g| |1-|g||^{n-2} / |(1+g)^n + (1-g)^n| of every pair,
+    for g a scalar or an array.
 
     In the reduced parameter v = (1-|g|)/(1+|g|) this is
     C = |v|^{n-2}(1-v^2)/|1+v^n|, the |Gy| of g >= 0 and the |Gz| of g < 0,
@@ -102,16 +102,18 @@ def concurrence_closed(g, n):
     as the correlators: n up to ~1e6 neither overflows nor underflows
     prematurely, and C is 0 at g = 0 and at |g| = 1 (g = -1 included).
     """
-    return abs(_reduced(g, n)[2])
+    return np.abs(_reduced(g, n)[2])
 
 
 def scaled_concurrence_curve(n, g_grid):
-    """Points (g, n*C(g/n, n)) of the scaled-concurrence curve."""
-    return [(g, n * concurrence_closed(g / n, n)) for g in g_grid]
+    """Points (g, n*C(g/n, n)) of the scaled-concurrence curve, g_grid a scalar or an array."""
+    g = np.atleast_1d(np.asarray(g_grid, dtype=float))
+    return list(zip(g.tolist(), (n * concurrence_closed(g / n, n)).tolist()))
 
 
 def scaling_limit(g):
-    """Universal large-n limit 2|g| e^{-|g|} / cosh(g) of n*C(g/n, n)."""
-    if abs(g) > 700:  # cosh overflows from 710, and the limit underflows from ~377
-        return 0.0
-    return 2 * abs(g) * math.exp(-abs(g)) / math.cosh(g)
+    """Universal large-n limit 2|g| e^{-|g|} / cosh(g) of n*C(g/n, n), g a scalar or an array."""
+    a = np.abs(np.asarray(g, dtype=float))
+    with np.errstate(over="ignore"):  # cosh overflows from 710, and the limit underflows from ~377
+        limit = 2 * a * np.exp(-a) / np.cosh(a)
+    return np.where(a > 700, 0.0, limit)[()]

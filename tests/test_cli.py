@@ -106,6 +106,17 @@ class TestSweep:
         assert [float(r["g"]) for r in rows] == [0.0]
         assert "singular" in capsys.readouterr().err
 
+    def test_singular_point_warns_once_per_size(self, tmp_path, capsys):
+        code, rows, _ = run_csv(
+            tmp_path,
+            ["sweep", "--n-list", "8,4,6", "--g-min", "-1", "--g-max", "1", "--g-steps", "3"],
+        )
+        assert code == 0
+        assert [(r["g"], r["N"]) for r in rows] == [
+            ("0", "8"), ("0", "4"), ("0", "6"), ("1", "8"), ("1", "4"), ("1", "6")]
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: skipping singular point g=-1 (n={n})" for n in (8, 4, 6)]
+
     def test_no_negative_zero_in_output(self, tmp_path):
         _, _, raw = run_csv(
             tmp_path,
@@ -130,7 +141,7 @@ class TestSweep:
             tmp_path, ["sweep", "--n", "3", "--g-min=-3e17", "--g-max=-3e17", "--g-steps", "1"])
         assert code == 0
         (row,) = rows
-        assert float(row["mx"]) == pytest.approx(-1 / 3, rel=1e-14)
+        assert float(row["mx"]) == pytest.approx(-1 / 3, rel=1e-14, abs=0)
 
     def test_inverted_range_rejected(self, tmp_path):
         assert main(["sweep", "--g-min", "2", "--g-max", "1",
@@ -250,7 +261,7 @@ class TestFigure1:
         code, rows, _ = run_csv(
             tmp_path, ["figure1", "--n", "3", "--g-min=-3e17", "--g-max=-3e17", "--g-steps", "1"])
         assert code == 0
-        assert float(rows[0]["NC_N3"]) == pytest.approx(2.0, rel=1e-12)
+        assert float(rows[0]["NC_N3"]) == pytest.approx(2.0, rel=1e-12, abs=0)
         assert float(rows[0]["limit"]) == 0.0
 
 
@@ -276,13 +287,53 @@ class TestFigure2:
     def test_singular_points_are_nan(self, tmp_path):
         code, rows, _ = run_csv(
             tmp_path,
-            ["figure2", "--g-min", "-1", "--g-max", "0", "--g-steps", "2"],
+            ["figure2", "--g-min", "-1", "--g-max", "1", "--g-steps", "5"],
         )
         assert code == 0
         by_g = {float(r["g"]): r for r in rows}
-        assert by_g[-1.0]["mx_N4"] == "nan"
-        assert by_g[0.0]["mx_limit"] == "nan"
+        assert list(by_g) == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        finite = [f"mx_N{n}" for n in (4, 8, 16, 64)]
+        nan_cells = {(-1.0, c) for c in finite + ["mx_limit", "mx_limit_reciprocal"]}
+        nan_cells |= {(0.0, "mx_limit"), (1.0, "mx_limit_reciprocal")}
+        assert {(g, c) for g, r in by_g.items() for c, v in r.items() if v == "nan"} == nan_cells
         assert by_g[0.0]["mx_N4"] == "1"
+
+
+SPECIAL_CELLS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e15, 1e16, 0.1 + 0.2]
+
+
+class TestWriteTable:
+    """One format per row gives the bytes of _fmt per cell: -0 prints as 0, nan
+    and inf as Python prints them, and the ints N, epsilon, eta and degeneracy,
+    stored as floats, as str prints them."""
+
+    HEADER = [f"c{k}" for k in range(12)]
+
+    def expected(self, rows):
+        return "".join(",".join(row) + "\n" for row in [self.HEADER]
+                       + [list(map(cli._fmt, row)) for row in rows])
+
+    def test_rows_across_a_block_boundary(self, tmp_path):
+        # N, epsilon, eta and degeneracy as ints, then the special values, whose
+        # order flips on the two rows either side of the boundary
+        rows = [[1024, -1, 1, 2, *SPECIAL_CELLS[::-1]] for _ in range(cli.ROW_BLOCK + 1)]
+        rows[cli.ROW_BLOCK - 1][4:] = rows[cli.ROW_BLOCK][4:] = SPECIAL_CELLS
+        path = tmp_path / "t.csv"
+        cli._write_table(str(path), self.HEADER, np.array(rows, dtype=float))
+        got, want = path.read_text().splitlines(), self.expected(rows).splitlines()
+        # the indices of differing lines, since a diff of 4k lines is slow to print
+        assert len(got) == len(want)
+        assert [i for i, (a, b) in enumerate(zip(got, want)) if a != b] == []
+
+    def test_one_row(self, tmp_path, capsys):
+        row = [4, 1, -1, 3, *SPECIAL_CELLS]
+        path = tmp_path / "t.csv"
+        cli._write_table(str(path), self.HEADER, np.array([row], dtype=float))
+        cli._write_table(None, self.HEADER, np.array([row], dtype=float))
+        want = self.expected([row])
+        assert path.read_text() == capsys.readouterr().out == want
+        assert want.endswith("\n4,1,-1,3,0,nan,inf,-inf,4.94065645841247e-324,1e+15,1e+16,"
+                             "0.3\n")
 
 
 class TestEdCompare:
@@ -379,6 +430,23 @@ class TestNanFails:
                      "--g-steps", "1", "--output", str(tmp_path / "x.csv")])
         assert code == 1
         assert "cross-check failed" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_sweep_check_names_first_failing_row(self, tmp_path, capsys, monkeypatch):
+        # rows go g outer, n inner: the fourth density is that of (g, n) = (0.5, 6)
+        real, calls = ed.pair_density_brute, []
+
+        def density(*args):
+            calls.append(args)
+            return real(*args) + (np.nan if len(calls) >= 4 else 0)
+
+        monkeypatch.setattr(ed, "pair_density_brute", density)
+        code = main(["sweep", "--check", "--n-list", "4,6", "--g-min", "0", "--g-max", "1",
+                     "--g-steps", "3", "--output", str(tmp_path / "x.csv")])
+        assert code == 1 and len(calls) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cross-check failed at g=0.5, n=6: max error nan")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_sweep_check_site_one_marginal(self, tmp_path, capsys, monkeypatch):
         # (sigma^x x 1)/4 moves only the site-1 marginal: Gx, Gy and Gz keep their

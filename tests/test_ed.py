@@ -189,8 +189,9 @@ class TestGroundMembership:
             spec = dense_spectrum(h)
             hv = h @ v
             res, ov = ground_membership(h2, v, spec)
-            assert res == pytest.approx(np.linalg.norm(hv - np.vdot(v, hv) * v), rel=1e-13)
-            assert ov == pytest.approx(np.linalg.norm(spec.ground_vectors.conj().T @ v), rel=1e-13)
+            assert res == pytest.approx(np.linalg.norm(hv - np.vdot(v, hv) * v), rel=1e-13, abs=0)
+            assert ov == pytest.approx(np.linalg.norm(spec.ground_vectors.conj().T @ v),
+                                       rel=1e-13, abs=0)
 
     def test_rejects_unnormalized(self):
         h = np.eye(4)
@@ -221,7 +222,7 @@ class TestRayleighQuotient:
         h2 = a + a.conj().T
         v = 3 * (rng.normal(size=8) + 1j * rng.normal(size=8))
         want = np.vdot(v, _kron_ring(h2, 3) @ v).real / np.vdot(v, v).real
-        assert rayleigh_quotient(h2, v) == pytest.approx(want, rel=1e-14)
+        assert rayleigh_quotient(h2, v) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 RING_G = [-2.0, -1.0, -0.5, 0.0, 0.37, 1.0, 1.5]

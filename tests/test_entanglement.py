@@ -113,7 +113,7 @@ class TestConcurrenceClosed:
         assert concurrence_closed(1.0, 6) == 0.0
 
     def test_worked_point(self):
-        assert concurrence_closed(0.5, 6) == pytest.approx(0.125 / 11.40625, rel=1e-12)
+        assert concurrence_closed(0.5, 6) == pytest.approx(0.125 / 11.40625, rel=1e-12, abs=0)
 
     def test_g_zero(self):
         assert concurrence_closed(0.0, 8) == 0.0
@@ -133,7 +133,9 @@ class TestConcurrenceClosed:
         for g in (0.5, 2.0):
             p = params(eps, eta, g / n, n=n)
             c = wootters_concurrence(pair_density(p, 1, n // 2 + 1)).c
-            assert c == pytest.approx(concurrence_closed(g / n, n), rel=1e-12)
+            # the sum of the four singular values cancels down to C ~ 1/N: at N = 1e4
+            # Wootters is 6e-12 to 2.4e-11 off relative, but at most 4.7e-16 absolute
+            assert c == pytest.approx(concurrence_closed(g / n, n), rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("g", G_GRID)
     def test_distance_independence(self, g):
@@ -161,7 +163,7 @@ class TestConcurrenceClosed:
         for g in (a, -a):
             q = Fraction(g)
             want = 4 * abs(q) * abs(1 - abs(q)) ** (n - 2) / abs((1 + q) ** n + (1 - q) ** n)
-            assert concurrence_closed(g, n) == pytest.approx(float(want), rel=1e-12)
+            assert concurrence_closed(g, n) == pytest.approx(float(want), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("scale", [0.5, 2.0])
     def test_large_n_scaled_g_exact(self, scale):
@@ -190,7 +192,7 @@ class TestConcurrenceClosed:
 class TestScaling:
     def test_limit_values(self):
         assert scaling_limit(0.0) == 0.0
-        assert scaling_limit(1.0) == pytest.approx(2 / math.e / math.cosh(1), rel=1e-12)
+        assert scaling_limit(1.0) == pytest.approx(2 / math.e / math.cosh(1), rel=1e-12, abs=0)
         assert scaling_limit(1.0) == pytest.approx(0.4768, abs=1e-4)
 
     def test_limit_past_cosh_overflow(self):
@@ -199,7 +201,7 @@ class TestScaling:
 
     def test_limit_even(self):
         for g in (0.3, 1.2, 2.5):
-            assert scaling_limit(g) == pytest.approx(scaling_limit(-g), rel=1e-14)
+            assert scaling_limit(g) == pytest.approx(scaling_limit(-g), rel=1e-14, abs=0)
 
     def test_curve_converges_to_limit(self):
         (_, v50) = scaled_concurrence_curve(50, [1.0])[0]

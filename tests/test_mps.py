@@ -110,7 +110,7 @@ class TestBuildState:
         psi = build_state(t, n)
         e = transfer_matrix(t)
         z = np.trace(np.linalg.matrix_power(e, n)).real
-        assert psi.z == pytest.approx(z, rel=1e-10)
+        assert psi.z == pytest.approx(z, rel=1e-10, abs=0)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
@@ -292,7 +292,7 @@ class TestExplicitGroundState:
         for g, n in [(0.5, 4), (1.5, 6), (-0.7, 6)]:
             psi = explicit_ground_state(params(g=g, n=n))
             z = 2 ** (n + 1) * ((1 + g) ** n + (1 - g) ** n)
-            assert psi.z == pytest.approx(z, rel=1e-12)
+            assert psi.z == pytest.approx(z, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("eps,eta", CLASSES)
     @pytest.mark.parametrize("g", G_GRID)

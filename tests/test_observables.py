@@ -1,3 +1,5 @@
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,12 +9,14 @@ from xyzring import (
     DiscontinuityError,
     ModelParams,
     SingularParameterError,
+    concurrence_closed,
     correlations,
     correlations_eta_minus,
     magnetization_x,
     mps_matrices,
     mps_state,
     observable_record,
+    scaling_limit,
     state_expectation_one,
     state_expectation_two,
     thermodynamic_correlations,
@@ -91,6 +95,10 @@ class TestCorrelations:
             assert state_expectation_two(psi, SX, SX, 1, r).real == pytest.approx(gx, abs=1e-10)
             assert state_expectation_two(psi, SY, SY, 1, r).real == pytest.approx(gy, abs=1e-10)
             assert state_expectation_two(psi, SZ, SZ, 1, r).real == pytest.approx(gz, abs=1e-10)
+        # an array of separations gives the values of one call per r
+        by_r = np.transpose([correlations_eta_minus(g, n, r) for r in range(2, n + 1)])
+        at_once = correlations_eta_minus(g, n, np.arange(2, n + 1))
+        assert np.array_equal(np.broadcast_arrays(*at_once), by_r)
 
     @pytest.mark.parametrize("g", G_GRID + [0.0, 1.0, 5.0])
     @pytest.mark.parametrize("n", [4, 7, 12])
@@ -131,8 +139,8 @@ class TestOddRingsAtLargeField:
         # 2/(|g|+1) is below half an ulp of 1, so v rounds to -1 and 1 + v^3 to 0
         mx = magnetization_x(1, -3e17, 3)
         gx, gy, gz = correlations(-3e17, 3)
-        assert mx == pytest.approx(-1 / 3, rel=1e-15)
-        assert (gx, gy, gz) == pytest.approx((-1 / 3, 2 / 3, 2 / 3), rel=1e-15)
+        assert mx == pytest.approx(-1 / 3, rel=1e-15, abs=0)
+        assert (gx, gy, gz) == pytest.approx((-1 / 3, 2 / 3, 2 / 3), rel=1e-15, abs=0)
 
 
 class TestEdgePoints:
@@ -156,6 +164,69 @@ class TestEdgePoints:
     def test_numpy_scalar_g(self, g, n):
         assert magnetization_x(1, np.float64(g), n) == magnetization_x(1, g, n)
         assert correlations(np.float64(g), n) == correlations(g, n)
+
+
+class TestArrayKernel:
+    """One array call over g takes every branch of the kernel as a mask: log1p or
+    log at d = 1/2, l = -inf at |g| = 1, and the cancelling sums at v < 0 and odd N."""
+
+    G = [-1e17, -3.0, -0.5, -0.0, 0.0, 1e-300, 0.5, 1.0, 3.0, 1e17]
+
+    @staticmethod
+    def exact(g, n):
+        """mx, Gx, Gy, Gz and C, each an exact ratio of integers rounded once:
+        g = p/q, so u = a/b with a = q - p and b = q + p."""
+        p, q = g.as_integer_ratio()
+        a, b = q - p, q + p
+        d = b**n + a**n
+        return (a * b * (b ** (n - 2) + a ** (n - 2)) / d,
+                (a * a * b ** (n - 2) + a ** (n - 2) * b * b) / d,
+                a ** (n - 2) * (a * a - b * b) / d, b ** (n - 2) * (b * b - a * a) / d,
+                4 * abs(p) * q * abs(q - abs(p)) ** (n - 2) / abs(d))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 1024])
+    def test_against_exact_ratios(self, n):
+        g = np.array(self.G)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (magnetization_x(1, g, n), *correlations(g, n), concurrence_closed(g, n))
+            rec = observable_record(1, g, n)
+            c_at_one = concurrence_closed(np.array([-1.0, 1.0]), n)
+        for i, gi in enumerate(self.G):
+            for value, want in zip((x[i] for x in got), self.exact(gi, n)):
+                # as in TestOddRingsAtLargeField, but exp(k l) carries the rounding of l
+                # times |k l| ~ |log want|, which reaches ~700 at n = 1024 and |g| = 3;
+                # where want underflows to 0, so must the value
+                tol = 2e-15 * max(1.0, -math.log(abs(want))) if want else 0.0
+                assert abs(value - want) <= tol * abs(want), (gi, value, want)
+        for field, value in zip(("mx", "gx", "gy", "gz", "c"), got):
+            assert np.array_equal(getattr(rec, field), value)
+        assert np.array_equal(rec.u, (1 - g) / (1 + g))
+        assert c_at_one.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 1024])
+    def test_scalar_is_array_element(self, n):
+        g = np.array(self.G)
+        m, c = magnetization_x(1, g, n), concurrence_closed(g, n)
+        gx, gy, gz = correlations(g, n)
+        for i, gi in enumerate(self.G):
+            assert type(magnetization_x(1, gi, n)) is np.float64
+            assert magnetization_x(1, gi, n) == m[i] and concurrence_closed(gi, n) == c[i]
+            assert correlations(gi, n) == (gx[i], gy[i], gz[i])
+
+    def test_empty(self):
+        g = np.array([])
+        values = (magnetization_x(1, g, 5), *correlations(g, 5), concurrence_closed(g, 5),
+                  scaling_limit(g), *thermodynamic_correlations(g))
+        assert all(v.shape == (0,) for v in values)
+        assert observable_record(1, g, 5).mx.shape == (0,)
+
+    def test_minus_one_in_array_raises(self):
+        g = np.array([0.3, -1.0, 2.0])
+        with pytest.raises(SingularParameterError):
+            magnetization_x(1, g, 4)
+        with pytest.raises(SingularParameterError):
+            correlations(g, 5)
 
 
 class TestThermodynamicLimits:
