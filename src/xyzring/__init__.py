@@ -28,7 +28,6 @@ from .mps import (
 )
 from .parent import (
     NullSpaceProblem,
-    assemble_chain_h,
     constant_shift,
     e_vectors,
     local_h,
@@ -54,7 +53,6 @@ from .entanglement import (
     ConcurrenceResult,
     concurrence_closed,
     pair_density,
-    phi_overlap,
     scaled_concurrence_curve,
     scaling_limit,
     wootters_concurrence,
@@ -66,11 +64,8 @@ from .ed import (
     dense_spectrum,
     ground_degeneracy_scan,
     ground_membership,
-    mps_state,
     pair_density_brute,
     ring_spectrum,
-    state_expectation_one,
-    state_expectation_two,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

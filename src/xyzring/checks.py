@@ -46,11 +46,15 @@ def worst_error(*errors):
     return float(np.max(errors, initial=0.0))
 
 
+DEFAULT_SIZES = (4, 6)  # with DEFAULT_G_VALUES, the grid of verify and ed-compare without flags
+DEFAULT_G_VALUES = (-2.0, -0.5, 0.3, 0.7, 1.0, 1.5)
+
+
 @dataclass
 class VerifyConfig:
     j: float = 1.0
-    n_list: List[int] = field(default_factory=lambda: [4, 6])
-    g_values: List[float] = field(default_factory=lambda: [-2.0, -0.5, 0.3, 0.7, 1.0, 1.5])
+    n_list: List[int] = field(default_factory=lambda: list(DEFAULT_SIZES))
+    g_values: List[float] = field(default_factory=lambda: list(DEFAULT_G_VALUES))
     tolerance: float = 1e-10
 
 
@@ -362,9 +366,8 @@ def check_general_determinant(cfg):
     return worst < 1e-10, {"max_rel_error": worst}
 
 
-def run_verify(cfg=None):
+def run_verify(cfg):
     """Run every registered check; returns (results, coverage_ok)."""
-    cfg = cfg or VerifyConfig()
     results = []
     required, covered = set(), set()
     for name, covers, fn in _REGISTRY:

@@ -14,13 +14,12 @@ import sys
 import numpy as np
 
 from . import ed, observables, parent
-from .checks import VerifyConfig, run_verify, worst_error
-from .ed import mps_state
+from .checks import DEFAULT_G_VALUES, DEFAULT_SIZES, VerifyConfig, run_verify, worst_error
 from .entanglement import concurrence_closed, scaling_limit
-from .model import ModelParams, ring_points
+from .model import ModelParams, mps_matrices, ring_points
+from .mps import build_state
 from .pauli import SI, SX, SY, SZ
 
-DEFAULT_G_VALUES = [-2.0, -0.5, 0.3, 0.7, 1.0, 1.5]
 FIGURE1_SIZES = [6, 7, 8, 9, 10, 20, 30, 40, 50]
 DEFAULT_G_STEPS = 41
 CHECK_MAX_N = 10  # sweep --check builds a dense state for each row up to this size
@@ -62,6 +61,8 @@ def _g_grid(args, default):
     steps = args.g_steps if args.g_steps is not None else DEFAULT_G_STEPS
     if g_min > g_max:
         raise ValueError(f"--g-min {g_min} exceeds --g-max {g_max}")
+    if not math.isfinite(g_max - g_min):
+        raise ValueError(f"--g-max {g_max} minus --g-min {g_min} overflows a float")
     if steps < 1:
         raise ValueError(f"--g-steps must be at least 1, got {steps}")
     return np.linspace(g_min, g_max, steps).tolist()
@@ -82,7 +83,7 @@ def _strict_json(x):
 
 
 def cmd_verify(args):
-    cfg = VerifyConfig(j=args.j, n_list=args.n_list or [4, 6],
+    cfg = VerifyConfig(j=args.j, n_list=args.n_list or list(DEFAULT_SIZES),
                        g_values=_g_grid(args, DEFAULT_G_VALUES), tolerance=args.tolerance)
     results, coverage_ok = run_verify(cfg)
     records = []
@@ -125,8 +126,8 @@ def cmd_sweep(args):
             if singular[i]:
                 print(f"warning: skipping singular point g=-1 (n={n})", file=sys.stderr)
             elif n in checked:
-                psi = mps_state(ModelParams(epsilon=args.epsilon, eta=1, g=g_values[i],
-                                            j=args.j, n=n))
+                p = ModelParams(epsilon=args.epsilon, eta=1, g=g_values[i], j=args.j, n=n)
+                psi = build_state(mps_matrices(p), n)
                 values = (CHECK_OPS @ ed.pair_density_brute(psi, 1, 2)).trace(axis1=1, axis2=2)
                 worst = worst_error(*np.abs(values.real - table[index[i], j, 3:7]))
                 if not worst <= args.tolerance:
@@ -168,7 +169,7 @@ def cmd_figure2(args):
 
 def cmd_ed_compare(args):
     g_values = _g_grid(args, DEFAULT_G_VALUES)
-    n_list = args.n_list or [4, 6]
+    n_list = args.n_list or DEFAULT_SIZES
     if any(n > parent.DENSE_CAP for n in n_list):
         print(f"error: ring sizes above dense cap {parent.DENSE_CAP}", file=sys.stderr)
         return 2

@@ -7,8 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mps import PureState, build_state, explicit_ground_state
-from .model import mps_matrices
+from .mps import PureState, explicit_ground_state
 from .parent import DENSE_CAP, bond_operator, constant_shift, ring_apply
 
 DEGENERACY_TOL = 1e-8
@@ -208,28 +207,8 @@ def ground_degeneracy_scan(p, g_grid):
             for g in g_grid]
 
 
-def state_expectation_one(psi, op, k):
-    """Direct <psi|O(k)|psi> on a dense state (brute-force oracle)."""
-    t = psi.amplitudes.reshape([2] * psi.n)
-    t = np.moveaxis(t, k - 1, 0).reshape(2, -1)
-    return complex(np.vdot(t, np.asarray(op, complex) @ t))
-
-
-def state_expectation_two(psi, op_a, op_b, i, j):
-    """Direct <psi|O_a(i) O_b(j)|psi> on a dense state (brute-force oracle)."""
-    t = psi.amplitudes.reshape([2] * psi.n)
-    t = np.moveaxis(t, [i - 1, j - 1], [0, 1]).reshape(4, -1)
-    op = np.kron(np.asarray(op_a, complex), np.asarray(op_b, complex))
-    return complex(np.vdot(t, op @ t))
-
-
 def pair_density_brute(psi, i, j):
     """Partial-trace oracle for the reduced state of sites (i, j)."""
     t = psi.amplitudes.reshape([2] * psi.n)
     t = np.moveaxis(t, [i - 1, j - 1], [0, 1]).reshape(4, -1)
     return t @ t.conj().T
-
-
-def mps_state(p):
-    """Trace-formula state for the model tensors at p (convenience)."""
-    return build_state(mps_matrices(p), p.n)

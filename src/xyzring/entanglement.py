@@ -9,7 +9,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import ModelParams
 from .mps import product_term_cell
 from .observables import _reduced
 from .pauli import SY
@@ -49,13 +48,6 @@ def pair_density(p, i, j):
     rho = sum(w[s, t] * np.outer(kets[s], kets[t].conj())
               for s, t in itertools.product(range(2), range(2)))
     return rho / np.trace(rho).real
-
-
-def phi_overlap(g):
-    """<phi_+|phi_-> of the unnormalized single-site vectors; equals
-    2(1-g) for g >= 0."""
-    (phi_p, _), (phi_m, _) = product_term_cell(ModelParams(g=g))
-    return np.vdot(phi_p, phi_m)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ matrices, expectation values and the explicit product-form ground states.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -23,16 +22,7 @@ class PureState:
 
     amplitudes: np.ndarray
     n: int
-    z: Optional[float] = None
-
-    def phase_fixed(self):
-        """Amplitudes with the first nonzero entry rotated real positive."""
-        a = self.amplitudes
-        idx = np.flatnonzero(np.abs(a) > 1e-12)
-        if idx.size == 0:
-            return a.copy()
-        ph = a[idx[0]] / abs(a[idx[0]])
-        return a / ph
+    z: float
 
 
 def overlap(psi, chi):

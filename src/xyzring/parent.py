@@ -137,12 +137,3 @@ def ring_apply(h2, vecs, n):
     wrap = vecs.reshape(2, -1, 2, m).transpose(1, 2, 0, 3).reshape(-1, 4, m)
     out += (h2 @ wrap).reshape(-1, 2, 2, m).transpose(2, 0, 1, 3).reshape(out.shape)
     return out
-
-
-def assemble_chain_h(p, form="projector"):
-    """Dense real ring Hamiltonian on 2^n dimensions (float64): ring_apply of
-    bond_operator to the identity. The coupling form is the projector form
-    minus n*c0*identity."""
-    if p.n > DENSE_CAP:
-        raise ValueError(f"ring size {p.n} exceeds dense cap {DENSE_CAP}")
-    return ring_apply(bond_operator(p, form), np.eye(2**p.n), p.n)

@@ -14,9 +14,10 @@ import time
 import numpy as np
 import pytest
 
+from dense_ref import op_on_sites
 from xyzring import (
     ModelParams,
-    assemble_chain_h,
+    build_state,
     concurrence_closed,
     constant_shift,
     correlations,
@@ -29,21 +30,21 @@ from xyzring import (
     local_h,
     magnetization_x,
     mps_matrices,
-    mps_state,
     null_space_k2,
     overlap,
     pair_density,
+    pair_density_brute,
     pauli_decompose,
+    ring_apply,
     scaled_concurrence_curve,
     scaling_limit,
-    state_expectation_one,
-    state_expectation_two,
     thermodynamic_magnetization,
     transfer_matrix,
     wootters_concurrence,
 )
 from xyzring.checks import VerifyConfig, run_verify
-from xyzring.pauli import SX, SY, SZ, op_on_sites
+from xyzring.parent import bond_operator
+from xyzring.pauli import SI, SX, SY, SZ
 
 CRITERION_LINES = []
 
@@ -84,9 +85,10 @@ def test_criterion_01_ground_state_certificate():
     worst_res, worst_energy = 0.0, 0.0
     for p in _grid():
         psi = _state(p)
-        h_proj = assemble_chain_h(p, form="projector")
+        h_proj = ring_apply(bond_operator(p, "projector"), np.eye(2**p.n), p.n)
         worst_res = max(worst_res, float(np.linalg.norm(h_proj @ psi.amplitudes)))
-        e0 = dense_spectrum(assemble_chain_h(p, form="coupling")).eigenvalues[0]
+        h = ring_apply(bond_operator(p, "coupling"), np.eye(2**p.n), p.n)
+        e0 = dense_spectrum(h).eigenvalues[0]
         expected = -p.n * (p.j + (1 + p.g**2) / 2)
         assert constant_shift(p) == pytest.approx(p.j + (1 + p.g**2) / 2)
         worst_energy = max(worst_energy, abs(e0 - expected))
@@ -99,7 +101,7 @@ def test_criterion_01_ground_state_certificate():
 def test_criterion_02_trace_explicit_equivalence():
     worst = 0.0
     for p in _grid():
-        ov = abs(overlap(mps_state(p), _state(p)))
+        ov = abs(overlap(build_state(mps_matrices(p), p.n), _state(p)))
         worst = max(worst, 1 - ov)
     _record(2, worst < 1e-10, f"worst 1-|overlap| = {worst:.1e}")
 
@@ -107,17 +109,19 @@ def test_criterion_02_trace_explicit_equivalence():
 def test_criterion_03_correlator_closed_forms():
     worst_corr, worst_ident = 0.0, 0.0
     for g, n in itertools.product(G_GRID, range(4, 11)):
-        psi = mps_state(ModelParams(g=g, n=n))
+        psi = build_state(mps_matrices(ModelParams(g=g, n=n)), n)
         gx, gy, gz = correlations(g, n)
         mx = magnetization_x(1, g, n)
+        rho = pair_density_brute(psi, 1, 2)
         worst_corr = max(
-            worst_corr, abs(state_expectation_one(psi, SX, 1).real - mx)
+            worst_corr, abs(np.trace(np.kron(SX, SI) @ rho).real - mx)
         )
         for r in range(2, n + 1):
+            rho = pair_density_brute(psi, 1, r)
             for op, val in ((SX, gx), (SY, gy), (SZ, gz)):
                 worst_corr = max(
                     worst_corr,
-                    abs(state_expectation_two(psi, op, op, 1, r).real - val),
+                    abs(np.trace(np.kron(op, op) @ rho).real - val),
                 )
         worst_ident = max(
             worst_ident,
@@ -286,8 +290,10 @@ def test_criterion_09_symmetry_maps():
     worst = 0.0
     for n in (4, 6):
         for g, j in ((0.7, 1.0), (-0.5, 0.5), (1.5, 2.0)):
-            hp = assemble_chain_h(ModelParams(epsilon=1, g=g, j=j, n=n), form="coupling")
-            hm = assemble_chain_h(ModelParams(epsilon=-1, g=g, j=j, n=n), form="coupling")
+            hp = ring_apply(bond_operator(ModelParams(epsilon=1, g=g, j=j, n=n), "coupling"),
+                            np.eye(2**n), n)
+            hm = ring_apply(bond_operator(ModelParams(epsilon=-1, g=g, j=j, n=n), "coupling"),
+                            np.eye(2**n), n)
             uz = op_on_sites(n, {k: SZ for k in range(1, n + 1)})
             worst = max(worst, float(np.max(np.abs(uz @ hp @ uz - hm))))
 
@@ -295,8 +301,10 @@ def test_criterion_09_symmetry_maps():
             u = np.array([[1.0 + 0j]])
             for _ in range(n // 2):
                 u = np.kron(u, u2)
-            h1 = assemble_chain_h(ModelParams(eta=1, g=g, j=j, n=n), form="coupling")
-            hm1 = assemble_chain_h(ModelParams(eta=-1, g=g, j=j, n=n), form="coupling")
+            h1 = ring_apply(bond_operator(ModelParams(eta=1, g=g, j=j, n=n), "coupling"),
+                            np.eye(2**n), n)
+            hm1 = ring_apply(bond_operator(ModelParams(eta=-1, g=g, j=j, n=n), "coupling"),
+                             np.eye(2**n), n)
             worst = max(worst, float(np.max(np.abs(u @ h1 @ u.conj().T - hm1))))
     _record(9, worst < 1e-12, f"entrywise dev {worst:.1e}")
 

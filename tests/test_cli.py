@@ -88,11 +88,14 @@ class TestSweep:
         _, _, second = run_csv(tmp_path, argv, "b.csv")
         assert first == second
 
-    def test_cross_check_flag(self, tmp_path):
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("epsilon", [1, -1])
+    def test_cross_check_flag(self, tmp_path, epsilon, n):
+        # the grid steps through g = -1, which is skipped with its warning
         code, rows, _ = run_csv(
             tmp_path,
-            ["sweep", "--check", "--n", "6", "--g-min", "0", "--g-max", "1.5",
-             "--g-steps", "7"],
+            ["sweep", "--check", "--n", str(n), "--epsilon", str(epsilon),
+             "--g-min=-2", "--g-max", "1.5", "--g-steps", "8"],
         )
         assert code == 0
         assert len(rows) == 7
@@ -221,6 +224,8 @@ class TestGridInput:
         (["figure1", "--g-steps", "10001"], "--g-steps needs"),
         (["sweep", "--g-min", "2", "--g-max", "1"], "exceeds --g-max"),
         (["figure2", "--g-min", "0", "--g-max", "1", "--g-steps", "0"], "at least 1"),
+        (["sweep", "--n", "3", "--g-min=-1e308", "--g-max=1e308", "--g-steps", "7"],
+         "minus --g-min"),
     ])
     def test_rejected_with_message(self, tmp_path, capsys, argv, message):
         path = tmp_path / "x.csv"

@@ -5,23 +5,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_ref import op_on_sites
 from xyzring import (
     ModelParams,
+    build_state,
     certify,
-    assemble_chain_h,
     constant_shift,
     dense_spectrum,
     explicit_ground_state,
     ground_degeneracy_scan,
     ground_membership,
-    mps_state,
+    mps_matrices,
     ring_apply,
     ring_spectrum,
 )
 from xyzring import ed
 from xyzring.ed import rayleigh_quotient
 from xyzring.parent import bond_operator
-from xyzring.pauli import PAULI, SX, op_on_sites
+from xyzring.pauli import PAULI, SX
 
 CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
@@ -73,12 +74,14 @@ class TestDenseCap:
 
 class TestDenseSpectrum:
     def test_projector_form_ground_energy_zero(self):
-        h = assemble_chain_h(params(), form="projector")
+        p = params()
+        h = ring_apply(bond_operator(p, "projector"), np.eye(2**p.n), p.n)
         spec = dense_spectrum(h)
         assert spec.eigenvalues[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_coupling_form_ground_energy(self):
-        h = assemble_chain_h(params(), form="coupling")
+        p = params()
+        h = ring_apply(bond_operator(p, "coupling"), np.eye(2**p.n), p.n)
         spec = dense_spectrum(h)
         assert spec.eigenvalues[0] == pytest.approx(-9.75, abs=1e-10)
 
@@ -88,13 +91,15 @@ class TestDenseSpectrum:
         assert np.allclose(spec.eigenvalues, 0)
 
     def test_sorted_and_orthonormal(self):
-        spec = dense_spectrum(assemble_chain_h(params(g=0.3), form="projector"))
+        p = params(g=0.3)
+        spec = dense_spectrum(ring_apply(bond_operator(p, "projector"), np.eye(2**p.n), p.n))
         assert np.all(np.diff(spec.eigenvalues) >= -1e-12)
         gram = spec.ground_vectors.conj().T @ spec.ground_vectors
         assert np.max(np.abs(gram - np.eye(spec.ground_space_dim))) < 1e-10
 
     def test_real_input_stays_real(self):
-        spec = dense_spectrum(assemble_chain_h(params(g=0.3), form="coupling"))
+        p = params(g=0.3)
+        spec = dense_spectrum(ring_apply(bond_operator(p, "coupling"), np.eye(2**p.n), p.n))
         assert spec.eigenvalues.dtype == np.float64
         assert spec.ground_vectors.dtype == np.float64
 
@@ -113,7 +118,8 @@ class TestDenseSpectrum:
 
     def test_ground_vectors_own_their_data(self):
         # a view would keep the whole eigenvector matrix alive
-        spec = dense_spectrum(assemble_chain_h(params(g=0.3), form="coupling"))
+        p = params(g=0.3)
+        spec = dense_spectrum(ring_apply(bond_operator(p, "coupling"), np.eye(2**p.n), p.n))
         assert spec.ground_vectors.flags.owndata
 
     def test_accepts_complex_hermitian_across_blocks(self):
@@ -128,14 +134,14 @@ class TestGroundMembership:
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_explicit_state_in_ground_space(self, eps, eta, n):
         p = params(eps, eta, g=0.7, n=n)
-        h = assemble_chain_h(p, form="projector")
+        h = ring_apply(bond_operator(p, "projector"), np.eye(2**p.n), p.n)
         res, ov = ground_membership(bond_operator(p), explicit_ground_state(p), dense_spectrum(h))
         assert res < 1e-10
         assert ov > 1 - 1e-10
 
     def test_random_vector_far_from_ground_space(self):
         p = params(g=0.7)
-        h = assemble_chain_h(p, form="coupling")
+        h = ring_apply(bond_operator(p, "coupling"), np.eye(2**p.n), p.n)
         rng = np.random.default_rng(11)
         v = rng.normal(size=2**p.n) + 1j * rng.normal(size=2**p.n)
         v /= np.linalg.norm(v)
@@ -144,7 +150,7 @@ class TestGroundMembership:
 
     def test_eigenvector_self_consistency(self):
         p = params(g=0.3)
-        spec = dense_spectrum(assemble_chain_h(p, form="coupling"))
+        spec = dense_spectrum(ring_apply(bond_operator(p, "coupling"), np.eye(2**p.n), p.n))
         _, ov = ground_membership(bond_operator(p, "coupling"), spec.ground_vectors[:, 0], spec)
         assert ov == pytest.approx(1.0, abs=1e-12)
 
@@ -153,8 +159,8 @@ class TestGroundMembership:
         # the coupling form is the projector form shifted by -n*c0, so its
         # spectrum gives the same membership as recomputing from h_proj
         p = params(eps, eta, g=0.7)
-        h_proj = assemble_chain_h(p, form="projector")
-        spec = dense_spectrum(assemble_chain_h(p, form="coupling"))
+        h_proj = ring_apply(bond_operator(p, "projector"), np.eye(2**p.n), p.n)
+        spec = dense_spectrum(ring_apply(bond_operator(p, "coupling"), np.eye(2**p.n), p.n))
         psi = explicit_ground_state(p)
         res, ov = ground_membership(bond_operator(p), psi, spec)
         res_ref, ov_ref = ground_membership(bond_operator(p), psi, dense_spectrum(h_proj))
@@ -202,7 +208,7 @@ class TestGroundMembership:
 class TestRayleighQuotient:
     def test_ground_vector_gives_expected_energy(self):
         p = params(eta=-1, g=0.3, j=0.5)
-        spec = dense_spectrum(assemble_chain_h(p, form="coupling"))
+        spec = dense_spectrum(ring_apply(bond_operator(p, "coupling"), np.eye(2**p.n), p.n))
         energy = rayleigh_quotient(bond_operator(p, "coupling"), spec.ground_vectors[:, 0])
         assert energy == pytest.approx(-p.n * constant_shift(p), abs=1e-13)
 
@@ -229,9 +235,9 @@ RING_G = [-2.0, -1.0, -0.5, 0.0, 0.37, 1.0, 1.5]
 RING_J = [0.0, 0.4, 1.0]
 
 
-def _ground_residual(h, spec):
-    v = spec.ground_vectors
-    return np.linalg.norm(h @ v - spec.eigenvalues[0] * v, 2)
+def _ground_residual(hv, spec):
+    """Spectral norm of H V - E0 V, with hv = H V for the ground vectors V."""
+    return np.linalg.norm(hv - spec.eigenvalues[0] * spec.ground_vectors, 2)
 
 
 class TestRingSpectrum:
@@ -245,14 +251,14 @@ class TestRingSpectrum:
         # n*c0*identity.
         u = (-1.0) ** np.array([bin(i).count("1") for i in range(2**n)])
         for g, j in itertools.product(RING_G, RING_J):
-            h_ref = assemble_chain_h(params(1, eta, g, j, n), form="coupling")
+            h_ref = ring_apply(bond_operator(params(1, eta, g, j, n), "coupling"), np.eye(2**n), n)
             ref = dense_spectrum(h_ref)
             gap = ref.eigenvalues[ref.ground_space_dim] - ref.eigenvalues[0]
-            ref_residual = _ground_residual(h_ref, ref)
+            ref_residual = _ground_residual(h_ref @ ref.ground_vectors, ref)
             for eps, form in itertools.product((1, -1), ("coupling", "projector")):
                 p = params(eps, eta, g, j, n)
-                h = assemble_chain_h(p, form=form)
-                spec = ring_spectrum(bond_operator(p, form), n)
+                h2 = bond_operator(p, form)
+                spec = ring_spectrum(h2, n)
                 where = (eps, g, j, form)
                 shift = n * constant_shift(p) if form == "projector" else 0.0
                 assert spec.ground_space_dim == ref.ground_space_dim, where
@@ -263,7 +269,7 @@ class TestRingSpectrum:
                 ref_v = ref.ground_vectors * (u[:, None] if eps == -1 else 1.0)
                 # the ground projectors agree to 1e-12, or to the Davis-Kahan
                 # bound (residuals / gap) where a small gap makes them ill-conditioned
-                bound = (_ground_residual(h, spec) + ref_residual) / gap
+                bound = (_ground_residual(ring_apply(h2, v, n), spec) + ref_residual) / gap
                 assert np.max(np.abs(v @ v.T - ref_v @ ref_v.T)) < max(1e-12, bound), where
 
     @pytest.mark.parametrize("entry", [0, 1, 3])
@@ -309,7 +315,8 @@ class TestRingSpectrum:
     def test_nan_in_a_block_without_ground_state(self, monkeypatch, field):
         # np.sort would move a NaN eigenvalue of an excited block out of sight
         p = params(n=6, g=0.3)
-        excited = dense_spectrum(assemble_chain_h(p, form="coupling")).eigenvalues[0] + 1
+        h = ring_apply(bond_operator(p, "coupling"), np.eye(2**p.n), p.n)
+        excited = dense_spectrum(h).eigenvalues[0] + 1
         real, poisoned = ed.dense_spectrum, []
 
         def spectrum(block):
@@ -371,12 +378,12 @@ class TestDegeneracyScan:
 class TestSpinFlipSector:
     @pytest.mark.parametrize("n", [4, 6])
     def test_even_n_symmetric_sector(self, n):
-        psi = mps_state(params(g=0.7, n=n))
+        psi = build_state(mps_matrices(params(g=0.7, n=n)), n)
         flip = op_on_sites(n, {k: SX for k in range(1, n + 1)})
         assert np.linalg.norm(flip @ psi.amplitudes - psi.amplitudes) < 1e-10
 
     def test_odd_n_measured_eigenvalue(self):
-        psi = mps_state(params(g=0.7, n=5))
+        psi = build_state(mps_matrices(params(g=0.7, n=5)), 5)
         flip = op_on_sites(5, {k: SX for k in range(1, 6)})
         val = np.vdot(psi.amplitudes, flip @ psi.amplitudes).real
         assert abs(abs(val) - 1) < 1e-10  # eigenstate; record the sign
@@ -388,7 +395,7 @@ def test_oracle_energy_across_grid():
         for g in (-2.0, 0.3, 1.5):
             for j in (0.0, 2.0):
                 p = params(eps, eta, g, j, n=4)
-                spec = dense_spectrum(assemble_chain_h(p, form="coupling"))
+                spec = dense_spectrum(ring_apply(bond_operator(p, "coupling"), np.eye(2**p.n), p.n))
                 assert spec.eigenvalues[0] == pytest.approx(
                     -p.n * constant_shift(p), abs=1e-9
                 )

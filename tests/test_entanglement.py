@@ -8,15 +8,16 @@ import pytest
 
 from xyzring import (
     ModelParams,
+    build_state,
     concurrence_closed,
-    mps_state,
+    mps_matrices,
     pair_density,
     pair_density_brute,
-    phi_overlap,
     scaled_concurrence_curve,
     scaling_limit,
     wootters_concurrence,
 )
+from xyzring.mps import product_term_cell
 
 CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 G_GRID = [-1.5, -0.5, 0.3, 0.7, 1.0, 1.5]
@@ -49,7 +50,7 @@ class TestPairDensity:
     @pytest.mark.parametrize("g", G_GRID)
     def test_matches_partial_trace(self, eps, eta, g):
         p = params(eps, eta, g, n=6)
-        psi = mps_state(p)
+        psi = build_state(mps_matrices(p), p.n)
         for i, j in [(1, 2), (2, 5), (3, 6)]:
             assert np.max(
                 np.abs(pair_density(p, i, j) - pair_density_brute(psi, i, j))
@@ -74,8 +75,10 @@ class TestPairDensity:
             assert np.allclose(pair_density(p, i, j), ref, atol=1e-13)
 
     def test_overlap_closed_form(self):
+        # <phi_+|phi_-> of the unnormalized single-site vectors of the eta = +1 cell
         for g in (0.0, 0.3, 0.9, 1.0):
-            assert phi_overlap(g) == pytest.approx(2 * (1 - g), abs=1e-14)
+            (phi_p, _), (phi_m, _) = product_term_cell(ModelParams(g=g))
+            assert np.vdot(phi_p, phi_m) == pytest.approx(2 * (1 - g), abs=1e-14)
 
     def test_rejects_equal_sites(self):
         with pytest.raises(ValueError):
@@ -140,7 +143,7 @@ class TestConcurrenceClosed:
     @pytest.mark.parametrize("g", G_GRID)
     def test_distance_independence(self, g):
         p = params(g=g, n=8)
-        psi = mps_state(p)
+        psi = build_state(mps_matrices(p), p.n)
         cs = [
             wootters_concurrence(pair_density_brute(psi, i, j)).c
             for i, j in itertools.combinations(range(1, 9), 2)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from dense_ref import kron_all
 from xyzring import (
     ModelParams,
     MpsTensors,
@@ -21,7 +22,7 @@ from xyzring import (
     transfer_with_operator,
 )
 from xyzring.observables import correlations, correlations_eta_minus, magnetization_x
-from xyzring.pauli import SI, SX, SY, SZ, kron_all
+from xyzring.pauli import SI, SX, SY, SZ
 
 CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 G_GRID = [-2.0, -0.5, 0.3, 1.0, 1.5]
@@ -286,7 +287,9 @@ class TestExplicitGroundState:
         psi = explicit_ground_state(params(g=1.0, n=3))
         expected = np.zeros(8)
         expected[0] = expected[7] = 1 / np.sqrt(2)
-        assert np.allclose(psi.phase_fixed(), expected)
+        a = psi.amplitudes
+        first = a[np.flatnonzero(np.abs(a) > 1e-12)[0]]
+        assert np.allclose(a / (first / abs(first)), expected)  # first entry real positive
 
     def test_z_closed_form(self):
         for g, n in [(0.5, 4), (1.5, 6), (-0.7, 6)]:
@@ -303,8 +306,9 @@ class TestExplicitGroundState:
         assert abs(ov) == pytest.approx(1, abs=1e-12)
 
     def test_negative_g_state_is_real(self):
-        psi = explicit_ground_state(params(g=-0.5, n=4))
-        fixed = psi.phase_fixed()
+        a = explicit_ground_state(params(g=-0.5, n=4)).amplitudes
+        first = a[np.flatnonzero(np.abs(a) > 1e-12)[0]]
+        fixed = a / (first / abs(first))  # first entry real positive
         assert np.max(np.abs(fixed.imag)) < 1e-12
 
     def test_eta_minus_requires_even_n(self):

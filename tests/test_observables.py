@@ -9,22 +9,21 @@ from xyzring import (
     DiscontinuityError,
     ModelParams,
     SingularParameterError,
+    build_state,
     concurrence_closed,
     correlations,
     correlations_eta_minus,
     magnetization_x,
     mps_matrices,
-    mps_state,
     observable_record,
+    pair_density_brute,
     scaling_limit,
-    state_expectation_one,
-    state_expectation_two,
     thermodynamic_correlations,
     thermodynamic_magnetization,
     thermodynamic_magnetization_alt,
     u_param,
 )
-from xyzring.pauli import SX, SY, SZ
+from xyzring.pauli import SI, SX, SY, SZ
 
 G_GRID = [-2.0, -0.5, 0.3, 0.7, 1.5]
 
@@ -52,9 +51,9 @@ class TestMagnetization:
     @pytest.mark.parametrize("g", G_GRID)
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_against_direct_expectation(self, g, n):
-        psi = mps_state(ModelParams(g=g, n=n))
+        psi = build_state(mps_matrices(ModelParams(g=g, n=n)), n)
         for k in (1, n // 2, n):
-            direct = state_expectation_one(psi, SX, k).real
+            direct = np.trace(np.kron(SX, SI) @ pair_density_brute(psi, k, k % n + 1)).real
             assert magnetization_x(1, g, n) == pytest.approx(direct, abs=1e-10)
 
     def test_large_n_stable(self):
@@ -79,22 +78,24 @@ class TestCorrelations:
     @pytest.mark.parametrize("g", G_GRID)
     @pytest.mark.parametrize("n", [4, 6, 8, 10])
     def test_against_direct_expectation(self, g, n):
-        psi = mps_state(ModelParams(g=g, n=n))
+        psi = build_state(mps_matrices(ModelParams(g=g, n=n)), n)
         gx, gy, gz = correlations(g, n)
         for r in range(2, n + 1):
-            assert state_expectation_two(psi, SX, SX, 1, r).real == pytest.approx(gx, abs=1e-10)
-            assert state_expectation_two(psi, SY, SY, 1, r).real == pytest.approx(gy, abs=1e-10)
-            assert state_expectation_two(psi, SZ, SZ, 1, r).real == pytest.approx(gz, abs=1e-10)
+            rho = pair_density_brute(psi, 1, r)
+            assert np.trace(np.kron(SX, SX) @ rho).real == pytest.approx(gx, abs=1e-10)
+            assert np.trace(np.kron(SY, SY) @ rho).real == pytest.approx(gy, abs=1e-10)
+            assert np.trace(np.kron(SZ, SZ) @ rho).real == pytest.approx(gz, abs=1e-10)
 
     @pytest.mark.parametrize("g", G_GRID)
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_eta_minus_alternating_map(self, g, n):
-        psi = mps_state(ModelParams(eta=-1, g=g, n=n))
+        psi = build_state(mps_matrices(ModelParams(eta=-1, g=g, n=n)), n)
         for r in range(2, n + 1):
             gx, gy, gz = correlations_eta_minus(g, n, r)
-            assert state_expectation_two(psi, SX, SX, 1, r).real == pytest.approx(gx, abs=1e-10)
-            assert state_expectation_two(psi, SY, SY, 1, r).real == pytest.approx(gy, abs=1e-10)
-            assert state_expectation_two(psi, SZ, SZ, 1, r).real == pytest.approx(gz, abs=1e-10)
+            rho = pair_density_brute(psi, 1, r)
+            assert np.trace(np.kron(SX, SX) @ rho).real == pytest.approx(gx, abs=1e-10)
+            assert np.trace(np.kron(SY, SY) @ rho).real == pytest.approx(gy, abs=1e-10)
+            assert np.trace(np.kron(SZ, SZ) @ rho).real == pytest.approx(gz, abs=1e-10)
         # an array of separations gives the values of one call per r
         by_r = np.transpose([correlations_eta_minus(g, n, r) for r in range(2, n + 1)])
         at_once = correlations_eta_minus(g, n, np.arange(2, n + 1))

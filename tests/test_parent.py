@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from dense_ref import op_on_sites
 from xyzring import (
     ModelParams,
-    assemble_chain_h,
     constant_shift,
     couplings_from_params,
     e_vectors,
@@ -16,9 +16,10 @@ from xyzring import (
     null_space_k2,
     pauli_decompose,
     pauli_reconstruct,
+    ring_apply,
 )
 from xyzring.parent import bond_operator
-from xyzring.pauli import PAULI, SX, SY, SZ, op_on_sites
+from xyzring.pauli import PAULI, SX, SY, SZ
 
 CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 G_GRID = list(np.linspace(-2, 2, 11))
@@ -176,24 +177,26 @@ class TestPauliDecompose:
 
 
 class TestAssembleChain:
+    """The dense ring Hamiltonian: ring_apply of bond_operator to the identity."""
+
     @pytest.mark.parametrize("eps,eta", CLASSES)
     @pytest.mark.parametrize("g", [-0.5, 0.3, 1.0])
     def test_projector_annihilates_mps_state(self, eps, eta, g):
         p = params(eps, eta, g, j=1.0, n=6)
-        h = assemble_chain_h(p, form="projector")
+        h = ring_apply(bond_operator(p, "projector"), np.eye(2**p.n), p.n)
         psi = explicit_ground_state(p).amplitudes
         assert np.linalg.norm(h @ psi) < 1e-10
 
     def test_coupling_form_ground_energy(self):
         p = params(g=0.5, j=1.0, n=6)
-        h = assemble_chain_h(p, form="coupling")
+        h = ring_apply(bond_operator(p, "coupling"), np.eye(2**p.n), p.n)
         assert np.linalg.eigvalsh(h)[0] == pytest.approx(-9.75, abs=1e-10)
 
     @pytest.mark.parametrize("eps,eta", CLASSES)
     def test_forms_differ_by_constant(self, eps, eta):
         p = params(eps, eta, g=0.7, j=0.5, n=5)
-        hp = assemble_chain_h(p, form="projector")
-        he = assemble_chain_h(p, form="coupling")
+        hp = ring_apply(bond_operator(p, "projector"), np.eye(2**p.n), p.n)
+        he = ring_apply(bond_operator(p, "coupling"), np.eye(2**p.n), p.n)
         c0 = constant_shift(p)
         assert np.max(np.abs(he - hp + p.n * c0 * np.eye(2**p.n))) < 1e-10
 
@@ -208,7 +211,7 @@ class TestAssembleChain:
     def test_annihilates_product_terms_individually(self):
         # both product states and their combinations are zero modes (eta=1)
         p = params(g=0.6, j=1.0, n=4)
-        h = assemble_chain_h(p, form="projector")
+        h = ring_apply(bond_operator(p, "projector"), np.eye(2**p.n), p.n)
         sg = np.sqrt(0.6)
         for phi in (np.array([1 + sg, 1 - sg]), np.array([1 - sg, 1 + sg])):
             vec = np.array([1.0])
@@ -222,8 +225,9 @@ class TestAssembleChain:
         p_plus = params(eps=1, g=0.8, j=1.0, n=n)
         p_minus = params(eps=-1, g=0.8, j=1.0, n=n)
         u = op_on_sites(n, {k: SZ for k in range(1, n + 1)})
-        h_conj = u @ assemble_chain_h(p_plus, form="coupling") @ u
-        assert np.max(np.abs(h_conj - assemble_chain_h(p_minus, form="coupling"))) < 1e-12
+        h_plus = ring_apply(bond_operator(p_plus, "coupling"), np.eye(2**n), n)
+        h_minus = ring_apply(bond_operator(p_minus, "coupling"), np.eye(2**n), n)
+        assert np.max(np.abs(u @ h_plus @ u - h_minus)) < 1e-12
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_staggered_rotation_flips_eta(self, n):
@@ -235,8 +239,9 @@ class TestAssembleChain:
         u = np.array([[1.0 + 0j]])
         for _ in range(n // 2):
             u = np.kron(u, u2)
-        h1 = assemble_chain_h(params(eta=1, g=0.7, j=1.0, n=n), form="coupling")
-        hm = assemble_chain_h(params(eta=-1, g=0.7, j=1.0, n=n), form="coupling")
+        h2_1 = bond_operator(params(eta=1, g=0.7, j=1.0, n=n), "coupling")
+        h2_m = bond_operator(params(eta=-1, g=0.7, j=1.0, n=n), "coupling")
+        h1, hm = ring_apply(h2_1, np.eye(2**n), n), ring_apply(h2_m, np.eye(2**n), n)
         assert np.max(np.abs(u @ h1 @ u.conj().T - hm)) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -249,7 +254,8 @@ class TestAssembleChain:
         for label, c in pauli_decompose(local_h(p)).items():
             for l in range(1, n + 1):
                 ref += c * op_on_sites(n, {l: PAULI[label[0]], l % n + 1: PAULI[label[1]]})
-        assert np.max(np.abs(assemble_chain_h(p, form="projector") - ref)) < 1e-12
+        h = ring_apply(bond_operator(p, "projector"), np.eye(2**n), n)
+        assert np.max(np.abs(h - ref)) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("eps,eta", CLASSES)
@@ -263,16 +269,14 @@ class TestAssembleChain:
             ref += c.jy * op_on_sites(n, {l: SY, m: SY})
             ref += c.jz * op_on_sites(n, {l: SZ, m: SZ})
             ref += c.b * op_on_sites(n, {l: SX})
-        assert np.max(np.abs(assemble_chain_h(p, form="coupling") - ref)) < 1e-12
+        h = ring_apply(bond_operator(p, "coupling"), np.eye(2**n), n)
+        assert np.max(np.abs(h - ref)) < 1e-12
 
     @pytest.mark.parametrize("form", ["projector", "coupling"])
     def test_real_float64(self, form):
-        assert assemble_chain_h(params(eta=-1, g=0.3, n=6), form=form).dtype == np.float64
-
-    def test_dense_cap(self):
-        with pytest.raises(ValueError):
-            assemble_chain_h(params(n=13))
+        h = ring_apply(bond_operator(params(eta=-1, g=0.3, n=6), form), np.eye(2**6), 6)
+        assert h.dtype == np.float64
 
     def test_unknown_form(self):
         with pytest.raises(ValueError):
-            assemble_chain_h(params(), form="bogus")
+            bond_operator(params(), "bogus")
