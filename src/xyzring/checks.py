@@ -8,7 +8,7 @@ is covered by a check that was not skipped.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List
 
 import numpy as np
@@ -23,6 +23,7 @@ from .model import (
     ring_points,
 )
 from .mps import (
+    PureState,
     amplitude,
     bell_pair_matrices,
     build_state,
@@ -46,6 +47,7 @@ def worst_error(*errors):
     return float(np.max(errors, initial=0.0))
 
 
+BLOCK_AMPLITUDES = 2**14  # dense amplitudes that states_over_g builds at once
 DEFAULT_SIZES = (4, 6)  # with DEFAULT_G_VALUES, the grid of verify and ed-compare without flags
 DEFAULT_G_VALUES = (-2.0, -0.5, 0.3, 0.7, 1.0, 1.5)
 
@@ -80,6 +82,30 @@ def _check(name, covers):
     return wrap
 
 
+def states_over_g(p):
+    """The trace-built states of p's sign class and ring size at every g of
+    the 1-D array p.g: yields (rows, state) for consecutive slices rows of
+    p.g, state the batched build_state of those g, each block holding at most
+    BLOCK_AMPLITUDES amplitudes (one g per block from 2^n > BLOCK_AMPLITUDES).
+    A member that fails in build_state is named by its g.
+    """
+    size = max(1, BLOCK_AMPLITUDES >> p.n)
+    for start in range(0, len(p.g), size):
+        rows = slice(start, start + size)
+        try:
+            psi = build_state(mps_matrices(replace(p, g=p.g[rows])), p.n)
+        except (ValueError, ArithmeticError) as exc:
+            if hasattr(exc, "member"):
+                exc.args = (f"{exc.args[0]} (g={p.g[rows][exc.member]}, n={p.n})",)
+            raise
+        yield rows, psi
+
+
+def _grid_classes(cfg):
+    """One ModelParams per (eps, eta, n) of ring_points, holding the whole g grid as an array."""
+    return ring_points([np.array(cfg.g_values, dtype=float)], cfg.n_list, cfg.j)
+
+
 def _singular_skips(cfg):
     """Skip records for the grid points g = -1, where the closed forms are singular."""
     skipped = [{"g": g, "reason": "singular parameter"} for g in cfg.g_values if g == -1]
@@ -110,13 +136,14 @@ def check_tensor_symmetries(cfg):
 @_check("normalization-consistency", [amplitude, build_state, transfer_matrix])
 def check_normalization(cfg):
     errs = []
-    for p in ring_points(cfg.g_values, cfg.n_list, cfg.j):
-        t, n = mps_matrices(p), p.n
-        psi = build_state(t, n)  # build_state cross-checks Z = tr(E^n)
-        # spot-check two amplitudes against the direct trace
-        for bits in ("0" * n, "01" * (n // 2) + "0" * (n % 2)):
-            direct = amplitude(t, bits) / np.sqrt(psi.z)
-            errs.append(abs(direct - psi.amplitudes[int(bits, 2)]))
+    for p in _grid_classes(cfg):
+        n = p.n
+        for rows, psi in states_over_g(p):  # build_state cross-checks Z = tr(E^n)
+            t = mps_matrices(replace(p, g=p.g[rows]))
+            # spot-check two amplitudes of every member against the direct trace
+            for bits in ("0" * n, "01" * (n // 2) + "0" * (n % 2)):
+                direct = amplitude(t, bits) / np.sqrt(psi.z)
+                errs.extend(np.abs(direct - psi.amplitudes[:, int(bits, 2)]))
     worst = worst_error(*errs)
     return worst < 1e-12, {"max_error": worst}
 
@@ -148,12 +175,20 @@ def check_transfer_spectrum(cfg):
 )
 def check_closed_form_correlators(cfg):
     errs = []
-    for p in ring_points([g for g in cfg.g_values if g != -1], cfg.n_list, cfg.j):
-        t, g, n = mps_matrices(p), p.g, p.n
+    regular = [g for g in cfg.g_values if g != -1]
+    column = {g: i for i, g in enumerate(regular)}
+    # the closed forms over the g grid, one call per n (and eps)
+    grid, sizes = np.array(regular, dtype=float), set(cfg.n_list)
+    mx_of = {(eps, n): observables.magnetization_x(eps, grid, n) for eps in (1, -1) for n in sizes}
+    corr_of = {n: observables.correlations(grid, n) for n in sizes}
+    minus_of = {n: observables.correlations_eta_minus(grid[:, None], n, np.arange(2, n + 1))
+                for n in sizes if n % 2 == 0}
+    for p in ring_points(regular, cfg.n_list, cfg.j):
+        t, g, n, i = mps_matrices(p), p.g, p.n, column[p.g]
         separations = np.arange(2, n + 1)  # every r, in one contraction per operator
         if p.eta == 1:
-            mx = observables.magnetization_x(p.epsilon, g, n)
-            gx, gy, gz = observables.correlations(g, n)
+            mx = mx_of[p.epsilon, n][i]
+            gx, gy, gz = (c[i] for c in corr_of[n])
             # the log-domain form against eps u (1 + u^{n-2})/(1 + u^n) in plain powers,
             # taken at 1/u where |u| > 1 (the form is invariant under u -> 1/u)
             u = observables.u_param(g)
@@ -168,7 +203,7 @@ def check_closed_form_correlators(cfg):
             expected = (gx, gy, gz)
         else:
             # the eta = -1 sector through the alternating map
-            expected = observables.correlations_eta_minus(g, n, separations)
+            expected = [c[i] for c in minus_of[n]]
         for op, values in zip((SX, SY, SZ), expected):
             errs.append(np.max(np.abs(expectation_two_point(t, op, op, separations, n) - values)))
     worst = worst_error(*errs)
@@ -177,8 +212,11 @@ def check_closed_form_correlators(cfg):
 
 @_check("ground-state-equivalence", [build_state, explicit_ground_state])
 def check_ground_state_equivalence(cfg):
-    ovs = [abs(overlap(build_state(mps_matrices(p), p.n), explicit_ground_state(p)))
-           for p in ring_points(cfg.g_values, cfg.n_list, cfg.j)]
+    ovs = []
+    for p in _grid_classes(cfg):
+        for rows, psi in states_over_g(p):
+            ovs += [abs(overlap(PureState(amps, p.n, z), explicit_ground_state(replace(p, g=g))))
+                    for amps, z, g in zip(psi.amplitudes, psi.z, p.g[rows].tolist())]
     worst = float(np.min(ovs, initial=1.0))  # NaN when any overlap is NaN
     return worst > 1 - 1e-10, {"min_overlap": worst}
 
@@ -289,8 +327,12 @@ def check_concurrence(cfg):
     errs = []
     skipped = [{"n": n, "reason": "pair density needs n >= 4"}
                for n in sorted(set(cfg.n_list)) if n < 4]
-    for p in ring_points(cfg.g_values, [n for n in cfg.n_list if n >= 4], cfg.j):
-        closed = entanglement.concurrence_closed(p.g, p.n)
+    sizes = [n for n in cfg.n_list if n >= 4]
+    column = {g: i for i, g in enumerate(cfg.g_values)}
+    closed_of = {n: entanglement.concurrence_closed(np.array(cfg.g_values, dtype=float), n)
+                 for n in set(sizes)}  # over the g grid, one call per n
+    for p in ring_points(cfg.g_values, sizes, cfg.j):
+        closed = closed_of[p.n][column[p.g]]
         # pair_density depends on (i, j) only through their parities: one pair per class
         cs = [entanglement.wootters_concurrence(entanglement.pair_density(p, i, j)).c
               for i, j in ((1, 2), (1, 3), (2, 3), (2, 4))]
@@ -325,21 +367,15 @@ def check_scaling(cfg):
     [observables.thermodynamic_magnetization, observables.thermodynamic_correlations],
 )
 def check_thermodynamic(cfg):
-    ok = True
-    errs = []
-    for g in cfg.g_values:
-        if g in (0, -1):
-            continue
-        lim = observables.thermodynamic_magnetization(1, g)
-        prev = None
-        for n in (8, 16, 32, 64):
-            err = abs(observables.magnetization_x(1, g, n) - lim)
-            if prev is not None and prev > 1e-14:
-                ok &= err <= prev + 1e-14
-            prev = err
-        gx, gy, gz = observables.thermodynamic_correlations(g)
-        errs.append(abs(gx + gy + gz - 1))
-    worst = worst_error(*errs)
+    g = np.array([g for g in cfg.g_values if g not in (0, -1)], dtype=float)
+    lim = observables.thermodynamic_magnetization(1, g)
+    # rows n = 8, 16, 32, 64, one call each over the g grid: every error above
+    # 1e-14 bounds the next one
+    errs = np.abs([observables.magnetization_x(1, g, n) - lim for n in (8, 16, 32, 64)])
+    prev, err = errs[:-1], errs[1:]
+    ok = bool(np.all(~(prev > 1e-14) | (err <= prev + 1e-14)))
+    gx, gy, gz = observables.thermodynamic_correlations(g)
+    worst = worst_error(*np.abs(gx + gy + gz - 1))
     # known-discrepancy report: the reciprocal form of the limit
     report = {
         "limit(g=0.5)": observables.thermodynamic_magnetization(1, 0.5),

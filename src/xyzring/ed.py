@@ -208,7 +208,11 @@ def ground_degeneracy_scan(p, g_grid):
 
 
 def pair_density_brute(psi, i, j):
-    """Partial-trace oracle for the reduced state of sites (i, j)."""
-    t = psi.amplitudes.reshape([2] * psi.n)
-    t = np.moveaxis(t, [i - 1, j - 1], [0, 1]).reshape(4, -1)
-    return t @ t.conj().T
+    """Partial-trace oracle for the reduced state of sites (i, j): a 4x4
+    density for one state, and the stack (..., 4, 4) of the members' densities
+    for a batch (amplitudes (..., 2^n))."""
+    batch = psi.amplitudes.shape[:-1]
+    t = psi.amplitudes.reshape(*batch, *[2] * psi.n)
+    b = len(batch)
+    t = np.moveaxis(t, [b + i - 1, b + j - 1], [b, b + 1]).reshape(*batch, 4, -1)
+    return t @ t.conj().swapaxes(-1, -2)

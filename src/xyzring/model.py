@@ -13,6 +13,7 @@ import numpy as np
 from .pauli import SZ
 
 _SIGNS = (1, -1)
+_FLIP_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])  # A1 = eps * A0 * _FLIP_SIGNS, entrywise
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,17 @@ def couplings_from_params(p):
 
 
 def mps_matrices(p):
-    """Fixed-gauge site tensors A0 = [[1, g], [1, eta]], A1 = eps*[[1, -g], [-1, eta]]."""
-    a0 = np.array([[1.0, p.g], [1.0, p.eta]], dtype=float)
-    a1 = p.epsilon * np.array([[1.0, -p.g], [-1.0, p.eta]], dtype=float)
-    return MpsTensors(a0=a0, a1=a1)
+    """Fixed-gauge site tensors A0 = [[1, g], [1, eta]], A1 = eps*[[1, -g], [-1, eta]].
+
+    p.g may also be an array of g (say dataclasses.replace(p, g=grid)); the
+    tensors are then the stacks (*grid.shape, 2, 2) at the (eps, eta) of p.
+    """
+    g = np.asarray(p.g, dtype=float)
+    a0 = np.empty((*g.shape, 2, 2))
+    a0[..., 0, 0] = a0[..., 1, 0] = 1.0
+    a0[..., 0, 1] = g
+    a0[..., 1, 1] = p.eta
+    return MpsTensors(a0=a0, a1=p.epsilon * a0 * _FLIP_SIGNS)
 
 
 def general_mps_matrices(a, b, c, d, epsilon=1):

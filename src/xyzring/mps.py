@@ -14,10 +14,12 @@ DENSE_STATE_CAP = 20  # 2^20 amplitudes
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized dense state on a ring of n spins.
+    """Normalized dense state on a ring of n spins, or a batch of them.
 
-    z is the squared norm of the unnormalized amplitudes (tr(E^n) for a
-    trace-built state).
+    One state has amplitudes of shape (2^n,) and a float z; a batch has
+    amplitudes of shape (..., 2^n), one row per member, and z of the batch
+    shape (...).  z is the squared norm of the unnormalized amplitudes
+    (tr(E^n) for a trace-built state).
     """
 
     amplitudes: np.ndarray
@@ -31,7 +33,8 @@ def overlap(psi, chi):
 
 
 def amplitude(t, bits):
-    """Unnormalized amplitude tr(A_{i1} ... A_{iN}) for a bit pattern.
+    """Unnormalized amplitude tr(A_{i1} ... A_{iN}) for a bit pattern, or the
+    array of them for tensors of shape (..., 2, 2).
 
     bits may be a string like "0101" or any sequence of 0/1; length >= 3.
     """
@@ -42,58 +45,88 @@ def amplitude(t, bits):
     prod = np.eye(2, dtype=complex)
     for b in seq:
         prod = prod @ mats[b]
-    return np.trace(prod)
+    return np.trace(prod, axis1=-2, axis2=-1)
+
+
+def _stack(t):
+    """A0 and A1 stacked as (..., 2, 2, 2): batch axes, then the bit, then the matrix."""
+    return np.stack([t.a0, t.a1], axis=-3)
 
 
 def _site_products(mats, m):
-    """The 2^m products A_{i1} ... A_{im}, indexed by the bits i1 ... im
-    with i1 the most significant."""
-    prods = mats
+    """The 2^m products A_{i1} ... A_{im} of the stack mats (..., 2, 2, 2),
+    as (..., 2^m, 2, 2), indexed by the bits i1 ... im with i1 the most
+    significant."""
+    prods, right, shape = mats, mats[..., None, :, :, :], (*mats.shape[:-3], -1, 2, 2)
     for _ in range(m - 1):
-        prods = (prods[:, None] @ mats).reshape(-1, 2, 2)
+        prods = (prods[..., None, :, :] @ right).reshape(shape)
     return prods
 
 
 def _all_amplitudes(t, n):
-    """All 2^n trace amplitudes, site 1 in the most significant bit.
+    """All 2^n trace amplitudes, site 1 in the most significant bit: shape
+    (2^n,) for tensors (2, 2), (..., 2^n) for a batch (..., 2, 2).
 
     The ring is split into sites 1..k and k+1..n with k = n // 2.  Since
     tr(L R) = sum_ab L_ab R_ba, every amplitude is an entry of one matrix
     product with inner size 4 between the 2^k left and the 2^(n-k) right
-    products, taken and returned in the tensors' own dtype (real for
-    mps_matrices) and at least double precision.
+    products (one such product per member), taken and returned in the
+    tensors' own dtype (real for mps_matrices) and at least double precision.
     """
-    mats = np.stack([t.a0, t.a1]).astype(np.result_type(t.a0, t.a1, np.float64))
+    mats = _stack(t).astype(np.result_type(t.a0, t.a1, np.float64))
+    batch = mats.shape[:-3]
     k = n // 2
-    left = _site_products(mats, k).reshape(-1, 4)
-    right_t = _site_products(mats, n - k).transpose(0, 2, 1).reshape(-1, 4)
-    return (left @ right_t.T).ravel()
+    left = _site_products(mats, k).reshape(*batch, -1, 4)
+    right_t = _site_products(mats, n - k).swapaxes(-1, -2).reshape(*batch, -1, 4)
+    return (left @ right_t.swapaxes(-1, -2)).reshape(*batch, -1)
+
+
+def _first(bad):
+    """Index of the first flagged member of a batch, () for one state."""
+    return np.unravel_index(np.argmax(bad), bad.shape)
+
+
+def _naming(error, k):
+    """error with its message naming batch member k (an index tuple, () for
+    one state), which it also keeps as error.member for a caller that knows
+    more about the member, such as its g."""
+    if k:
+        error.member = k[0] if len(k) == 1 else k
+        error.args = (f"{error.args[0]} at batch member {error.member}",)
+    return error
 
 
 def build_state(t, n):
-    """Normalized MPS state from the trace formula.
+    """Normalized MPS state from the trace formula, for tensors a0, a1 of
+    shape (2, 2) or for a batch of them, shape (..., 2, 2).
 
-    The normalization constant Z is cross-checked against tr(E^n) and
-    stored on the returned state.
+    One state has amplitudes (2^n,) and a float z; a batch has amplitudes
+    (..., 2^n) and z of the batch shape.  The z of every member is
+    cross-checked against tr(E^n), with E^n from np.linalg.matrix_power on
+    the stack (..., 4, 4).  A member whose amplitudes vanish or whose z
+    disagrees raises, and for a batch the error names the first such member.
     """
     if n > DENSE_STATE_CAP:
         raise ValueError(f"ring size {n} exceeds dense cap {DENSE_STATE_CAP}")
     if n < 3:
         raise ValueError("need at least 3 sites")
     amps = _all_amplitudes(t, n)
-    z = float(np.sum(np.abs(amps) ** 2))
+    z = np.sum(np.abs(amps) ** 2, axis=-1)
     e_n = np.linalg.matrix_power(transfer_matrix(t), n)
     # z = tr(E^n) is at most sum |(E^n)_ij|; a state that vanishes leaves
     # only rounding, ~1e-32 of that scale
-    if z <= 1e-16 * np.abs(e_n).sum():
-        raise ValueError("all amplitudes vanish for these tensors")
-    z_trace = np.trace(e_n)
-    if abs(z_trace - z) > 1e-10 * max(z, 1.0):
-        raise ArithmeticError(
-            f"normalization mismatch: tr(E^n)={z_trace} vs sum |amp|^2={z}"
-        )
+    vanish = z <= 1e-16 * np.abs(e_n).sum(axis=(-2, -1))
+    if vanish.any():
+        raise _naming(ValueError("all amplitudes vanish for these tensors"), _first(vanish))
+    z_trace = np.trace(e_n, axis1=-2, axis2=-1)
+    mismatch = np.abs(z_trace - z) > 1e-10 * np.maximum(z, 1.0)
+    if mismatch.any():
+        k = _first(mismatch)
+        raise _naming(ArithmeticError(
+            f"normalization mismatch: tr(E^n)={z_trace[k]} vs sum |amp|^2={z[k]}"), k)
     # a reciprocal multiply, as in numpy's complex-by-real division, keeps the bits
-    return PureState(amplitudes=(amps * (1 / np.sqrt(z))).astype(complex, copy=False), n=n, z=z)
+    amps = (amps * (1 / np.sqrt(z))[..., None]).astype(complex, copy=False)
+    return PureState(amplitudes=amps, n=n, z=z if z.ndim else float(z))
 
 
 def transfer_matrix(t):
@@ -102,12 +135,17 @@ def transfer_matrix(t):
 
 
 def transfer_with_operator(t, op):
-    """Dressed transfer matrix E_O = sum_ij <i|O|j> conj(A_i) x A_j, or the
-    stack (..., 4, 4) of them for a stack of operators (..., 2, 2)."""
+    """Dressed transfer matrix E_O = sum_ij <i|O|j> conj(A_i) x A_j.
+
+    The batch axes of the operators (..., 2, 2) and of the tensors
+    (..., 2, 2) broadcast against each other: a stack of operators for one
+    pair of tensors, or one operator for a stack of tensors, gives the stack
+    (..., 4, 4).
+    """
     op = np.asarray(op, dtype=complex)
-    mats = np.stack([t.a0, t.a1]).astype(complex)
-    e = np.einsum("...ij,iac,jbd->...abcd", op, mats.conj(), mats)
-    return e.reshape(*op.shape[:-2], 4, 4)  # row (a, b), column (c, d), as in np.kron
+    mats = _stack(t).astype(complex)
+    e = np.einsum("...ij,...iac,...jbd->...abcd", op, mats.conj(), mats)
+    return e.reshape(*e.shape[:-4], 4, 4)  # row (a, b), column (c, d), as in np.kron
 
 
 # powers that _powers forms at once; each holds its log2(k) factors meanwhile,

@@ -11,7 +11,8 @@ import pytest
 from xyzring import checks, cli, ed, entanglement, mps
 from xyzring.checks import VerifyConfig
 from xyzring.cli import COMMANDS, main
-from xyzring.model import ModelParams, ring_points
+from xyzring.model import ModelParams, mps_matrices, ring_points
+from xyzring.mps import build_state
 from xyzring.parent import constant_shift
 
 
@@ -437,20 +438,43 @@ class TestNanFails:
         assert "cross-check failed" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_sweep_check_names_first_failing_row(self, tmp_path, capsys, monkeypatch):
-        # rows go g outer, n inner: the fourth density is that of (g, n) = (0.5, 6)
+    @staticmethod
+    def _sweep_with_nan_at(tmp_path, monkeypatch, planted):
+        """sweep --check over g = 0, 0.5, 1 and n = 4, 6 with a NaN in the batched
+        density of every member whose state is that of a planted (g, n); returns
+        the exit code and the amplitude shape of each density call."""
         real, calls = ed.pair_density_brute, []
+        states = {(g, n): build_state(mps_matrices(ModelParams(g=g, n=n)), n).amplitudes
+                  for g, n in planted}
 
-        def density(*args):
-            calls.append(args)
-            return real(*args) + (np.nan if len(calls) >= 4 else 0)
+        def density(psi, i, j):
+            calls.append(psi.amplitudes.shape)
+            rho = real(psi, i, j)
+            for (_, n), amps in states.items():
+                if psi.n == n:
+                    rho[np.all(psi.amplitudes == amps, axis=-1)] = np.nan
+            return rho
 
         monkeypatch.setattr(ed, "pair_density_brute", density)
         code = main(["sweep", "--check", "--n-list", "4,6", "--g-min", "0", "--g-max", "1",
                      "--g-steps", "3", "--output", str(tmp_path / "x.csv")])
-        assert code == 1 and len(calls) == 4
+        return code, calls
+
+    def test_sweep_check_names_first_failing_row(self, tmp_path, capsys, monkeypatch):
+        # rows go g outer, n inner; each n has one batched density call
+        code, calls = self._sweep_with_nan_at(tmp_path, monkeypatch, [(0.5, 6)])
+        assert code == 1 and calls == [(3, 2**4), (3, 2**6)]
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: cross-check failed at g=0.5, n=6: max error nan")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_sweep_check_names_first_failure_in_row_order(self, tmp_path, capsys, monkeypatch):
+        # an earlier g failing at the later n comes first in row order, before a
+        # later g failing at the earlier n
+        code, _ = self._sweep_with_nan_at(tmp_path, monkeypatch, [(1.0, 4), (0.0, 6)])
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cross-check failed at g=0.0, n=6: max error nan")
         assert not (tmp_path / "x.csv").exists()
 
     def test_sweep_check_site_one_marginal(self, tmp_path, capsys, monkeypatch):

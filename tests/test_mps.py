@@ -10,6 +10,8 @@ from xyzring import (
     amplitude,
     bell_pair_matrices,
     build_state,
+    checks,
+    cli,
     expectation_one_point,
     expectation_two_point,
     explicit_ground_state,
@@ -17,6 +19,7 @@ from xyzring import (
     mps,
     mps_matrices,
     overlap,
+    pair_density_brute,
     ring_points,
     transfer_matrix,
     transfer_with_operator,
@@ -151,6 +154,103 @@ class TestBuildState:
         monkeypatch.setattr(mps, "transfer_matrix", lambda t: 2 * real(t))
         with pytest.raises(ArithmeticError, match="normalization mismatch"):
             build_state(mps_matrices(params(g=0.7, n=6)), 6)
+
+
+def _stack(tensors):
+    return MpsTensors(np.stack([t.a0 for t in tensors]), np.stack([t.a1 for t in tensors]))
+
+
+class TestBatchedBuild:
+    """build_state over a leading batch axis of tensors: one call for a grid of g."""
+
+    G_BATCH = [0.0, 1.0, -1.0, -2.0, -0.5, 0.3, 0.7, 1.5, 1e8, -1e8]
+
+    @pytest.mark.parametrize("eps,eta,n", [(eps, eta, n) for eps, eta in CLASSES
+                                           for n in range(3, 13) if eta == 1 or n % 2 == 0])
+    def test_matches_per_point(self, eps, eta, n):
+        batch = build_state(mps_matrices(params(eps, eta, np.array(self.G_BATCH), n=n)), n)
+        assert batch.amplitudes.shape == (len(self.G_BATCH), 2**n)
+        assert batch.z.shape == (len(self.G_BATCH),)
+        for k, g in enumerate(self.G_BATCH):
+            one = build_state(mps_matrices(params(eps, eta, g, n=n)), n)
+            assert one.amplitudes.shape == (2**n,) and type(one.z) is float
+            assert np.array_equal(batch.amplitudes[k], one.amplitudes), g
+            assert batch.z[k] == one.z, g
+
+    def test_stack_of_g_is_the_stack_of_points(self):
+        g = np.array([[0.3, -2.0], [1.0, 1e8]])
+        stack = mps_matrices(params(-1, -1, g))
+        assert stack.a0.shape == stack.a1.shape == (2, 2, 2, 2)
+        for idx in np.ndindex(g.shape):
+            one = mps_matrices(params(-1, -1, float(g[idx])))
+            assert stack.a0[idx].tobytes() == one.a0.tobytes()
+            assert stack.a1[idx].tobytes() == one.a1.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_vanishing_member_is_named(self, n):
+        # eta = -1 has no state on an odd ring; its neighbours in the batch do
+        t = _stack([mps_matrices(params(1, eta, 0.37, n=n)) for eta in (1, 1, -1, 1)])
+        with pytest.raises(ValueError, match="vanish.* at batch member 2$") as info:
+            build_state(t, n)
+        assert info.value.member == 2
+
+    def test_normalization_mismatch_names_the_member(self, monkeypatch):
+        real = mps.transfer_matrix
+        factor = np.array([1.0, 1.0, 1.0, 2.0, 1.0])[:, None, None]
+        monkeypatch.setattr(mps, "transfer_matrix", lambda t: factor * real(t))
+        g = np.array([-0.5, 0.3, 0.7, 1.5, 2.0])
+        with pytest.raises(ArithmeticError, match="normalization mismatch.* at batch member 3$"):
+            build_state(mps_matrices(params(g=g, n=6)), 6)
+
+    def test_blocks_name_the_g_of_a_failing_member(self, monkeypatch):
+        # 2^12 amplitudes per state: blocks of 4 g, so g = 0.7 is member 2 of the second
+        real = mps.transfer_matrix
+        monkeypatch.setattr(mps, "transfer_matrix", lambda t: real(t) * np.where(
+            t.a0[..., 0, 1] == 0.7, 2.0, 1.0)[..., None, None])
+        g = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+        with pytest.raises(ArithmeticError, match=r"at batch member 2 \(g=0.7, n=12\)$"):
+            list(checks.states_over_g(params(g=g, n=12)))
+        with pytest.raises(ValueError, match=r"vanish.* at batch member 0 \(g=0.3, n=5\)$"):
+            list(checks.states_over_g(params(eta=-1, g=np.array([0.3, 0.5]), n=5)))
+
+    def test_single_point_errors_name_no_member(self):
+        with pytest.raises(ValueError, match="vanish for these tensors$") as info:
+            build_state(mps_matrices(params(1, -1, 0.37, n=5)), 5)
+        assert not hasattr(info.value, "member")
+
+    def test_cap_enforced(self):
+        g = np.array([0.3, 0.5])
+        with pytest.raises(ValueError, match="dense cap"):
+            build_state(mps_matrices(params(g=g, n=21)), 21)
+        with pytest.raises(ValueError, match="at least 3"):
+            build_state(mps_matrices(params(g=g)), 2)
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_pair_density_brute_per_member(self, n):
+        g = np.array(self.G_BATCH)
+        batch = build_state(mps_matrices(params(-1, 1, g, n=n)), n)
+        for i, j in ((1, 2), (2, 4), (n, 1)):
+            rho = pair_density_brute(batch, i, j)
+            assert rho.shape == (len(g), 4, 4)
+            for k, x in enumerate(self.G_BATCH):
+                one = build_state(mps_matrices(params(-1, 1, x, n=n)), n)
+                assert np.array_equal(rho[k], pair_density_brute(one, i, j)), (i, j, x)
+
+    def test_sweep_check_blocks(self, tmp_path, monkeypatch):
+        # 2^10 amplitudes per state: at most 16 states per build_state call
+        shapes, real = [], mps.build_state
+
+        def recording(t, n):
+            psi = real(t, n)
+            shapes.append(psi.amplitudes.shape)
+            return psi
+
+        monkeypatch.setattr(mps, "build_state", recording)
+        monkeypatch.setattr(checks, "build_state", recording)  # the name sweep --check calls
+        assert cli.main(["sweep", "--check", "--n", "10", "--g-min", "0", "--g-max", "2",
+                         "--g-steps", "401", "--output", str(tmp_path / "x.csv")]) == 0
+        assert max(rows * size for rows, size in shapes) <= 2**14
+        assert sum(rows for rows, _ in shapes) == 401 and len(shapes) == -(-401 // 16)
 
 
 class TestTransferMatrix:
