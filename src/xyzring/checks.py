@@ -13,7 +13,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from . import ed, entanglement, observables, parent
+from . import ed, entanglement, mps, observables, parent
 from .model import (
     ModelParams,
     check_symmetries,
@@ -23,7 +23,6 @@ from .model import (
     ring_points,
 )
 from .mps import (
-    PureState,
     amplitude,
     bell_pair_matrices,
     build_state,
@@ -39,12 +38,12 @@ from .pauli import SX, SY, SZ
 
 
 def worst_error(*errors):
-    """Largest of the errors and 0, NaN when any of them is NaN.
+    """Largest entry of the errors (numbers or arrays) and 0, NaN if any is NaN.
 
     The builtin max drops a NaN that follows a number (max(0.0, nan) is
     0.0), which would let a check pass on NaN.
     """
-    return float(np.max(errors, initial=0.0))
+    return float(np.max(np.hstack([0.0, *map(np.ravel, errors)])))
 
 
 BLOCK_AMPLITUDES = 2**14  # dense amplitudes that states_over_g builds at once
@@ -71,13 +70,28 @@ class CheckResult:
 _REGISTRY: List = []
 
 
-def _check(name, covers):
-    """Register a check with the library functions it covers."""
+def _check(name, covers, reason=None, low=3, high=np.inf, regular=False):
+    """Register a check with the library functions it covers, the ring sizes
+    from low to high that its oracle reaches, and whether its closed forms
+    need g != -1 (regular).  The check runs without the other sizes (each
+    recorded as skipped for the reason given) and the singular g.  With every
+    size outside and one above high, its oracle runs nowhere: ok is None (skip)."""
     names = [f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}" for fn in covers]
 
     def wrap(fn):
-        _REGISTRY.append((name, names, fn))
-        return fn
+        def run(cfg):
+            sizes = [n for n in cfg.n_list if low <= n <= high]
+            skipped = [{"n": n, "reason": reason} for n in sorted(set(cfg.n_list) - set(sizes))]
+            if not sizes and max(cfg.n_list) > high:
+                return None, {"skipped": skipped}
+            skipped += [{"g": g, "reason": "singular parameter"} for g in cfg.g_values
+                        if regular and g == -1]
+            g_values = [g for g in cfg.g_values if not (regular and g == -1)]
+            ok, details = fn(replace(cfg, n_list=sizes, g_values=g_values))
+            return ok, {**details, **({"skipped": skipped} if skipped else {})}
+
+        _REGISTRY.append((name, names, run))
+        return run
 
     return wrap
 
@@ -106,12 +120,6 @@ def _grid_classes(cfg):
     return ring_points([np.array(cfg.g_values, dtype=float)], cfg.n_list, cfg.j)
 
 
-def _singular_skips(cfg):
-    """Skip records for the grid points g = -1, where the closed forms are singular."""
-    skipped = [{"g": g, "reason": "singular parameter"} for g in cfg.g_values if g == -1]
-    return {"skipped": skipped} if skipped else {}
-
-
 @_check("coupling-surface", [couplings_from_params])
 def check_couplings(cfg):
     errs = []
@@ -133,7 +141,8 @@ def check_tensor_symmetries(cfg):
     return ok, {}
 
 
-@_check("normalization-consistency", [amplitude, build_state, transfer_matrix])
+@_check("normalization-consistency", [amplitude, build_state, transfer_matrix],
+        f"dense state needs n <= {mps.DENSE_STATE_CAP}", high=mps.DENSE_STATE_CAP)
 def check_normalization(cfg):
     errs = []
     for p in _grid_classes(cfg):
@@ -143,7 +152,7 @@ def check_normalization(cfg):
             # spot-check two amplitudes of every member against the direct trace
             for bits in ("0" * n, "01" * (n // 2) + "0" * (n % 2)):
                 direct = amplitude(t, bits) / np.sqrt(psi.z)
-                errs.extend(np.abs(direct - psi.amplitudes[:, int(bits, 2)]))
+                errs.append(np.abs(direct - psi.amplitudes[:, int(bits, 2)]))
     worst = worst_error(*errs)
     return worst < 1e-12, {"max_error": worst}
 
@@ -172,52 +181,43 @@ def check_transfer_spectrum(cfg):
         observables.magnetization_x,
         observables.correlations,
     ],
+    regular=True,
 )
 def check_closed_form_correlators(cfg):
     errs = []
-    regular = [g for g in cfg.g_values if g != -1]
-    column = {g: i for i, g in enumerate(regular)}
-    # the closed forms over the g grid, one call per n (and eps)
-    grid, sizes = np.array(regular, dtype=float), set(cfg.n_list)
-    mx_of = {(eps, n): observables.magnetization_x(eps, grid, n) for eps in (1, -1) for n in sizes}
-    corr_of = {n: observables.correlations(grid, n) for n in sizes}
-    minus_of = {n: observables.correlations_eta_minus(grid[:, None], n, np.arange(2, n + 1))
-                for n in sizes if n % 2 == 0}
-    for p in ring_points(regular, cfg.n_list, cfg.j):
-        t, g, n, i = mps_matrices(p), p.g, p.n, column[p.g]
+    for p in _grid_classes(cfg):
+        t, g, n = mps_matrices(p), p.g, p.n
         separations = np.arange(2, n + 1)  # every r, in one contraction per operator
         if p.eta == 1:
-            mx = mx_of[p.epsilon, n][i]
-            gx, gy, gz = (c[i] for c in corr_of[n])
+            mx = observables.magnetization_x(p.epsilon, g, n)
+            gx, gy, gz = observables.correlations(g, n)
             # the log-domain form against eps u (1 + u^{n-2})/(1 + u^n) in plain powers,
             # taken at 1/u where |u| > 1 (the form is invariant under u -> 1/u)
             u = observables.u_param(g)
-            u = u if abs(u) <= 1 else 1 / u
-            errs.append(abs(p.epsilon * u * (1 + u ** (n - 2)) / (1 + u**n) - mx))
+            u = np.divide(1, u, out=u, where=np.abs(u) > 1)
+            errs.append(np.abs(p.epsilon * u * (1 + u ** (n - 2)) / (1 + u**n) - mx))
             # the transfer-matrix trace is cyclic, so every site gives the site-1 value
-            errs += [abs(expectation_one_point(t, SX, 1, n) - mx),
-                     abs(expectation_one_point(t, SY, 1, n)),
-                     abs(expectation_one_point(t, SZ, 1, n))]
+            errs += [np.abs(expectation_one_point(t, SX, 1, n) - mx),
+                     np.abs(expectation_one_point(t, SY, 1, n)),
+                     np.abs(expectation_one_point(t, SZ, 1, n))]
             # identities
-            errs += [abs(gx + gy + gz - 1), abs((1 - gz) * (1 - gy) - mx * mx)]
-            expected = (gx, gy, gz)
+            errs += [np.abs(gx + gy + gz - 1), np.abs((1 - gz) * (1 - gy) - mx * mx)]
+            expected = (gx[:, None], gy[:, None], gz[:, None])
         else:
             # the eta = -1 sector through the alternating map
-            expected = [c[i] for c in minus_of[n]]
+            expected = observables.correlations_eta_minus(g[:, None], n, separations)
         for op, values in zip((SX, SY, SZ), expected):
-            errs.append(np.max(np.abs(expectation_two_point(t, op, op, separations, n) - values)))
+            errs.append(np.abs(expectation_two_point(t, op, op, separations, n) - values))
     worst = worst_error(*errs)
-    return worst < cfg.tolerance, {"max_error": worst, **_singular_skips(cfg)}
+    return worst < cfg.tolerance, {"max_error": worst}
 
 
-@_check("ground-state-equivalence", [build_state, explicit_ground_state])
+@_check("ground-state-equivalence", [build_state, explicit_ground_state],
+        f"dense state needs n <= {mps.DENSE_STATE_CAP}", high=mps.DENSE_STATE_CAP)
 def check_ground_state_equivalence(cfg):
-    ovs = []
-    for p in _grid_classes(cfg):
-        for rows, psi in states_over_g(p):
-            ovs += [abs(overlap(PureState(amps, p.n, z), explicit_ground_state(replace(p, g=g))))
-                    for amps, z, g in zip(psi.amplitudes, psi.z, p.g[rows].tolist())]
-    worst = float(np.min(ovs, initial=1.0))  # NaN when any overlap is NaN
+    ovs = [np.abs(overlap(psi, explicit_ground_state(replace(p, g=p.g[rows]))))
+           for p in _grid_classes(cfg) for rows, psi in states_over_g(p)]
+    worst = float(np.min(np.hstack([1.0, *ovs])))  # NaN when any overlap is NaN
     return worst > 1 - 1e-10, {"min_overlap": worst}
 
 
@@ -286,17 +286,13 @@ def check_coupling_recovery(cfg):
     "parent-hamiltonian",
     [parent.ring_apply, ed.dense_spectrum, ed.ring_spectrum, ed.ground_membership,
      ed.certify],
+    f"ED needs n <= {parent.DENSE_CAP}", high=parent.DENSE_CAP,
 )
 def check_parent_hamiltonian(cfg):
-    res_errs, energy_errs, form_errs = [], [], []
-    for p in ring_points(cfg.g_values, cfg.n_list, cfg.j):
-        cert = ed.certify(p)
-        res_errs += [cert.residual, 1 - cert.overlap]
-        energy_errs.append(abs(cert.lowest_eigenvalue - cert.expected))
-        form_errs.append(cert.form_mismatch)
-    worst_res = worst_error(*res_errs)
-    worst_energy = worst_error(*energy_errs)
-    worst_forms = worst_error(*form_errs)
+    certs = [ed.certify(replace(p, g=g)) for p in _grid_classes(cfg) for g in p.g.tolist()]
+    worst_res = worst_error(*(c.residual for c in certs), *(1 - c.overlap for c in certs))
+    worst_energy = worst_error(*(abs(c.lowest_eigenvalue - c.expected) for c in certs))
+    worst_forms = worst_error(*(c.form_mismatch for c in certs))
     ok = worst_res < cfg.tolerance and worst_energy < 1e-9 and worst_forms < 1e-10
     return ok, {
         "max_residual": worst_res,
@@ -305,7 +301,8 @@ def check_parent_hamiltonian(cfg):
     }
 
 
-@_check("degeneracy-scan", [ed.ground_degeneracy_scan, ed.ring_spectrum])
+@_check("degeneracy-scan", [ed.ground_degeneracy_scan, ed.ring_spectrum],
+        f"ED needs n <= {parent.DENSE_CAP}", high=parent.DENSE_CAP)
 def check_degeneracy_scan(cfg):
     p = ModelParams(g=0.5, j=cfg.j, n=min(cfg.n_list))
     scan = ed.ground_degeneracy_scan(p, [g for g in cfg.g_values if g not in (0, 1)])
@@ -322,23 +319,20 @@ def check_degeneracy_scan(cfg):
         entanglement.wootters_concurrence,
         entanglement.concurrence_closed,
     ],
+    "pair density needs n >= 4", low=4,
 )
 def check_concurrence(cfg):
     errs = []
-    skipped = [{"n": n, "reason": "pair density needs n >= 4"}
-               for n in sorted(set(cfg.n_list)) if n < 4]
-    sizes = [n for n in cfg.n_list if n >= 4]
-    column = {g: i for i, g in enumerate(cfg.g_values)}
-    closed_of = {n: entanglement.concurrence_closed(np.array(cfg.g_values, dtype=float), n)
-                 for n in set(sizes)}  # over the g grid, one call per n
-    for p in ring_points(cfg.g_values, sizes, cfg.j):
-        closed = closed_of[p.n][column[p.g]]
-        # pair_density depends on (i, j) only through their parities: one pair per class
-        cs = [entanglement.wootters_concurrence(entanglement.pair_density(p, i, j)).c
-              for i, j in ((1, 2), (1, 3), (2, 3), (2, 4))]
-        errs += [np.ptp(cs), *(abs(c - closed) for c in cs)]
+    for p in _grid_classes(cfg):
+        closed = entanglement.concurrence_closed(p.g, p.n)
+        for g, c_closed in zip(p.g.tolist(), closed):
+            # pair_density depends on (i, j) only through their parities: one pair per class
+            q = replace(p, g=g)
+            cs = [entanglement.wootters_concurrence(entanglement.pair_density(q, i, j)).c
+                  for i, j in ((1, 2), (1, 3), (2, 3), (2, 4))]
+            errs += [np.ptp(cs), *(abs(c - c_closed) for c in cs)]
     worst = worst_error(*errs)
-    return worst < cfg.tolerance, {"max_error": worst, **({"skipped": skipped} if skipped else {})}
+    return worst < cfg.tolerance, {"max_error": worst}
 
 
 @_check(
@@ -365,9 +359,10 @@ def check_scaling(cfg):
 @_check(
     "thermodynamic-limits",
     [observables.thermodynamic_magnetization, observables.thermodynamic_correlations],
+    regular=True,
 )
 def check_thermodynamic(cfg):
-    g = np.array([g for g in cfg.g_values if g not in (0, -1)], dtype=float)
+    g = np.array([g for g in cfg.g_values if g != 0], dtype=float)
     lim = observables.thermodynamic_magnetization(1, g)
     # rows n = 8, 16, 32, 64, one call each over the g grid: every error above
     # 1e-14 bounds the next one
@@ -382,8 +377,7 @@ def check_thermodynamic(cfg):
         "reciprocal_form(g=0.5)": observables.thermodynamic_magnetization_alt(1, 0.5),
         "note": "reciprocal form exceeds |mx| <= 1; the finite-N-consistent limit is used",
     }
-    details = {"identity_error": worst, "magnetization_limit_discrepancy": report,
-               **_singular_skips(cfg)}
+    details = {"identity_error": worst, "magnetization_limit_discrepancy": report}
     return ok and worst < 1e-12, details
 
 
@@ -410,7 +404,7 @@ def run_verify(cfg):
         required.update(covers)
         try:
             ok, details = fn(cfg)
-            status = "pass" if ok else "fail"
+            status = "skip" if ok is None else "pass" if ok else "fail"
         except SingularParameterError as exc:
             status, details = "skip", {"reason": f"singular parameter: {exc}"}
         results.append(CheckResult(name=name, status=status, covers=covers, details=details))

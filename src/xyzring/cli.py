@@ -1,7 +1,7 @@
 """Command-line interface: verification runs, parameter sweeps and CSV
 reproductions of the scaled-concurrence and magnetization figures.
 
-Exit codes: 0 success, 1 verification/cross-check failure, 2 invalid input.
+Exit codes: 0 success, 1 verification/cross-check failure, 2 invalid or refused input.
 """
 
 import argparse
@@ -284,7 +284,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

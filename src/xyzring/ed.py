@@ -11,7 +11,7 @@ from .mps import PureState, explicit_ground_state
 from .parent import DENSE_CAP, bond_operator, constant_shift, ring_apply
 
 DEGENERACY_TOL = 1e-8
-HERMITICITY_TOL = 1e-10
+HERMITICITY_TOL = 1e-10  # of max |h - h^dagger|, relative to max(1, max |h|)
 SYMMETRY_TOL = 1e-10  # max |h2 - (sx.sx) h2 (sx.sx)| over the 16 entries of the bond term
 
 
@@ -32,7 +32,7 @@ def dense_spectrum(h):
     """
     h = np.asarray(h)
     h = h.astype(complex if np.iscomplexobj(h) else float, copy=False)
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
+    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(h))):
         raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh(h)
     dim = int(np.sum(w <= w[0] + DEGENERACY_TOL))

@@ -28,8 +28,8 @@ class PureState:
 
 
 def overlap(psi, chi):
-    """Inner product <psi|chi> of two PureStates."""
-    return np.vdot(psi.amplitudes, chi.amplitudes)
+    """Inner product <psi|chi> of two PureStates, or member by member of two batches."""
+    return (psi.amplitudes.conj()[..., None, :] @ chi.amplitudes[..., None])[..., 0, 0][()]
 
 
 def amplitude(t, bits):
@@ -148,15 +148,18 @@ def transfer_with_operator(t, op):
     return e.reshape(*e.shape[:-4], 4, 4)  # row (a, b), column (c, d), as in np.kron
 
 
-# powers that _powers forms at once; each holds its log2(k) factors meanwhile,
-# 4096 x 17 x 256 B = 18 MB at k ~ 1e5
+# powers that _powers forms at once, over members and exponents together; each
+# holds its log2(k) factors meanwhile, 4096 x 17 x 256 B = 18 MB at k ~ 1e5
 ROW_BLOCK = 4096
 
 
 def _powers(e, exps):
-    """e^k for every k of the integer array exps, as an array (len(exps), 4, 4).
+    """e_m^k for every member e_m of the stack e (M, 4, 4) and every row k of
+    the integer array exps (K, c), in blocks of at most ROW_BLOCK powers:
+    yields (m, i, powers), powers (len(m), c, 4, 4) the rows i of exps on
+    the members m, over the M K pairs (m, i) in m-major order.
 
-    Binary powering batched over the exponents: the squarings e^(2^j) are
+    Binary powering batched over the pairs: the squarings e_m^(2^j) are
     formed once, up to the top bit of max(exps), and each power is the
     product of the squarings its set bits select, in increasing j, the
     identity standing in (an exact multiply) where a bit is unset.  These
@@ -166,43 +169,44 @@ def _powers(e, exps):
     """
     bits = max(int(exps.max()).bit_length(), 1)
     factors = np.empty((bits + 1, *e.shape), e.dtype)  # e^(2^j) for j < bits, then 1
-    factors[0], factors[bits] = e, np.eye(len(e))
+    factors[0], factors[bits] = e, np.eye(4)
     for j in range(1, bits):
         factors[j] = factors[j - 1] @ factors[j - 1]
-    columns = np.arange(bits)
-    out = np.empty((len(exps), *e.shape), e.dtype)
-    for start in range(0, len(exps), ROW_BLOCK):
-        block = exps[start : start + ROW_BLOCK, None]
-        chain = factors.take(np.where(block >> columns & 1, columns, bits), axis=0)
-        product = chain[:, 0]
+    columns, pairs, step = np.arange(bits), len(e) * len(exps), max(ROW_BLOCK // exps.shape[1], 1)
+    for start in range(0, pairs, step):
+        m, i = np.divmod(np.arange(start, min(start + step, pairs)), len(exps))
+        chain = factors[np.where(exps[i, :, None] >> columns & 1, columns, bits), m[:, None, None]]
+        product = chain[..., 0, :, :]
         for j in range(1, bits):
-            product = product @ chain[:, j]
-        out[start : start + ROW_BLOCK] = product
-    return out
+            product = product @ chain[..., j, :, :]
+        yield m, i, product
 
 
 def _contract(t, op_a, op_b, r, n):
     """tr(E_a E^{r-2} E_b E^{n-r}) / tr(E^n), with E_a and E_b the
-    transfer matrices dressed with op_a and op_b, for an int r or for
-    every entry of an integer array r (the result then has r's shape).
+    transfer matrices dressed with op_a and op_b, for tensors (2, 2) or a
+    batch of them (..., 2, 2) and for an int r or every entry of an integer
+    array r; the result has the shape (*batch, *r.shape).
 
-    Every factor is divided by the spectral radius of E, which leaves the
-    ratio unchanged and keeps the powers of E finite for any n.
+    Every factor is divided by the spectral radius of its E, which leaves
+    the ratio unchanged and keeps the powers of E finite for any n.
     """
-    r = np.asarray(r)
-    flat = r.ravel()
+    r, batch = np.asarray(r), np.shape(t.a0)[:-2]
     with np.errstate(over="raise", invalid="raise"):
-        dressed = transfer_with_operator(t, np.stack([SI, op_a, op_b]))
-        e, e_a, e_b = dressed / np.abs(np.linalg.eigvals(dressed[0])).max()
-        powers = _powers(e, np.concatenate([flat - 2, n - flat, [n]]))
-        left, right, total = powers[: flat.size], powers[flat.size : -1], powers[-1]
-        values = (e_a @ left @ e_b @ right).trace(axis1=1, axis2=2) / total.trace()
-        return values.reshape(r.shape)[()]
+        t = MpsTensors(np.reshape(t.a0, (-1, 2, 2)), np.reshape(t.a1, (-1, 2, 2)))
+        dressed = transfer_with_operator(t, np.stack([SI, op_a, op_b])[:, None])
+        e, e_a, e_b = dressed / np.abs(np.linalg.eigvals(dressed[0])).max(axis=-1)[:, None, None]
+        total = np.linalg.matrix_power(e, n).trace(axis1=1, axis2=2)
+        values = np.empty((len(e), r.size), complex)
+        for m, i, powers in _powers(e, np.column_stack([r.ravel() - 2, n - r.ravel()])):
+            chain = e_a[m] @ powers[:, 0] @ e_b[m] @ powers[:, 1]
+            values[m, i] = chain.trace(axis1=1, axis2=2) / total[m]
+        return values.reshape(batch + r.shape)[()]
 
 
 def expectation_one_point(t, op, k, n):
     """<O(k)> = tr(E^{k-1} E_O E^{n-k}) / tr(E^n), which by cyclicity of the
-    trace is tr(E_O E^{n-1}) / tr(E^n) for every k.
+    trace is tr(E_O E^{n-1}) / tr(E^n) for every k (per member of a batch).
 
     Overflow or an invalid value raises FloatingPointError.
     """
@@ -213,7 +217,7 @@ def expectation_one_point(t, op, k, n):
 
 def expectation_two_point(t, op_a, op_b, r, n):
     """<O_a(1) O_b(r)> = tr(E_a E^{r-2} E_b E^{n-r}) / tr(E^n), for an int r
-    or for every entry of an integer array r in one batched contraction.
+    or an integer array r and every member of a batch, in one _contract.
 
     Overflow or an invalid value raises FloatingPointError.
     """
@@ -229,13 +233,13 @@ def product_term_cell(p):
     on one two-site unit cell.
 
     Returns (term_a, term_b), each a pair (vector on sites 1, 3, 5, ...,
-    vector on sites 2, 4, 6, ...) of unnormalized single-site 2-vectors.
+    vector on sites 2, 4, 6, ...) of unnormalized single-site vectors (*g.shape, 2).
     For g < 0 the square root continues as i*sqrt(-g).
     """
-    sg = np.sqrt(complex(p.g))
+    sg = np.sqrt(np.asarray(p.g, dtype=complex))[..., None]
     if p.eta == 1:
-        phi_p = np.array([1 + sg, 1 - sg])
-        phi_m = np.array([1 - sg, 1 + sg])
+        phi_p = np.concatenate([1 + sg, 1 - sg], axis=-1)
+        phi_m = np.concatenate([1 - sg, 1 + sg], axis=-1)
         cell = ((phi_p, phi_p), (phi_m, phi_m))
     else:
         if p.n % 2 != 0:
@@ -256,11 +260,13 @@ def explicit_ground_state(p):
     """Closed-form ground state: the sum of two product states with site-1
     vectors a and b is the trace state of A_s = diag(a_s, b_s).  For eta = -1
     the terms alternate (a, b) and (b, a) over the sites, and A_s = diag(a_s,
-    b_s) sigma^x gives A_s1 A_s2 = diag(a_s1 b_s2, b_s1 a_s2) on each pair."""
+    b_s) sigma^x gives A_s1 A_s2 = diag(a_s1 b_s2, b_s1 a_s2) on each pair.
+    An array p.g gives the batch of the states over g."""
     (a, _), (b, _) = product_term_cell(p)
-    mats = [np.diag([a[s], b[s]]) for s in (0, 1)]
+    mats = np.zeros((2, *a.shape[:-1], 2, 2), complex)  # A_0, A_1
+    mats[..., 0, 0], mats[..., 1, 1] = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
     if p.eta == -1:
-        mats = [m[:, ::-1] for m in mats]  # times sigma^x: swap the columns
+        mats = mats[..., ::-1]  # times sigma^x: swap the columns
     return build_state(MpsTensors(*mats), p.n)
 
 

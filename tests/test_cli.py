@@ -65,6 +65,51 @@ class TestVerify:
     def test_unknown_command_rejected(self):
         assert main(["bogus"]) == 2
 
+    def test_size_beyond_dense_caps_is_skipped(self, tmp_path, capsys):
+        # the dense-state and ED checks record n = 30 as skipped and check n = 4
+        path = tmp_path / "report.jsonl"
+        assert main(["verify", "--n-list", "4,30", "--output", str(path)]) == 0
+        assert all(line.startswith("PASS ") for line in capsys.readouterr().out.splitlines())
+        records = {r["check"]: r for r in map(json.loads, path.read_text().splitlines())}
+        caps = {"normalization-consistency": "dense state needs n <= 20",
+                "ground-state-equivalence": "dense state needs n <= 20",
+                "parent-hamiltonian": "ED needs n <= 12", "degeneracy-scan": "ED needs n <= 12"}
+        for name, reason in caps.items():
+            assert records[name]["details"]["skipped"] == [{"n": 30, "reason": reason}], name
+        assert "skipped" not in records["closed-form-correlators"]["details"]
+
+    def test_every_size_beyond_a_cap_skips_the_check(self, tmp_path, capsys):
+        # a skipped check does not count for op-coverage, so the run fails, but it
+        # runs every check instead of exiting 2 on the first dense cap
+        path = tmp_path / "report.jsonl"
+        assert main(["verify", "--n", "30", "--output", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        skipped = {"normalization-consistency", "ground-state-equivalence",
+                   "parent-hamiltonian", "degeneracy-scan"}
+        assert {line.split()[1] for line in lines if line.startswith("SKIP ")} == skipped
+        assert lines[-1] == "FAIL  op-coverage"
+        assert sum(line.startswith("PASS ") for line in lines) == len(checks._REGISTRY) - 4
+        records = {r["check"]: r for r in map(json.loads, path.read_text().splitlines())}
+        assert records["parent-hamiltonian"]["status"] == "skip"
+        assert records["parent-hamiltonian"]["details"] == {
+            "skipped": [{"n": 30, "reason": "ED needs n <= 12"}]}
+
+    def test_numerical_guard_is_an_error_line(self, monkeypatch, capsys):
+        # a doubled tr(E^n) trips build_state's normalization cross-check
+        real = mps.transfer_matrix
+        monkeypatch.setattr(mps, "transfer_matrix", lambda t: 2 * real(t))
+        assert main(["verify"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: normalization mismatch")
+
+    def test_floating_point_error_is_an_error_line(self, monkeypatch, capsys):
+        def overflow(*args):
+            raise FloatingPointError("overflow encountered in matmul")
+
+        monkeypatch.setattr(checks, "expectation_two_point", overflow)
+        assert main(["verify"]) == 2
+        assert capsys.readouterr().err == "error: overflow encountered in matmul\n"
+
 
 class TestSweep:
     def test_golden_row(self, tmp_path):
@@ -366,6 +411,15 @@ class TestEdCompare:
         assert len(rows) == 72
         assert all(row["energy_ed"] == row["energy_expected"] for row in rows)
 
+    @pytest.mark.parametrize("g", ["1000", "-1000"])
+    def test_large_field_is_hermitian(self, tmp_path, capsys, g):
+        # the sector blocks' entries reach ~1.4e6, so their rounding-level
+        # asymmetry is above an absolute 1e-10 but far below a relative one
+        code, rows, _ = run_csv(tmp_path, ["ed-compare", "--n-list", "4,6", "--g-min", g,
+                                           "--g-max", g, "--g-steps", "1", "--tolerance", "1e-8"])
+        assert code == 0 and len(rows) == 8
+        assert "Hermitian" not in capsys.readouterr().err
+
     def test_cap_rejected(self, tmp_path, capsys):
         assert main(["ed-compare", "--n", "14",
                      "--output", str(tmp_path / "x.csv")]) == 2
@@ -602,8 +656,8 @@ class TestChecks:
         finally:
             sys.setprofile(None)
         pair_points = ring_points(cfg.g_values, [n for n in cfg.n_list if n >= 4], cfg.j)
-        one_point = [p for p in ring_points(cfg.g_values, cfg.n_list, cfg.j)
-                     if p.eta == 1 and p.g != -1]
+        # one-point values come in one batch over g per eta = +1 (eps, n) class
+        one_point = [p for p in ring_points([cfg.g_values], cfg.n_list, cfg.j) if p.eta == 1]
         assert counted[entanglement.pair_density.__code__] <= 4 * len(pair_points)
         assert counted[mps.expectation_one_point.__code__] == 3 * len(one_point)
         # one batched r-sweep per operator: at most 3 two-point calls per point

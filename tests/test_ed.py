@@ -116,6 +116,15 @@ class TestDenseSpectrum:
         with pytest.raises(ValueError):
             dense_spectrum(m)
 
+    def test_hermiticity_relative_to_largest_entry(self):
+        # an asymmetry of 1e-15 of the largest entry is rounding, not a defect
+        m = np.diag([1.4e6, -3.0, 2.0, 5.0])
+        m[0, 1], m[1, 0] = 7.0, 7.0 + 2e-9
+        assert dense_spectrum(m).eigenvalues.shape == (4,)
+        m[1, 0] = 7.0 + 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            dense_spectrum(m)
+
     def test_ground_vectors_own_their_data(self):
         # a view would keep the whole eigenvector matrix alive
         p = params(g=0.3)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -380,6 +381,96 @@ class TestBatchedSeparations:
             expectation_two_point(t, SZ, SZ, r, 10**5)
         with pytest.raises(FloatingPointError):
             expectation_one_point(t, SZ, 1, 10**5)
+
+
+class TestBatchedOracles:
+    """The contraction, the explicit state and the overlap over a batch of g:
+    each member equals the per-point call bit for bit."""
+
+    G_BATCH = [0.0, 1.0, -1.0, -2.0, -0.5, 0.3, 1.5]
+
+    @staticmethod
+    def _points(p):
+        return [dataclasses.replace(p, g=g) for g in TestBatchedOracles.G_BATCH]
+
+    @pytest.mark.parametrize("n", [*range(3, 13), 1000])
+    def test_expectations_match_per_point(self, n):
+        rs = np.arange(2, n + 1)
+        for p in ring_points([np.array(self.G_BATCH)], [n], 1.0):
+            t = mps_matrices(p)
+            one = [expectation_one_point(t, op, 1, n) for op in (SX, SY, SZ, GENERIC_A)]
+            two = [expectation_two_point(t, op, op, rs, n) for op in (SX, SY, SZ)]
+            two.append(expectation_two_point(t, GENERIC_A, GENERIC_B, rs, n))
+            at_half = expectation_two_point(t, GENERIC_A, GENERIC_B, n // 2 + 1, n)
+            assert at_half.shape == (len(self.G_BATCH),)
+            assert all(v.shape == (len(self.G_BATCH), len(rs)) for v in two)
+            for k, q in enumerate(self._points(p)):
+                tq = mps_matrices(q)
+                want = [expectation_one_point(tq, op, 1, n) for op in (SX, SY, SZ, GENERIC_A)]
+                assert [v[k].tobytes() for v in one] == [v.tobytes() for v in want], q
+                want = [expectation_two_point(tq, op, op, rs, n) for op in (SX, SY, SZ)]
+                want.append(expectation_two_point(tq, GENERIC_A, GENERIC_B, rs, n))
+                assert [v[k].tobytes() for v in two] == [v.tobytes() for v in want], q
+                half = expectation_two_point(tq, GENERIC_A, GENERIC_B, n // 2 + 1, n)
+                assert at_half[k].tobytes() == half.tobytes(), q
+
+    def test_batch_shape_leads(self):
+        g = np.array([[0.3, -2.0], [1.0, 1.5]])
+        t = mps_matrices(params(g=g, n=8))
+        assert expectation_one_point(t, SX, 1, 8).shape == (2, 2)
+        assert expectation_two_point(t, SZ, SZ, np.array([[2, 5, 8]]), 8).shape == (2, 2, 1, 3)
+        one = expectation_two_point(mps_matrices(params(g=1.0, n=8)), SZ, SZ, 5, 8)
+        assert expectation_two_point(t, SZ, SZ, 5, 8)[1, 0] == one
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_explicit_state_and_overlap_match_per_point(self, n):
+        for p in ring_points([np.array(self.G_BATCH)], [n], 1.0):
+            batch = explicit_ground_state(p)
+            ov = overlap(build_state(mps_matrices(p), n), batch)
+            assert batch.amplitudes.shape == (len(self.G_BATCH), 2**n)
+            assert ov.shape == (len(self.G_BATCH),)
+            for k, q in enumerate(self._points(p)):
+                one = explicit_ground_state(q)
+                assert batch.amplitudes[k].tobytes() == one.amplitudes.tobytes(), q
+                assert batch.z[k] == one.z, q
+                assert ov[k].tobytes() == overlap(build_state(mps_matrices(q), n), one).tobytes()
+
+    def test_product_term_cell_per_member(self):
+        for p in ring_points([np.array(self.G_BATCH)], [4], 1.0):
+            cell = mps.product_term_cell(p)
+            for k, q in enumerate(self._points(p)):
+                one = mps.product_term_cell(q)
+                for term, term_one in zip(cell, one):
+                    assert [v[k].tobytes() for v in term] == [v.tobytes() for v in term_one]
+
+    def test_powers_hold_at_most_a_row_block(self, monkeypatch):
+        # 3 members x 11 separations x 2 powers: 66 powers in blocks of 2 pairs
+        t = mps_matrices(params(g=np.array([0.3, -2.0, 1.5]), n=12))
+        e = transfer_matrix(t)
+        rs = np.arange(2, 13)
+        exps = np.column_stack([rs - 2, 12 - rs])
+        whole = list(mps._powers(e, exps))
+        assert len(whole) == 1
+        monkeypatch.setattr(mps, "ROW_BLOCK", 5)
+        blocks = list(mps._powers(e, exps))
+        assert all(powers.shape[:2] == (len(m), 2) and powers[..., 0, 0].size <= 5
+                   for m, _, powers in blocks)
+        assert len(blocks) == 17  # 33 pairs, member-major
+        assert np.concatenate([m for m, _, _ in blocks]).tolist() == [0] * 11 + [1] * 11 + [2] * 11
+        assert np.concatenate([i for _, i, _ in blocks]).tolist() == list(range(11)) * 3
+        joined = np.concatenate([powers for _, _, powers in blocks])
+        assert joined.tobytes() == whole[0][2].tobytes()
+        for m, i, powers in blocks:
+            for k in range(len(m)):
+                want = [np.linalg.matrix_power(e[m[k]], x) for x in exps[i[k]]]
+                assert np.allclose(powers[k], want, rtol=1e-13, atol=0)
+
+    def test_contraction_blocks_give_the_same_bits(self, monkeypatch):
+        t = mps_matrices(params(g=np.array([0.3, -2.0, 1.5, 0.0]), n=12))
+        rs = np.arange(2, 13)
+        whole = expectation_two_point(t, GENERIC_A, GENERIC_B, rs, 12)
+        monkeypatch.setattr(mps, "ROW_BLOCK", 3)  # one pair of powers at a time
+        assert expectation_two_point(t, GENERIC_A, GENERIC_B, rs, 12).tobytes() == whole.tobytes()
 
 
 class TestExplicitGroundState:
