@@ -62,7 +62,6 @@ from .ed import (
     SpectrumResult,
     certify,
     dense_spectrum,
-    ground_degeneracy_scan,
     ground_membership,
     pair_density_brute,
     ring_spectrum,

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -177,10 +178,12 @@ def cmd_ed_compare(args):
     if any(n > parent.DENSE_CAP for n in n_list):
         print(f"error: ring sizes above dense cap {parent.DENSE_CAP}", file=sys.stderr)
         return 2
+    certs = {(p.epsilon, p.eta, p.n): ed.certify(p)  # one call per class over the g grid
+             for p in ring_points([np.array(g_values)], n_list, args.j)}
     rows = []
     worst = 0.0
-    for p in ring_points(g_values, n_list, args.j):
-        c = ed.certify(p)
+    for q in ring_points(range(len(g_values)), n_list, args.j):  # row order, g by its index
+        p, c = replace(q, g=g_values[q.g]), certs[q.epsilon, q.eta, q.n][q.g]
         dev = worst_error(abs(c.lowest_eigenvalue - c.expected), abs(c.energy - c.expected),
                           c.residual, 1 - c.overlap, c.form_mismatch)
         if not math.isfinite(dev):

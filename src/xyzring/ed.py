@@ -7,12 +7,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mps import PureState, explicit_ground_state
+from .mps import PureState, _first, _naming, _naming_g, explicit_ground_state
 from .parent import DENSE_CAP, bond_operator, constant_shift, ring_apply
 
-DEGENERACY_TOL = 1e-8
+DEGENERACY_TOL = 1e-8  # of the ground-space cut, relative to max(1, |lowest eigenvalue|)
 HERMITICITY_TOL = 1e-10  # of max |h - h^dagger|, relative to max(1, max |h|)
 SYMMETRY_TOL = 1e-10  # max |h2 - (sx.sx) h2 (sx.sx)| over the 16 entries of the bond term
+BLOCK_ENTRIES = 2**19  # certify stacks this many / 4^n values of g at once (one from n = 10)
 
 
 @dataclass(frozen=True)
@@ -25,21 +26,27 @@ class SpectrumResult:
 
 
 def dense_spectrum(h):
-    """Full Hermitian spectrum and the eigenspace of the minimum.
+    """Full Hermitian spectrum and the eigenspace of the minimum w[0], the
+    eigenvalues w <= w[0] + DEGENERACY_TOL * max(1, |w[0]|).
 
     Real input stays real, so a real symmetric matrix is diagonalized in
-    float64 and its ground vectors come out real.
+    float64 and its ground vectors come out real. A stack (..., R, R) gives
+    eigenvalues (R, ...), ground_space_dim (...) and ground_vectors (R, d, ...)
+    with d the largest dimension: batch axes last, so eigenvalues[0] is every
+    member's minimum and a member's ground space its first ground_space_dim vectors.
     """
     h = np.asarray(h)
     h = h.astype(complex if np.iscomplexobj(h) else float, copy=False)
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(h))):
-        raise ValueError("matrix is not Hermitian")
+    scale = np.maximum(1.0, abs(h).max(axis=(-2, -1)))
+    skew = abs(h - h.conj().swapaxes(-2, -1)).max(axis=(-2, -1)) > HERMITICITY_TOL * scale
+    if skew.any():
+        raise _naming(ValueError("matrix is not Hermitian"), _first(skew))
     w, v = np.linalg.eigh(h)
-    dim = int(np.sum(w <= w[0] + DEGENERACY_TOL))
+    w0 = w[..., :1]
+    dim = (w <= w0 + DEGENERACY_TOL * np.maximum(1.0, abs(w0))).sum(axis=-1)
     # a copy, so that the result does not keep the whole eigenvector matrix alive
-    return SpectrumResult(
-        eigenvalues=w, ground_space_dim=dim, ground_vectors=v[:, :dim].copy()
-    )
+    vectors = v[..., :dim.max(initial=0)].transpose(-2, -1, *range(dim.ndim)).copy()
+    return SpectrumResult(w.transpose(-1, *range(dim.ndim)), dim if dim.ndim else int(dim), vectors)
 
 
 @functools.lru_cache(maxsize=None)
@@ -80,7 +87,9 @@ def _ring_sectors(n):
 
 def ring_spectrum(h2, n):
     """dense_spectrum of the ring Hamiltonian of a real symmetric bond term
-    h2 (the sum of h2 over the n bonds), one sector at a time.
+    h2 (the sum of h2 over the n bonds), one sector at a time. A stack of
+    bond terms (G, 4, 4) gives the list of its members' results, each equal
+    to its own call, from one stacked dense_spectrum per sector.
 
     Every bond applies the same h2, so H commutes with the one-site rotation
     T; it commutes with the spin flip F when (sx.sx) h2 (sx.sx) = h2. So it
@@ -92,44 +101,57 @@ def ring_spectrum(h2, n):
     makes the sector -k the complex conjugate of k, so only k <= n/2 is
     diagonalized and counted twice. A complex ground vector v of sector k
     gives the real orthonormal pair sqrt(2) Re v, sqrt(2) Im v, which spans
-    v and its conjugate. A non-finite value in any block makes every value
-    of the result non-finite. The blocks are gathered from the columns of H
-    at the representatives, ring_apply of h2 to their unit vectors.
+    v and its conjugate. A non-finite value in any block of a member makes
+    every value of that member's result non-finite (with at least one ground
+    vector, all NaN, when every eigenvalue is NaN). The blocks are gathered
+    from the columns of H at the representatives, ring_apply of h2 to their
+    unit vectors.
     """
     h2 = np.asarray(h2)
     if n > DENSE_CAP:
         raise ValueError(f"ring size {n} exceeds dense cap {DENSE_CAP}")
     if np.iscomplexobj(h2):
         raise ValueError("ring_spectrum needs a real symmetric bond term")
-    if np.max(np.abs(h2 - h2[::-1, ::-1])) > SYMMETRY_TOL:  # sx.sx reverses the 4 states
+    if np.max(np.abs(h2 - h2[..., ::-1, ::-1])) > SYMMETRY_TOL:  # sx.sx reverses the 4 states
         raise ValueError("bond term does not commute with the spin flip")
     reps, orbits, stab, chars, members, copies = _ring_sectors(n)
-    size = len(reps)
+    stack, size = h2.reshape(-1, 4, 4), len(reps)
     units = np.zeros((2**n, size))
     units[reps, np.arange(size)] = 1.0
-    cols = ring_apply(h2, units, n)  # H[:, r_b]
-    gathered = cols[orbits] / np.sqrt(np.outer(stab, stab))  # H[g(r_a), r_b]
-    blocks = (chars @ gathered.reshape(len(orbits), -1)).reshape(-1, size, size)
-    specs = [dense_spectrum((block if twice == 2 else block.real)[sel[:, None], sel])
-             for block, sel, twice in zip(blocks, members, copies)]
-    w = np.sort(np.concatenate([s.eigenvalues for s, c in zip(specs, copies) for _ in range(c)]))
-    top = w[0] + DEGENERACY_TOL
-    dim = int(np.sum(w <= top))
-    if not (np.isfinite(w).all() and all(np.isfinite(s.ground_vectors).all() for s in specs)):
-        w[0] = np.nan  # np.sort moved any NaN to the end
-        return SpectrumResult(w, dim, np.full((len(cols), dim), np.nan))
-    columns = []
-    for spec, sel, char, twice in zip(specs, members, chars, copies):
-        c = spec.ground_vectors[:, spec.eigenvalues[:spec.ground_space_dim] <= top]
-        if c.shape[1]:
+    cols = ring_apply(stack, units, n)  # H[:, r_b] of every member
+    gathered = cols[:, orbits] / np.sqrt(np.outer(stab, stab))  # H[g(r_a), r_b]
+    blocks = (chars @ gathered.reshape(len(stack), len(orbits), -1)).reshape(
+        len(stack), -1, size, size)
+    specs = [dense_spectrum((block if twice == 2 else block.real)[:, sel[:, None], sel])
+             for block, sel, twice in zip(blocks.swapaxes(0, 1), members, copies)]
+    w = np.sort(np.concatenate([s.eigenvalues for s, c in zip(specs, copies) for _ in range(c)]),
+                axis=0)
+    tops = w[0] + DEGENERACY_TOL * np.maximum(1.0, np.abs(w[0]))
+    finite = np.isfinite(w).all(axis=0)
+    for s in specs:
+        finite &= np.isfinite(s.ground_vectors).all(axis=(0, 1))
+    results = []
+    for m, (wm, top) in enumerate(zip(w.T.copy(), tops)):
+        dim = int((wm <= top).sum())
+        if not finite[m]:
+            wm[0] = np.nan  # np.sort moved any NaN to the end
+            results.append(SpectrumResult(wm, dim, np.full((2**n, max(dim, 1)), np.nan)))
+            continue
+        columns = []
+        for spec, sel, char, twice in zip(specs, members, chars, copies):
+            if spec.eigenvalues[0, m] > top:
+                continue  # no ground vector in this sector
+            d = spec.ground_space_dim[m]
+            c = spec.ground_vectors[:, :d, m][:, spec.eigenvalues[:d, m] <= top]
             # each state of the orbit of r_a is g(r_a) for |Stab_a| elements g
             # with the same chi(g), so one assignment per state times |Stab_a|
             # stands for the sum: |Stab_a| / sqrt(2n |Stab_a|)
             weights = c * np.sqrt(stab[sel] / (2 * n))[:, None]
-            v = np.zeros((len(cols), c.shape[1]), complex)
-            v[orbits[:, sel]] = char.conj()[:, None, None] * weights
-            columns += [v.real] if twice == 1 else [np.sqrt(2) * v.real, np.sqrt(2) * v.imag]
-    return SpectrumResult(eigenvalues=w, ground_space_dim=dim, ground_vectors=np.hstack(columns))
+            vec = np.zeros((2**n, c.shape[1]), complex)
+            vec[orbits[:, sel]] = char.conj()[:, None, None] * weights
+            columns += [vec.real] if twice == 1 else [np.sqrt(2) * vec.real, np.sqrt(2) * vec.imag]
+        results.append(SpectrumResult(wm, dim, np.hstack(columns)))
+    return results if h2.ndim > 2 else results[0]
 
 
 def rayleigh_quotient(h2, v):
@@ -185,26 +207,27 @@ def certify(p):
     one sector-wise eigensolve; H is only ever applied bond by bond. The
     projector form adds c0*identity to each bond term, so it has the same
     eigenvectors and residuals; form_mismatch checks that identity on the
-    4x4 bond terms.
+    4x4 bond terms. A 1-D array p.g gives the list of its members'
+    certificates, each equal to its own call, from one ring_spectrum and one
+    explicit_ground_state per block of at most max(1, BLOCK_ENTRIES / 4^n) g.
     """
-    h2 = bond_operator(p, "coupling")
-    spec = ring_spectrum(h2, p.n)
-    energy = rayleigh_quotient(h2, spec.ground_vectors[:, 0])
-    residual, overlap = ground_membership(h2, explicit_ground_state(p), spec)
-    c0 = constant_shift(p)
-    bond_gap = h2 - bond_operator(p, "projector") + c0 * np.eye(4)
-    return Certificate(
-        lowest_eigenvalue=spec.eigenvalues[0], energy=energy, expected=-p.n * c0,
-        residual=residual, overlap=overlap, degeneracy=spec.ground_space_dim,
-        form_mismatch=float(np.max(np.abs(bond_gap))),
-    )
-
-
-def ground_degeneracy_scan(p, g_grid):
-    """Measured ground-space dimension of the projector form across a g grid
-    at fixed (eps, eta, J, n)."""
-    return [(float(g), ring_spectrum(bond_operator(replace(p, g=float(g))), p.n).ground_space_dim)
-            for g in g_grid]
+    gs = np.asarray(p.g, dtype=float)
+    step = max(1, BLOCK_ENTRIES >> 2 * p.n)
+    certs = []
+    for start in range(0, gs.size, step):
+        block = replace(p, g=gs.reshape(-1)[start:start + step])
+        points = [replace(p, g=g) for g in block.g.tolist()]
+        h2 = np.array([bond_operator(q, "coupling") for q in points])
+        with _naming_g(block.g, p.n):
+            specs = ring_spectrum(h2, p.n)
+            states = explicit_ground_state(block).amplitudes
+        for q, h, spec, psi in zip(points, h2, specs, states):
+            c0 = constant_shift(q)
+            certs.append(Certificate(
+                spec.eigenvalues[0], rayleigh_quotient(h, spec.ground_vectors[:, 0]), -q.n * c0,
+                *ground_membership(h, psi, spec), spec.ground_space_dim,
+                float(np.max(np.abs(h - bond_operator(q, "projector") + c0 * np.eye(4))))))
+    return certs if gs.ndim else certs[0]
 
 
 def pair_density_brute(psi, i, j):

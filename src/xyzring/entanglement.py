@@ -9,7 +9,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .mps import product_term_cell
+from .mps import _first, _naming, product_term_cell
 from .observables import _reduced
 from .pauli import SY
 
@@ -53,7 +53,7 @@ def pair_density(p, i, j):
 @dataclass(frozen=True)
 class ConcurrenceResult:
     """Wootters concurrence with the sorted square-root eigenvalues of
-    rho*rho_tilde."""
+    rho*rho_tilde (arrays over the members of a stack)."""
 
     c: float
     sqrt_eigenvalues: Tuple[float, float, float, float]
@@ -65,23 +65,27 @@ def wootters_concurrence(rho):
     The l_i are the decreasing square roots of the eigenvalues of
     rho * (sy x sy) rho^* (sy x sy), computed as the singular values of
     sqrt(rho) (sy x sy) conj(sqrt(rho)), which is numerically exact for
-    nearly singular rho.
+    nearly singular rho.  A stack (..., 4, 4) gives c (...) and
+    sqrt_eigenvalues (..., 4) as arrays, each member's as its own call gives
+    them; the error of a member that is not a density matrix names its index.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError("expected a 4x4 density matrix")
-    if np.max(np.abs(rho - rho.conj().T)) > PSD_TOL:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1) > PSD_TOL:
-        raise ValueError("density matrix does not have unit trace")
     w, v = np.linalg.eigh(rho)
-    if w[0] < -PSD_TOL:
-        raise ValueError(f"density matrix is not positive semidefinite ({w[0]})")
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
+    negative = w[..., 0] < -PSD_TOL
+    skew = np.max(np.abs(rho - rho.conj().swapaxes(-2, -1)), axis=(-2, -1)) > PSD_TOL
+    for bad, flaw in ((skew, "is not Hermitian"),
+                      (np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1) > PSD_TOL,
+                       "does not have unit trace"),
+                      (negative, f"is not positive semidefinite ({w[_first(negative)][0]})")):
+        if bad.any():
+            raise _naming(ValueError(f"density matrix {flaw}"), _first(bad))
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0, None))[..., None, :]) @ v.conj().swapaxes(-2, -1)
     k = sqrt_rho @ _YY @ sqrt_rho.conj()
     sv = np.linalg.svd(k, compute_uv=False)
-    c = max(0.0, sv[0] - sv[1] - sv[2] - sv[3])
-    return ConcurrenceResult(c=float(c), sqrt_eigenvalues=tuple(float(x) for x in sv))
+    c = np.maximum(0.0, sv[..., 0] - sv[..., 1] - sv[..., 2] - sv[..., 3])
+    return ConcurrenceResult(c, sv) if c.ndim else ConcurrenceResult(float(c), tuple(sv.tolist()))
 
 
 def concurrence_closed(g, n):

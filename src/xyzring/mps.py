@@ -2,6 +2,7 @@
 matrices, expectation values and the explicit product-form ground states.
 """
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +84,7 @@ def _all_amplitudes(t, n):
 
 def _first(bad):
     """Index of the first flagged member of a batch, () for one state."""
-    return np.unravel_index(np.argmax(bad), bad.shape)
+    return tuple(map(int, np.unravel_index(np.argmax(bad), bad.shape)))
 
 
 def _naming(error, k):
@@ -94,6 +95,17 @@ def _naming(error, k):
         error.member = k[0] if len(k) == 1 else k
         error.args = (f"{error.args[0]} at batch member {error.member}",)
     return error
+
+
+@contextlib.contextmanager
+def _naming_g(g, n):
+    """Name the g (of the batch's array g) and n of the failing member in a batch error."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        if hasattr(exc, "member"):
+            exc.args = (f"{exc.args[0]} (g={g[exc.member]}, n={n})",)
+        raise
 
 
 def build_state(t, n):
@@ -277,9 +289,5 @@ def bell_pair_matrices(t):
     commute pairwise for the eta = -1 tensors.
     """
     mats = (np.asarray(t.a0, dtype=complex), np.asarray(t.a1, dtype=complex))
-    out = []
-    for m in range(2):
-        for sign_idx in range(2):
-            phi = (mats[0] @ mats[m] + (-1) ** sign_idx * mats[1] @ mats[(1 + m) % 2])
-            out.append(phi / np.sqrt(2))
-    return tuple(out)
+    return tuple((mats[0] @ mats[m] + (-1) ** s * mats[1] @ mats[1 - m]) / np.sqrt(2)
+                 for m in range(2) for s in range(2))

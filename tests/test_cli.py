@@ -73,7 +73,7 @@ class TestVerify:
         records = {r["check"]: r for r in map(json.loads, path.read_text().splitlines())}
         caps = {"normalization-consistency": "dense state needs n <= 20",
                 "ground-state-equivalence": "dense state needs n <= 20",
-                "parent-hamiltonian": "ED needs n <= 12", "degeneracy-scan": "ED needs n <= 12"}
+                "parent-hamiltonian": "ED needs n <= 12"}
         for name, reason in caps.items():
             assert records[name]["details"]["skipped"] == [{"n": 30, "reason": reason}], name
         assert "skipped" not in records["closed-form-correlators"]["details"]
@@ -84,11 +84,10 @@ class TestVerify:
         path = tmp_path / "report.jsonl"
         assert main(["verify", "--n", "30", "--output", str(path)]) == 1
         lines = capsys.readouterr().out.splitlines()
-        skipped = {"normalization-consistency", "ground-state-equivalence",
-                   "parent-hamiltonian", "degeneracy-scan"}
+        skipped = {"normalization-consistency", "ground-state-equivalence", "parent-hamiltonian"}
         assert {line.split()[1] for line in lines if line.startswith("SKIP ")} == skipped
         assert lines[-1] == "FAIL  op-coverage"
-        assert sum(line.startswith("PASS ") for line in lines) == len(checks._REGISTRY) - 4
+        assert sum(line.startswith("PASS ") for line in lines) == len(checks._REGISTRY) - 3
         records = {r["check"]: r for r in map(json.loads, path.read_text().splitlines())}
         assert records["parent-hamiltonian"]["status"] == "skip"
         assert records["parent-hamiltonian"]["details"] == {
@@ -424,6 +423,67 @@ class TestEdCompare:
         assert main(["ed-compare", "--n", "14",
                      "--output", str(tmp_path / "x.csv")]) == 2
         assert "cap" in capsys.readouterr().err
+
+
+class TestEdComparePerClass:
+    def test_rows_in_point_order(self, tmp_path):
+        # one certify call per class over g; the rows still run (eps, eta) outer,
+        # g, then N in --n-list order (a repeated N repeats its rows), each
+        # with the values of that point's own certify call
+        code, rows, _ = run_csv(tmp_path, ["ed-compare", "--n-list", "4,5,4", "--g-min", "0",
+                                           "--g-max", "1", "--g-steps", "3"])
+        assert code == 0
+        points = ring_points([0.0, 0.5, 1.0], [4, 5, 4], 1.0)
+        assert len(rows) == len(points)
+        for row, p in zip(rows, points):
+            c = ed.certify(p)
+            assert [int(row["epsilon"]), int(row["eta"]), float(row["g"]), int(row["N"])] == [
+                p.epsilon, p.eta, p.g, p.n]
+            assert row["energy_ed"] == cli._fmt(c.energy) and row["residual"] == cli._fmt(
+                c.residual) and row["overlap"] == cli._fmt(c.overlap)
+            assert int(row["degeneracy"]) == c.degeneracy == 2
+
+    def test_nan_member_named_by_its_g(self, tmp_path, capsys, monkeypatch):
+        # a NaN in the member g = 0.5 of every class fails that g only
+        real = ed.dense_spectrum
+
+        def spectrum(blocks):
+            spec = real(blocks)
+            value = spec.eigenvalues.copy()
+            value[..., 1] = np.nan
+            return dataclasses.replace(spec, eigenvalues=value)
+
+        monkeypatch.setattr(ed, "dense_spectrum", spectrum)
+        code, rows, _ = run_csv(tmp_path, ["ed-compare", "--n", "4", "--g-min", "0",
+                                           "--g-max", "1", "--g-steps", "3"])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 4 and all("g=0.5, N=4" in line for line in errors)
+        for row in rows:
+            failed = row["g"] == "0.5"
+            assert (row["energy_ed"] == "nan") == failed
+            assert failed or float(row["residual"]) < 1e-10
+
+
+class TestParentHamiltonianDegeneracy:
+    def test_reports_min_degeneracy(self):
+        ok, details = checks.check_parent_hamiltonian(VerifyConfig())
+        assert ok and details["min_degeneracy"] == 2
+
+    def test_single_ground_state_fails(self, monkeypatch):
+        # the ground space must hold both product terms at every point
+        real = ed.certify
+
+        def certify(p):
+            certs = real(p)
+            certs[-1] = dataclasses.replace(certs[-1], degeneracy=1)
+            return certs
+
+        monkeypatch.setattr(ed, "certify", certify)
+        ok, details = checks.check_parent_hamiltonian(VerifyConfig(n_list=[4]))
+        assert not ok and details["min_degeneracy"] == 1
+        assert details["max_residual"] < 1e-10 and details["max_energy_error"] < 1e-9
 
 
 def _corrupt_projector(monkeypatch):

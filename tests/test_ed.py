@@ -13,7 +13,6 @@ from xyzring import (
     constant_shift,
     dense_spectrum,
     explicit_ground_state,
-    ground_degeneracy_scan,
     ground_membership,
     mps_matrices,
     ring_apply,
@@ -61,15 +60,25 @@ class TestRingApply:
         ref = _kron_ring(h2, n) @ vecs.astype(complex)
         assert np.max(np.abs(out - ref)) < 1e-12
 
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_stack_of_bond_terms(self, n):
+        # a stack (..., 4, 4) gives each member the bits of its own call
+        rng = np.random.default_rng(n)
+        h2, vecs = rng.normal(size=(3, 2, 4, 4)), rng.normal(size=(2**n, 3))
+        out = ring_apply(h2, vecs, n)
+        assert out.shape == (3, 2, 2**n, 3)
+        for index in np.ndindex(3, 2):
+            assert out[index].tobytes() == ring_apply(h2[index], vecs, n).tobytes()
+
 
 class TestDenseCap:
     def test_certify(self):
         with pytest.raises(ValueError, match="dense cap"):
             certify(params(n=13))
 
-    def test_degeneracy_scan(self):
+    def test_ring_spectrum_stack(self):
         with pytest.raises(ValueError, match="dense cap"):
-            ground_degeneracy_scan(params(n=13), [0.3])
+            ring_spectrum(np.array([bond_operator(params(n=13))]), 13)
 
 
 class TestDenseSpectrum:
@@ -345,14 +354,14 @@ class TestRingSpectrum:
         real, sizes = ed.dense_spectrum, []
 
         def spectrum(block):
-            sizes.append(len(block))
+            sizes.append(block.shape[-1])  # certify passes stacks (members, r, r)
             return real(block)
 
         monkeypatch.setattr(ed, "dense_spectrum", spectrum)
         assert certify(params(n=8, g=0.37)).degeneracy == 2
         assert 0 < max(sizes) < 2**8 // 8
         sizes.clear()
-        ground_degeneracy_scan(params(n=8), [0.3])
+        ring_spectrum(np.array([bond_operator(params(n=8, g=0.3))]), 8)
         assert 0 < max(sizes) < 2**8 // 8
 
     def test_certify_holds_no_dense_matrix(self):
@@ -368,20 +377,135 @@ class TestRingSpectrum:
         assert peak < 8 * 2**20
 
 
+BATCH_G = [-2.0, -0.5, 0.0, 0.3, 0.7, 1.0, 1.5]
+BATCH_CLASSES = [(eps, eta, n) for eps, eta in CLASSES for n in range(3, 9)
+                 if eta == 1 or n % 2 == 0]
+
+
+def _same_bits(a, b):
+    """Equal type, dtype, shape and bytes (so -0.0 differs from 0.0 and NaN equals NaN)."""
+    return type(a) is type(b) and np.asarray(a).dtype == np.asarray(b).dtype and (
+        np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+def _same_spectrum(a, b):
+    return (_same_bits(a.eigenvalues, b.eigenvalues) and a.ground_space_dim == b.ground_space_dim
+            and type(a.ground_space_dim) is int and _same_bits(a.ground_vectors, b.ground_vectors))
+
+
+class TestBatchEqualsPoint:
+    """A stacked ring_spectrum and an array-g certify give every member the bits
+    of its own single call."""
+
+    @pytest.mark.parametrize("eps,eta,n", BATCH_CLASSES)
+    @pytest.mark.parametrize("form", ["coupling", "projector"])
+    def test_ring_spectrum(self, eps, eta, n, form):
+        h2 = np.array([bond_operator(params(eps, eta, g, n=n), form) for g in BATCH_G])
+        specs = ring_spectrum(h2, n)
+        assert len(specs) == len(BATCH_G)
+        for g, h, spec in zip(BATCH_G, h2, specs):
+            assert _same_spectrum(spec, ring_spectrum(h, n)), g
+
+    @pytest.mark.parametrize("eps,eta,n", BATCH_CLASSES)
+    def test_certify(self, eps, eta, n):
+        certs = certify(params(eps, eta, np.array(BATCH_G), n=n))
+        assert len(certs) == len(BATCH_G)
+        for g, cert in zip(BATCH_G, certs):
+            single = certify(params(eps, eta, g, n=n))
+            assert all(_same_bits(a, b) for a, b in
+                       zip(dataclasses.astuple(cert), dataclasses.astuple(single))), g
+            assert cert.degeneracy == 2
+
+    def test_certify_blocks_of_g(self, monkeypatch):
+        # one g per block gives the same certificates as one block of all g
+        p = params(1, -1, np.array(BATCH_G), n=6)
+        whole = certify(p)
+        monkeypatch.setattr(ed, "BLOCK_ENTRIES", 1)
+        assert all(_same_bits(dataclasses.astuple(a), dataclasses.astuple(b))
+                   for a, b in zip(certify(p), whole))
+
+    @pytest.mark.parametrize("field", ["eigenvalues", "ground_vectors"])
+    def test_nan_fails_only_its_member(self, monkeypatch, field):
+        h2 = np.array([bond_operator(params(g=g, n=6), "coupling") for g in BATCH_G])
+        clean = ring_spectrum(h2, 6)
+        real = ed.dense_spectrum
+
+        def spectrum(blocks):
+            spec = real(blocks)
+            value = getattr(spec, field).copy()
+            value[..., 2] = np.nan  # member 2 of the stack, in every sector
+            return dataclasses.replace(spec, **{field: value})
+
+        monkeypatch.setattr(ed, "dense_spectrum", spectrum)
+        for m, (spec, ref) in enumerate(zip(ring_spectrum(h2, 6), clean)):
+            if m == 2:
+                assert np.isnan(spec.eigenvalues[0]) and np.isnan(spec.ground_vectors).all()
+            else:
+                assert _same_spectrum(spec, ref), m
+
+    def test_failing_member_named_by_g(self, monkeypatch):
+        real = ed.dense_spectrum
+
+        def spectrum(blocks):
+            blocks = blocks.copy()
+            blocks[1, 0, -1] += 1.0  # member 1 is not Hermitian where a block has room
+            return real(blocks)
+
+        monkeypatch.setattr(ed, "dense_spectrum", spectrum)
+        with pytest.raises(ValueError, match=r"not Hermitian at batch member 1 \(g=0\.5, n=4\)"):
+            certify(params(g=np.array([0.0, 0.5, 1.0]), n=4))
+
+    def test_batched_certify_holds_no_dense_matrix(self):
+        # as test_certify_holds_no_dense_matrix, for 41 g: g goes through in blocks
+        p = params(n=10, g=np.linspace(-2.0, 2.0, 41))
+        certify(params(n=10, g=0.37))  # lazy imports and the cached sector tables
+        tracemalloc.start()
+        try:
+            certs = certify(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(certs) == 41 and min(c.degeneracy for c in certs) == 2
+        assert peak < 8 * 2**20
+
+
+class TestRelativeGroundCut:
+    @pytest.mark.parametrize("eps,eta", CLASSES)
+    def test_large_field_keeps_both_ground_vectors(self, eps, eta):
+        # at g = 1e4 the two ground eigenvalues (about -2e8) differ by ~6e-8,
+        # above an absolute 1e-8 cut but far below a relative one
+        cert = certify(params(eps, eta, g=1e4, n=4))
+        assert cert.degeneracy == 2
+        assert cert.overlap == pytest.approx(1.0, abs=1e-12)
+        assert cert.residual < 1e-6
+        assert cert.energy == cert.expected
+
+    def test_dense_spectrum_cut(self):
+        # a relative gap of 5e-9 is one ground space, 2e-8 two levels
+        for w, dim in (([-1e8, -1e8 + 0.5, 3.0], 2), ([-1e8, -1e8 + 2.0, 3.0], 1),
+                       ([0.0, 5e-9, 1.0], 2), ([0.0, 2e-8, 1.0], 1)):
+            assert dense_spectrum(np.diag(w)).ground_space_dim == dim, w
+
+
 class TestDegeneracyScan:
+    """Ground-space dimension of the projector form at N = 6, from one
+    ring_spectrum of the stacked bond terms over g."""
+
+    @staticmethod
+    def _dims(g_values):
+        h2 = np.array([bond_operator(params(n=6, g=g)) for g in g_values])
+        return [spec.ground_space_dim for spec in ring_spectrum(h2, 6)]
+
     def test_generic_g_dimension_two(self):
-        scan = ground_degeneracy_scan(params(n=6), [-0.5, 0.3, 0.5, 1.5])
-        assert all(dim == 2 for _, dim in scan)
+        assert self._dims([-0.5, 0.3, 0.5, 1.5]) == [2] * 4
 
     def test_g_zero_still_two(self):
         # phi_+ = phi_- at g=0, yet the measured ground space stays 2-dim:
         # a second zero mode replaces the collapsed product combination
-        (_, dim0), = ground_degeneracy_scan(params(n=6), [0.0])
-        assert dim0 == 2
+        assert self._dims([0.0]) == [2]
 
     def test_ghz_point(self):
-        (_, dim1), = ground_degeneracy_scan(params(n=6), [1.0])
-        assert dim1 == 2
+        assert self._dims([1.0]) == [2]
 
 
 class TestSpinFlipSector:

@@ -111,6 +111,67 @@ class TestWoottersConcurrence:
             wootters_concurrence(bad)
 
 
+WOOTTERS_G = [-2.0, -0.5, 0.0, 0.3, 0.7, 1.0, 1.5]
+PAIRS = [(1, 2), (1, 3), (2, 3), (2, 4)]
+
+
+def _same_bits(a, b):
+    return np.asarray(a).dtype == np.asarray(b).dtype and (
+        np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+class TestWoottersStack:
+    """A stack (..., 4, 4) gives every member the bits of its own call."""
+
+    @pytest.mark.parametrize("eps,eta,n", [(eps, eta, n) for eps, eta in CLASSES
+                                           for n in range(4, 9) if eta == 1 or n % 2 == 0])
+    def test_members_equal_single_calls(self, eps, eta, n):
+        rho = np.array([[pair_density(params(eps, eta, g, n), i, j) for i, j in PAIRS]
+                        for g in WOOTTERS_G])
+        res = wootters_concurrence(rho)
+        assert res.c.shape == (len(WOOTTERS_G), len(PAIRS))
+        assert res.sqrt_eigenvalues.shape == (len(WOOTTERS_G), len(PAIRS), 4)
+        for index in np.ndindex(res.c.shape):
+            single = wootters_concurrence(rho[index])
+            assert isinstance(single.c, float) and isinstance(single.sqrt_eigenvalues, tuple)
+            assert _same_bits(res.c[index], single.c), index
+            assert _same_bits(res.sqrt_eigenvalues[index], single.sqrt_eigenvalues), index
+
+    def test_random_densities(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(16, 4, 4)) + 1j * rng.normal(size=(16, 4, 4))
+        rho = a @ a.conj().swapaxes(-1, -2)
+        rho /= np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+        res = wootters_concurrence(rho)
+        for m in range(16):
+            single = wootters_concurrence(rho[m])
+            assert _same_bits(res.c[m], single.c) and _same_bits(res.sqrt_eigenvalues[m],
+                                                                  single.sqrt_eigenvalues)
+
+    def test_non_psd_member_named(self):
+        rho = np.array([np.eye(4) / 4] * 3, dtype=complex)
+        rho[1] = np.diag([1.5, -0.5, 0, 0])
+        with pytest.raises(ValueError, match=r"positive semidefinite \(-0\.5\) at batch member 1$"):
+            wootters_concurrence(rho)
+        with pytest.raises(ValueError, match=r"at batch member \(1, 0\)$"):
+            wootters_concurrence(rho[:, None])
+
+    @pytest.mark.parametrize("defect,message", [("trace", "unit trace"), ("skew", "Hermitian")])
+    def test_invalid_member_named(self, defect, message):
+        rho = np.array([np.eye(4) / 4] * 3, dtype=complex)
+        if defect == "trace":
+            rho[2] *= 2
+        else:
+            rho[2, 0, 1] = 0.1
+        with pytest.raises(ValueError, match=f"{message} at batch member 2$"):
+            wootters_concurrence(rho)
+
+    def test_single_message_unchanged(self):
+        message = r"^density matrix is not positive semidefinite \(-0\.5\)$"
+        with pytest.raises(ValueError, match=message):
+            wootters_concurrence(np.diag([1.5, -0.5, 0, 0]))
+
+
 class TestConcurrenceClosed:
     def test_ghz_point(self):
         assert concurrence_closed(1.0, 6) == 0.0
