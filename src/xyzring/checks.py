@@ -48,6 +48,7 @@ def worst_error(*errors):
 BLOCK_AMPLITUDES = 2**14  # dense amplitudes that states_over_g builds at once
 DEFAULT_SIZES = (4, 6)  # with DEFAULT_G_VALUES, the grid of verify and ed-compare without flags
 DEFAULT_G_VALUES = (-2.0, -0.5, 0.3, 0.7, 1.0, 1.5)
+_SXYZ = np.array([SX, SY, SZ])
 
 
 @dataclass
@@ -69,23 +70,22 @@ class CheckResult:
 _REGISTRY: List = []
 
 
-def _check(name, covers, reason=None, low=3, high=np.inf, regular=False):
-    """Register a check with the library functions it covers, the ring sizes
-    from low to high that its oracle reaches, and whether its closed forms
-    need g != -1 (regular).  The check runs without the other sizes (each
-    recorded as skipped for the reason given) and the singular g.  With every
-    size outside and one above high, its oracle runs nowhere: ok is None (skip)."""
+def _check(name, covers, reason=None, high=np.inf, singular=()):
+    """Register a check with the library functions it covers, the largest ring
+    size high that its oracle reaches and the g its closed forms do not take
+    (singular).  The check runs without the larger sizes (each recorded as
+    skipped for the reason given) and the singular g; with none left, ok is None (skip)."""
     names = [f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}" for fn in covers]
 
     def wrap(fn):
         def run(cfg):
-            sizes = [n for n in cfg.n_list if low <= n <= high]
+            sizes = [n for n in cfg.n_list if n <= high]
             skipped = [{"n": n, "reason": reason} for n in sorted(set(cfg.n_list) - set(sizes))]
-            if not sizes and max(cfg.n_list) > high:
-                return None, {"skipped": skipped}
             skipped += [{"g": g, "reason": "singular parameter"} for g in cfg.g_values
-                        if regular and g == -1]
-            g_values = [g for g in cfg.g_values if not (regular and g == -1)]
+                        if g in singular]
+            g_values = [g for g in cfg.g_values if g not in singular]
+            if not sizes or not g_values:
+                return None, {"skipped": skipped}
             ok, details = fn(replace(cfg, n_list=sizes, g_values=g_values))
             return ok, {**details, **({"skipped": skipped} if skipped else {})}
 
@@ -166,15 +166,22 @@ def check_transfer_spectrum(cfg):
     return worst < 1e-12, {"max_error": worst}
 
 
+def _separations(n):
+    """Every r = 2..n up to n = 1000, above that ~60 geometric r that include 2, n // 2 and n."""
+    if n <= 1000:
+        return np.arange(2, n + 1)
+    return np.unique(np.append(np.geomspace(2, n, 64).astype(int), n // 2))
+
+
 @_check("closed-form-correlators",
         [transfer_with_operator, expectation_one_point, expectation_two_point,
          observables.u_param, observables.magnetization_x, observables.correlations],
-        regular=True)
+        singular=(-1,))
 def check_closed_form_correlators(cfg):
     errs = []
     for p in _grid_classes(cfg):
         t, g, n = mps_matrices(p), p.g, p.n
-        separations = np.arange(2, n + 1)  # every r, in one contraction per operator
+        separations = _separations(n)  # in one contraction over the x, y, z stack
         if p.eta == 1:
             mx = observables.magnetization_x(p.epsilon, g, n)
             gx, gy, gz = observables.correlations(g, n)
@@ -183,18 +190,16 @@ def check_closed_form_correlators(cfg):
             u = observables.u_param(g)
             u = np.divide(1, u, out=u, where=np.abs(u) > 1)
             errs.append(np.abs(p.epsilon * u * (1 + u ** (n - 2)) / (1 + u**n) - mx))
-            # the transfer-matrix trace is cyclic, so every site gives the site-1 value
-            errs += [np.abs(expectation_one_point(t, SX, 1, n) - mx),
-                     np.abs(expectation_one_point(t, SY, 1, n)),
-                     np.abs(expectation_one_point(t, SZ, 1, n))]
+            # (mx, 0, 0) at site 1; the transfer-matrix trace is cyclic, so every site gives it
+            errs.append(np.abs(expectation_one_point(t, _SXYZ, 1, n) - np.outer(mx, [1, 0, 0])))
             # identities
             errs += [np.abs(gx + gy + gz - 1), np.abs((1 - gz) * (1 - gy) - mx * mx)]
             expected = (gx[:, None], gy[:, None], gz[:, None])
         else:
             # the eta = -1 sector through the alternating map
             expected = observables.correlations_eta_minus(g[:, None], n, separations)
-        for op, values in zip((SX, SY, SZ), expected):
-            errs.append(np.abs(expectation_two_point(t, op, op, separations, n) - values))
+        expected = np.stack(np.broadcast_arrays(*expected), axis=1)  # (g, operator, r)
+        errs.append(np.abs(expectation_two_point(t, _SXYZ, _SXYZ, separations, n) - expected))
     worst = worst_error(*errs)
     return worst < cfg.tolerance, {"max_error": worst}
 
@@ -286,14 +291,13 @@ def check_parent_hamiltonian(cfg):
 
 @_check("concurrence-agreement",
         [entanglement.pair_density, entanglement.wootters_concurrence,
-         entanglement.concurrence_closed], "pair density needs n >= 4", low=4)
+         entanglement.concurrence_closed])
 def check_concurrence(cfg):
     errs = []
     for p in _grid_classes(cfg):
-        # pair_density depends on (i, j) only through their parities: one pair per class
-        rho = np.array([[entanglement.pair_density(replace(p, g=g), i, j)
-                         for i, j in ((1, 2), (1, 3), (2, 3), (2, 4))] for g in p.g.tolist()])
-        cs = entanglement.wootters_concurrence(rho).c  # (g, pair), one stacked call
+        # every pair (1, r) is equally entangled: one pair density per (g, r)
+        cs = entanglement.wootters_concurrence(
+            entanglement.pair_density(p, 1, _separations(p.n))).c
         closed = entanglement.concurrence_closed(p.g, p.n)
         errs += [np.ptp(cs, axis=1), np.abs(cs - closed[:, None])]
     worst = worst_error(*errs)
@@ -320,9 +324,9 @@ def check_scaling(cfg):
 
 @_check("thermodynamic-limits",
         [observables.thermodynamic_magnetization, observables.thermodynamic_correlations],
-        regular=True)
+        singular=(-1, 0))  # the limits are discontinuous at g = 0
 def check_thermodynamic(cfg):
-    g = np.array([g for g in cfg.g_values if g != 0], dtype=float)
+    g = np.array(cfg.g_values, dtype=float)
     lim = observables.thermodynamic_magnetization(1, g)
     # rows n = 8, 16, 32, 64, one call each over the g grid: every error above
     # 1e-14 bounds the next one

@@ -198,22 +198,28 @@ def _contract(t, op_a, op_b, r, n):
     """tr(E_a E^{r-2} E_b E^{n-r}) / tr(E^n), with E_a and E_b the
     transfer matrices dressed with op_a and op_b, for tensors (2, 2) or a
     batch of them (..., 2, 2) and for an int r or every entry of an integer
-    array r; the result has the shape (*batch, *r.shape).
+    array r.  op_a and op_b are operators (2, 2) or stacks (..., 2, 2) whose
+    batch shapes broadcast to ops; the result has the shape
+    (*batch, *ops, *r.shape), and each member gives the bits of its own call.
 
     Every factor is divided by the spectral radius of its E, which leaves
     the ratio unchanged and keeps the powers of E finite for any n.
     """
     r, batch = np.asarray(r), np.shape(t.a0)[:-2]
+    shape_a, shape_b = np.shape(op_a)[:-2], np.shape(op_b)[:-2]
     with np.errstate(over="raise", invalid="raise"):
         t = MpsTensors(np.reshape(t.a0, (-1, 2, 2)), np.reshape(t.a1, (-1, 2, 2)))
-        dressed = transfer_with_operator(t, np.stack([SI, op_a, op_b])[:, None])
-        e, e_a, e_b = dressed / np.abs(np.linalg.eigvals(dressed[0])).max(axis=-1)[:, None, None]
+        ops = np.concatenate([SI[None], np.reshape(op_a, (-1, 2, 2)), np.reshape(op_b, (-1, 2, 2))])
+        dressed = transfer_with_operator(t, ops[:, None])
+        dressed = dressed / np.abs(np.linalg.eigvals(dressed[0])).max(axis=-1)[:, None, None]
+        e, k = dressed[0], len(ops) - np.size(op_b) // 4  # E, then E_a, then E_b
+        e_a, e_b = dressed[1:k].reshape(shape_a + e.shape), dressed[k:].reshape(shape_b + e.shape)
         total = np.linalg.matrix_power(e, n).trace(axis1=1, axis2=2)
-        values = np.empty((len(e), r.size), complex)
+        values = np.empty((*np.broadcast_shapes(shape_a, shape_b), len(e), r.size), complex)
         for m, i, powers in _powers(e, np.column_stack([r.ravel() - 2, n - r.ravel()])):
-            chain = e_a[m] @ powers[:, 0] @ e_b[m] @ powers[:, 1]
-            values[m, i] = chain.trace(axis1=1, axis2=2) / total[m]
-        return values.reshape(batch + r.shape)[()]
+            chain = e_a[..., m, :, :] @ powers[:, 0] @ e_b[..., m, :, :] @ powers[:, 1]
+            values[..., m, i] = chain.trace(axis1=-2, axis2=-1) / total[m]
+        return np.moveaxis(values, -2, 0).reshape(batch + values.shape[:-2] + r.shape)[()]
 
 
 def expectation_one_point(t, op, k, n):

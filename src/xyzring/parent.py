@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import couplings_from_params
-from .pauli import PAULI
+from .pauli import PAULI, PAULI_PAIRS
 
 DENSE_CAP = 12
 
@@ -20,7 +20,7 @@ PSI_MINUS = np.array([0, 1, -1, 0]) / np.sqrt(2)
 PHI_PLUS = np.array([1, 0, 0, 1]) / np.sqrt(2)
 PHI_MINUS = np.array([1, 0, 0, -1]) / np.sqrt(2)
 
-_PAULI_PAIRS = {a + b: np.kron(PAULI[a], PAULI[b]) for a, b in itertools.product(PAULI, repeat=2)}
+_PAULI_PAIRS = dict(zip((a + b for a in PAULI for b in PAULI), PAULI_PAIRS.reshape(-1, 4, 4)))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Pauli matrices.
+"""Pauli matrices, and PAULI_PAIRS[a, b] = s_a x s_b in the order of PAULI.
 
 Conventions: sigma_z|0> = +|0>, site 1 occupies the most significant
 bit of a computational-basis index.
@@ -12,3 +12,4 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 PAULI = {"1": SI, "x": SX, "y": SY, "z": SZ}
+PAULI_PAIRS = np.array([[np.kron(a, b) for b in PAULI.values()] for a in PAULI.values()])

@@ -51,16 +51,41 @@ class TestVerify:
         assert all(line.startswith("PASS ") for line in lines)
 
     def test_ring_of_three_passes(self, tmp_path, capsys):
-        # pair_density needs n >= 4, so concurrence-agreement records a skip
-        # for n = 3 instead of ending the run
+        # every check covers n = 3; concurrence-agreement evaluates its pairs there
         path = tmp_path / "report.jsonl"
         assert main(["verify", "--n", "3", "--output", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == len(checks._REGISTRY) + 1
         assert all(line.startswith("PASS ") for line in lines)
         records = {r["check"]: r for r in map(json.loads, path.read_text().splitlines())}
-        assert records["concurrence-agreement"]["details"]["skipped"] == [
-            {"n": 3, "reason": "pair density needs n >= 4"}]
+        assert records["concurrence-agreement"]["details"].keys() == {"max_error"}
+        assert 0 < records["concurrence-agreement"]["details"]["max_error"] < 1e-10
+
+    @pytest.mark.parametrize("argv,skipped", [
+        (["--g-min", "-1", "--g-max", "-1", "--g-steps", "1"],
+         {"closed-form-correlators", "thermodynamic-limits"}),
+        (["--g-min", "0", "--g-max", "0", "--g-steps", "1"], {"thermodynamic-limits"})])
+    def test_check_without_g_skips(self, tmp_path, capsys, argv, skipped):
+        # a check left with no g evaluates nothing, so it is a skip and fails op-coverage
+        path = tmp_path / "report.jsonl"
+        assert main(["verify", *argv, "--output", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert {line.split()[1] for line in lines if line.startswith("SKIP ")} == skipped
+        assert lines[-1] == "FAIL  op-coverage"
+        passed = sum(line.startswith("PASS ") for line in lines)
+        assert passed == len(checks._REGISTRY) - len(skipped)
+        records = {r["check"]: r for r in map(json.loads, path.read_text().splitlines())}
+        for name in skipped:
+            assert records[name]["status"] == "skip"
+            assert records[name]["details"] == {
+                "skipped": [{"g": float(argv[1]), "reason": "singular parameter"}]}
+
+    def test_sizes_the_closed_forms_claim_pass(self, capsys):
+        # above n = 1000 the separations are a geometric sample, so this stays fast
+        assert main(["verify", "--n-list", "4,6,1000,100000,1000000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(checks._REGISTRY) + 1
+        assert all(line.startswith("PASS ") for line in lines)
 
     def test_unknown_command_rejected(self):
         assert main(["bogus"]) == 2
@@ -700,7 +725,7 @@ class TestChecks:
         assert ok, details
 
     def test_each_oracle_value_computed_once(self):
-        # one pair per parity class, and one-point values at one site only
+        # one call per class, over the x, y, z stack and every separation
         cfg = VerifyConfig()
         counted = {entanglement.pair_density.__code__: 0,
                    mps.expectation_one_point.__code__: 0,
@@ -715,22 +740,27 @@ class TestChecks:
             checks.run_verify(cfg)
         finally:
             sys.setprofile(None)
-        pair_points = ring_points(cfg.g_values, [n for n in cfg.n_list if n >= 4], cfg.j)
-        # one-point values come in one batch over g per eta = +1 (eps, n) class
-        one_point = [p for p in ring_points([cfg.g_values], cfg.n_list, cfg.j) if p.eta == 1]
-        assert counted[entanglement.pair_density.__code__] <= 4 * len(pair_points)
-        assert counted[mps.expectation_one_point.__code__] == 3 * len(one_point)
-        # one batched r-sweep per operator: at most 3 two-point calls per point
-        two_point = [p for p in ring_points(cfg.g_values, cfg.n_list, cfg.j) if p.g != -1]
-        assert counted[mps.expectation_two_point.__code__] <= 3 * len(two_point)
+        classes = ring_points([cfg.g_values], cfg.n_list, cfg.j)
+        assert counted[entanglement.pair_density.__code__] == len(classes)
+        assert counted[mps.expectation_one_point.__code__] == sum(p.eta == 1 for p in classes)
+        assert counted[mps.expectation_two_point.__code__] == len(classes)
 
-    def test_one_parity_class_off_fails(self, monkeypatch):
+    @pytest.mark.parametrize("n", [4, 7, 1000, 1001, 10**5, 10**6 + 1])
+    def test_separations(self, n):
+        r = checks._separations(n)
+        assert r.dtype.kind == "i" and np.all(np.diff(r) > 0)
+        assert {2, n // 2, n} <= set(r.tolist()) and r.min() == 2 and r.max() == n
+        if n <= 1000:
+            assert np.array_equal(r, np.arange(2, n + 1))
+        else:
+            assert 50 <= len(r) <= 70
+
+    def test_one_separation_off_fails(self, monkeypatch):
         real = entanglement.pair_density
 
         def perturbed(p, i, j):
             rho = real(p, i, j)
-            if i % 2 == 0 and j % 2 == 0:
-                rho = (1 - 1e-6) * rho + 1e-6 * np.eye(4) / 4
+            rho[:, 2] = (1 - 1e-6) * rho[:, 2] + 1e-6 * np.eye(4) / 4  # the pair (1, 4)
             return rho
 
         monkeypatch.setattr(entanglement, "pair_density", perturbed)

@@ -18,6 +18,7 @@ from xyzring import (
     wootters_concurrence,
 )
 from xyzring.mps import product_term_cell
+from xyzring.pauli import SI, SX, SZ
 
 CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 G_GRID = [-1.5, -0.5, 0.3, 0.7, 1.0, 1.5]
@@ -83,6 +84,47 @@ class TestPairDensity:
     def test_rejects_equal_sites(self):
         with pytest.raises(ValueError):
             pair_density(params(), 2, 2)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_every_ordered_pair_matches_partial_trace(self, n):
+        # sites on both sides of i, n = 3 included, over a g grid in one call per site
+        g = np.array(G_GRID + [0.0, -1.0])
+        for eps, eta in CLASSES:
+            if eta == -1 and n % 2:
+                continue
+            p = params(eps, eta, g, n)
+            psi = build_state(mps_matrices(p), n)
+            for i in range(1, n + 1):
+                js = np.array([j for j in range(1, n + 1) if j != i])
+                rho = pair_density(p, i, js)
+                assert rho.shape == (len(g), n - 1, 4, 4)
+                for k, j in enumerate(js):
+                    assert np.max(np.abs(rho[:, k] - pair_density_brute(psi, i, j))) < 1e-14
+
+    @pytest.mark.parametrize("g", [0.3, 0.63])
+    def test_spin_flip_zeros_on_a_large_ring(self, g):
+        # the spin flip makes <s_z(1)> and <s_x(1) s_z(2)> vanish exactly
+        rho = pair_density(params(g=g, n=10**4), 1, 2)
+        assert np.trace(rho @ np.kron(SZ, SI)) == 0
+        assert np.trace(rho @ np.kron(SX, SZ)) == 0
+
+    @pytest.mark.parametrize("n", [4, 7, 10**3])
+    def test_arrays_of_g_and_j_match_per_point(self, n):
+        g = np.array(G_GRID)
+        js = np.array([[1, 3], [n, 4]])
+        for eps, eta in CLASSES:
+            if eta == -1 and n % 2:
+                continue
+            p = params(eps, eta, g, n)
+            rho = pair_density(p, 2, js)
+            assert rho.shape == (len(g), 2, 2, 4, 4)
+            for k, index in itertools.product(range(len(g)), np.ndindex(js.shape)):
+                one = pair_density(params(eps, eta, G_GRID[k], n), 2, int(js[index]))
+                assert rho[(k, *index)].tobytes() == one.tobytes(), (eps, eta, k, index)
+
+    def test_eta_minus_odd_ring_rejected(self):
+        with pytest.raises(ValueError, match="even n"):
+            pair_density(params(eta=-1, n=5), 1, 2)
 
 
 class TestWoottersConcurrence:

@@ -473,6 +473,37 @@ class TestBatchedOracles:
         assert expectation_two_point(t, GENERIC_A, GENERIC_B, rs, 12).tobytes() == whole.tobytes()
 
 
+class TestOperatorStacks:
+    """_contract over stacks of operators: each member equals its single-operator call."""
+
+    OPS = np.array([SI, SX, SY, SZ, GENERIC_A, GENERIC_B])
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 10, 1000, 10**5])
+    def test_members_equal_single_calls(self, n):
+        rs = np.arange(2, n + 1) if n <= 12 else np.array([2, 3, n // 2, n])
+        for p in ring_points([np.array(TestBatchedOracles.G_BATCH)], [n], 1.0):
+            t = mps_matrices(p)
+            pairs = mps._contract(t, self.OPS[:, None], self.OPS, rs, n)
+            diagonal = mps._contract(t, self.OPS, self.OPS[::-1], rs, n)
+            assert pairs.shape == (len(TestBatchedOracles.G_BATCH), 6, 6, len(rs))
+            assert diagonal.shape == (len(TestBatchedOracles.G_BATCH), 6, len(rs))
+            for a, b in itertools.product(range(6), repeat=2):
+                one = mps._contract(t, self.OPS[a], self.OPS[b], rs, n)
+                assert pairs[:, a, b].tobytes() == one.tobytes(), (p, a, b)
+                if a + b == 5:
+                    assert diagonal[:, a].tobytes() == one.tobytes(), (p, a, b)
+
+    def test_one_operator_against_a_stack(self):
+        t = mps_matrices(params(g=0.3, n=8))
+        values = mps._contract(t, SX, self.OPS, 4, 8)
+        assert values.shape == (6,)
+        assert [v.tobytes() for v in values] == [
+            np.asarray(mps._contract(t, SX, op, 4, 8)).tobytes() for op in self.OPS]
+        one_point = expectation_one_point(t, self.OPS[1:4], 3, 8)
+        assert one_point.shape == (3,)
+        assert one_point[0] == expectation_one_point(t, SX, 1, 8)
+
+
 class TestExplicitGroundState:
     def test_ghz_n3(self):
         psi = explicit_ground_state(params(g=1.0, n=3))
