@@ -200,8 +200,8 @@ def check_closed_form_correlators(cfg):
             expected = observables.correlations_eta_minus(g[:, None], n, separations)
         expected = np.stack(np.broadcast_arrays(*expected), axis=1)  # (g, operator, r)
         errs.append(np.abs(expectation_two_point(t, _SXYZ, _SXYZ, separations, n) - expected))
-    worst = worst_error(*errs)
-    return worst < cfg.tolerance, {"max_error": worst}
+    worst, counts = worst_error(*errs), {n: len(_separations(n)) for n in cfg.n_list}
+    return worst < cfg.tolerance, {"max_error": worst, "separations": counts}
 
 
 @_check("ground-state-equivalence", [build_state, explicit_ground_state],
@@ -300,8 +300,8 @@ def check_concurrence(cfg):
             entanglement.pair_density(p, 1, _separations(p.n))).c
         closed = entanglement.concurrence_closed(p.g, p.n)
         errs += [np.ptp(cs, axis=1), np.abs(cs - closed[:, None])]
-    worst = worst_error(*errs)
-    return worst < cfg.tolerance, {"max_error": worst}
+    worst, counts = worst_error(*errs), {n: len(_separations(n)) for n in cfg.n_list}
+    return worst < cfg.tolerance, {"max_error": worst, "separations": counts}
 
 
 @_check("scaling-relation", [entanglement.scaled_concurrence_curve, entanglement.scaling_limit])

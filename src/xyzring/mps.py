@@ -117,13 +117,17 @@ def build_state(t, n):
     cross-checked against tr(E^n), with E^n from np.linalg.matrix_power on
     the stack (..., 4, 4).  A member whose amplitudes vanish or whose z
     disagrees raises, and for a batch the error names the first such member.
+    |amp|^2 takes one full-size buffer, freed before real amplitudes get their
+    complex output; complex amplitudes are scaled in place.
     """
     if n > DENSE_STATE_CAP:
         raise ValueError(f"ring size {n} exceeds dense cap {DENSE_STATE_CAP}")
     if n < 3:
         raise ValueError("need at least 3 sites")
     amps = _all_amplitudes(t, n)
-    z = np.sum(np.abs(amps) ** 2, axis=-1)
+    weights = np.abs(amps)  # squared in place: z has the bits of np.abs(amps) ** 2
+    z = np.sum(np.square(weights, out=weights), axis=-1)
+    del weights
     e_n = np.linalg.matrix_power(transfer_matrix(t), n)
     # z = tr(E^n) is at most sum |(E^n)_ij|; a state that vanishes leaves
     # only rounding, ~1e-32 of that scale
@@ -137,7 +141,8 @@ def build_state(t, n):
         raise _naming(ArithmeticError(
             f"normalization mismatch: tr(E^n)={z_trace[k]} vs sum |amp|^2={z[k]}"), k)
     # a reciprocal multiply, as in numpy's complex-by-real division, keeps the bits
-    amps = (amps * (1 / np.sqrt(z))[..., None]).astype(complex, copy=False)
+    out = amps if amps.dtype == complex else np.empty(amps.shape, complex)
+    amps = np.multiply(amps, (1 / np.sqrt(z))[..., None], out=out)
     return PureState(amplitudes=amps, n=n, z=z if z.ndim else float(z))
 
 
@@ -173,18 +178,19 @@ def _powers(e, exps):
 
     Binary powering batched over the pairs: the squarings e_m^(2^j) are
     formed once, up to the top bit of max(exps), and each power is the
-    product of the squarings its set bits select, in increasing j, the
-    identity standing in (an exact multiply) where a bit is unset.  These
-    are the squarings and partial products of np.linalg.matrix_power (which
-    forms e^3 as (e e) e, not e (e e)), so overflow raises where it does, and
-    no eigendecomposition is needed, so a defective e is fine.
+    product of the squarings its set bits select, in increasing j (decreasing
+    below e^4, as matrix_power forms e^3 as (e e) e), the identity standing in
+    (an exact multiply) where a bit is unset.  So each power but an e^3 beside
+    larger ones has the bits of np.linalg.matrix_power, overflow raises where
+    it does, and no eigendecomposition is needed, so a defective e is fine.
     """
     bits = max(int(exps.max()).bit_length(), 1)
     factors = np.empty((bits + 1, *e.shape), e.dtype)  # e^(2^j) for j < bits, then 1
     factors[0], factors[bits] = e, np.eye(4)
     for j in range(1, bits):
         factors[j] = factors[j - 1] @ factors[j - 1]
-    columns, pairs, step = np.arange(bits), len(e) * len(exps), max(ROW_BLOCK // exps.shape[1], 1)
+    columns = np.arange(bits)[::-1] if bits == 2 else np.arange(bits)
+    pairs, step = len(e) * len(exps), max(ROW_BLOCK // exps.shape[1], 1)
     for start in range(0, pairs, step):
         m, i = np.divmod(np.arange(start, min(start + step, pairs)), len(exps))
         chain = factors[np.where(exps[i, :, None] >> columns & 1, columns, bits), m[:, None, None]]
@@ -203,22 +209,29 @@ def _contract(t, op_a, op_b, r, n):
     (*batch, *ops, *r.shape), and each member gives the bits of its own call.
 
     Every factor is divided by the spectral radius of its E, which leaves
-    the ratio unchanged and keeps the powers of E finite for any n.
+    the ratio unchanged and keeps the powers of E finite for any n.  E^n is
+    a third column of the one _powers call, bit for bit matrix_power(E, n);
+    a member whose tr(E^n) is 0 (eta = -1, odd n) raises ValueError.
     """
     r, batch = np.asarray(r), np.shape(t.a0)[:-2]
     shape_a, shape_b = np.shape(op_a)[:-2], np.shape(op_b)[:-2]
-    with np.errstate(over="raise", invalid="raise"):
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
         t = MpsTensors(np.reshape(t.a0, (-1, 2, 2)), np.reshape(t.a1, (-1, 2, 2)))
         ops = np.concatenate([SI[None], np.reshape(op_a, (-1, 2, 2)), np.reshape(op_b, (-1, 2, 2))])
         dressed = transfer_with_operator(t, ops[:, None])
         dressed = dressed / np.abs(np.linalg.eigvals(dressed[0])).max(axis=-1)[:, None, None]
         e, k = dressed[0], len(ops) - np.size(op_b) // 4  # E, then E_a, then E_b
         e_a, e_b = dressed[1:k].reshape(shape_a + e.shape), dressed[k:].reshape(shape_b + e.shape)
-        total = np.linalg.matrix_power(e, n).trace(axis1=1, axis2=2)
         values = np.empty((*np.broadcast_shapes(shape_a, shape_b), len(e), r.size), complex)
-        for m, i, powers in _powers(e, np.column_stack([r.ravel() - 2, n - r.ravel()])):
+        exps = np.column_stack([r.ravel() - 2, n - r.ravel(), np.full(r.size, n)])
+        for m, i, powers in _powers(e, exps):
+            total = powers[:, 2].trace(axis1=1, axis2=2)
+            vanish = total == 0  # eta = -1 on an odd ring, unless rounding leaves a residue
+            if vanish.any():
+                k = tuple(map(int, np.unravel_index(m[np.argmax(vanish)], batch)))
+                raise _naming(ValueError("tr(E^n) is 0 for these tensors"), k)
             chain = e_a[..., m, :, :] @ powers[:, 0] @ e_b[..., m, :, :] @ powers[:, 1]
-            values[..., m, i] = chain.trace(axis1=-2, axis2=-1) / total[m]
+            values[..., m, i] = chain.trace(axis1=-2, axis2=-1) / total
         return np.moveaxis(values, -2, 0).reshape(batch + values.shape[:-2] + r.shape)[()]
 
 
@@ -226,7 +239,7 @@ def expectation_one_point(t, op, k, n):
     """<O(k)> = tr(E^{k-1} E_O E^{n-k}) / tr(E^n), which by cyclicity of the
     trace is tr(E_O E^{n-1}) / tr(E^n) for every k (per member of a batch).
 
-    Overflow or an invalid value raises FloatingPointError.
+    Overflow or an invalid value raises FloatingPointError, a zero tr(E^n) ValueError.
     """
     if not 1 <= k <= n:
         raise ValueError(f"site index {k} outside 1..{n}")
@@ -237,7 +250,7 @@ def expectation_two_point(t, op_a, op_b, r, n):
     """<O_a(1) O_b(r)> = tr(E_a E^{r-2} E_b E^{n-r}) / tr(E^n), for an int r
     or an integer array r and every member of a batch, in one _contract.
 
-    Overflow or an invalid value raises FloatingPointError.
+    Overflow or an invalid value raises FloatingPointError, a zero tr(E^n) ValueError.
     """
     rs = np.asarray(r)
     outside = (rs < 2) | (rs > n)

@@ -58,7 +58,8 @@ class TestVerify:
         assert len(lines) == len(checks._REGISTRY) + 1
         assert all(line.startswith("PASS ") for line in lines)
         records = {r["check"]: r for r in map(json.loads, path.read_text().splitlines())}
-        assert records["concurrence-agreement"]["details"].keys() == {"max_error"}
+        assert records["concurrence-agreement"]["details"].keys() == {"max_error", "separations"}
+        assert records["concurrence-agreement"]["details"]["separations"] == {"3": 2}
         assert 0 < records["concurrence-agreement"]["details"]["max_error"] < 1e-10
 
     @pytest.mark.parametrize("argv,skipped", [
@@ -86,6 +87,16 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == len(checks._REGISTRY) + 1
         assert all(line.startswith("PASS ") for line in lines)
+
+    def test_details_count_the_separations(self, tmp_path, capsys):
+        # every r up to n = 1000, a geometric sample above: details record how many
+        path = tmp_path / "report.jsonl"
+        assert main(["verify", "--n-list", "4,1000,100000", "--output", str(path)]) == 0
+        records = {r["check"]: r for r in map(json.loads, path.read_text().splitlines())}
+        want = {str(n): len(checks._separations(n)) for n in (4, 1000, 100000)}
+        for name in ("closed-form-correlators", "concurrence-agreement"):
+            assert records[name]["details"]["separations"] == want, name
+        assert want["1000"] == 999 and want["100000"] < 100
 
     def test_unknown_command_rejected(self):
         assert main(["bogus"]) == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,23 @@ class TestBuildState:
         monkeypatch.setattr(mps, "transfer_matrix", lambda t: 2 * real(t))
         with pytest.raises(ArithmeticError, match="normalization mismatch"):
             build_state(mps_matrices(params(g=0.7, n=6)), 6)
+
+    @pytest.mark.parametrize("eta", [1, -1])
+    def test_one_full_size_buffer_beside_the_amplitudes(self, eta):
+        # |amp|^2 (8 B per amplitude) is the only full-size temporary: real
+        # amplitudes (8 B) plus it, then plus the complex output (16 B), or
+        # complex amplitudes (16 B) plus it, scaled in place; 1.5x the output
+        p = params(1, eta, g=0.37, n=18)
+        for build in (lambda: explicit_ground_state(p), lambda: build_state(mps_matrices(p), 18)):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                psi = build()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.6 * psi.amplitudes.nbytes
 
 
 def _stack(tensors):
@@ -353,7 +371,7 @@ class TestBatchedSeparations:
         t = mps_matrices(params(g=0.3, n=12))
         rs = np.arange(2, 13)
         whole = expectation_two_point(t, GENERIC_A, GENERIC_B, rs, 12)
-        monkeypatch.setattr(mps, "ROW_BLOCK", 4)  # 23 powers in blocks of 4, 4, ..., 3
+        monkeypatch.setattr(mps, "ROW_BLOCK", 4)  # 11 pairs of 3 powers, one pair a block
         assert np.array_equal(expectation_two_point(t, GENERIC_A, GENERIC_B, rs, 12), whole)
 
     def test_result_takes_the_shape_of_r(self):
@@ -381,6 +399,55 @@ class TestBatchedSeparations:
             expectation_two_point(t, SZ, SZ, r, 10**5)
         with pytest.raises(FloatingPointError):
             expectation_one_point(t, SZ, 1, 10**5)
+
+
+class TestTransferTrace:
+    """tr(E^n) in _contract: read from the squarings _powers forms, with the
+    bits of np.linalg.matrix_power, and refused where it vanishes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 1000, 10**5, 2**20 - 1])
+    def test_powers_have_the_bits_of_matrix_power(self, n):
+        e = transfer_matrix(mps_matrices(params(g=np.linspace(-3, 3, 61), n=10)))
+        e = e / np.abs(np.linalg.eigvals(e)).max(axis=-1)[:, None, None]
+        (_, _, powers), = mps._powers(e, np.array([[n]]))
+        assert powers[:, 0].tobytes() == np.linalg.matrix_power(e, n).tobytes()
+
+    @pytest.mark.parametrize("eta", [1, -1])
+    def test_no_separate_matrix_power(self, monkeypatch, eta):
+        t = mps_matrices(params(1, eta, g=np.array([0.3, -2.0, 1.5]), n=10))
+        rs = np.array([2, 3, 50001, 100000])
+        want = expectation_two_point(t, SX, SX, rs, 10**5)
+
+        def refuse(*args):
+            raise AssertionError("_contract called np.linalg.matrix_power")
+
+        monkeypatch.setattr(np.linalg, "matrix_power", refuse)
+        assert expectation_two_point(t, SX, SX, rs, 10**5).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("g", [-0.5, 0.0, 0.7, 1.0])
+    def test_zero_trace_raises(self, n, g):
+        # eta = -1 has no state on an odd ring; here tr(E^n) cancels to 0
+        # exactly, and the refusal comes with no warning on the way
+        t = mps_matrices(params(1, -1, g, n=n))
+        with pytest.raises(ValueError, match="^tr\\(E\\^n\\) is 0 for these tensors$"):
+            expectation_one_point(t, SX, 1, n)
+        with pytest.raises(ValueError, match="is 0"):
+            expectation_two_point(t, SX, SX, np.arange(2, n + 1), n)
+
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="tr(E^n) cancels to a rounding residue, not 0 (1.1e-16 at "
+                       "g = 0.3, n = 5), and the ratio of two residues is returned")
+    @pytest.mark.parametrize("g,n", [(0.3, 5), (-1.7, 3)])
+    def test_rounding_residue_of_a_zero_trace_raises(self, g, n):
+        with pytest.raises(ValueError):
+            expectation_one_point(mps_matrices(params(1, -1, g, n=n)), SX, 1, n)
+
+    def test_zero_trace_member_is_named(self):
+        t = _stack([mps_matrices(params(1, eta, 0.7, n=5)) for eta in (1, 1, -1, 1)])
+        with pytest.raises(ValueError, match="is 0 .* at batch member 2$") as info:
+            expectation_one_point(t, SX, 1, 5)
+        assert info.value.member == 2
 
 
 class TestBatchedOracles:
