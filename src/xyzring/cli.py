@@ -6,11 +6,13 @@ Exit codes: 0 success, 1 verification/cross-check failure, 2 invalid or refused 
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
 import sys
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +29,9 @@ CHECK_MAX_N = 10  # sweep --check builds the dense states of the rows up to this
 # sigma^x x 1, sigma^x x sigma^x, sigma^y x sigma^y, sigma^z x sigma^z on sites (1, 2):
 # their traces against the pair density are <sigma^x_1>, Gx, Gy and Gz
 CHECK_OPS = np.stack([np.kron(SX, SI), np.kron(SX, SX), np.kron(SY, SY), np.kron(SZ, SZ)])
-ROW_BLOCK = 4096  # CSV rows formatted and written at a time
+CELL_BLOCK = 8192  # CSV cells formatted and written at a time (whole rows, at least one)
+WIDE = np.longdouble  # precision of the scaled cells; were it float64, most would go to _fmt
+_E_LO, _E_HI = -330, 315  # decimal exponents of the power table, past those of any double
 
 
 def _fmt(x):
@@ -35,13 +39,110 @@ def _fmt(x):
     return f"{float(x) + 0.0:.15g}"
 
 
+class _Tables(NamedTuple):
+    """Lookup tables of _format_cells. A word is 8 bytes of text as a little-endian
+    uint64; the 16 slots of digits and point are two words, indexed [word, ...]."""
+
+    powers: np.ndarray  # [e - _E_LO]: 10^(14-e), 0 where it overflows the dtype
+    digits: np.ndarray  # [n]: the 4 digits of n < 10^4
+    first: np.ndarray  # [word, k]: the first k slots
+    after: np.ndarray  # [word, p]: the slots after place p of the point (p = 16: none)
+    point: np.ndarray  # [word, p]: the point at place p
+    prefix: np.ndarray  # [5·negative + k]: sign, then "0." and k - 1 zeros if k > 0
+    exp: np.ndarray  # [e - _E_LO]: "e+XX" or "e-XXX"
+
+
+def _words(texts):
+    """Byte strings of at most 8·k bytes as (k, len(texts)) words, 0-padded."""
+    width = -(-max(map(len, texts)) // 8) * 8
+    return np.ascontiguousarray(np.array(texts, f"S{width}").view("<u8").reshape(len(texts), -1).T)
+
+
+@functools.cache
+def _tables(wide):
+    """The tables of _format_cells with powers in the dtype wide, built on first
+    use. Each power is parsed from its decimal string, so it is correctly
+    rounded."""
+    e = range(_E_LO, _E_HI + 1)
+    with np.errstate(over="ignore"):
+        powers = np.array([f"1e{14 - k}" for k in e], dtype=wide)
+    powers[~np.isfinite(powers)] = 0
+    n = np.arange(10000, dtype=np.uint64)
+    digits = sum((n // 10**(3 - k) % 10 + ord("0")) << (8 * k) for k in range(4))
+    return _Tables(
+        powers, digits,
+        first=_words([b"\xff" * k for k in range(17)]),
+        after=_words([(bytes(k + 1) + b"\xff" * 15)[:16] for k in range(17)]),
+        point=_words([bytes(k) + b"." for k in range(16)] + [b""]),
+        prefix=_words([sign + (b"0." + b"0" * (k - 1) if k else b"")
+                       for sign in (b"", b"-") for k in range(5)])[0],
+        exp=_words([f"e{k:+03d}".encode() for k in e])[0])
+
+
+def _format_cells(cells):
+    """The text of a 2-D float64 block as CSV rows, each cell byte for byte as
+    _fmt prints it. A finite cell x != 0 is rounded to 15 digits from
+    s = |x|·10^(14-e) in WIDE, whose relative error is below 1.01·eps (one
+    correctly rounded power, one rounded product); a cell whose s lies outside
+    [1e14, 1e15) or within 2·eps·1e15 of a half-integer (exact ties among
+    them), and every nan and inf, is printed by _fmt instead. Each cell is
+    four words: sign and "0.000" prefix, 16 slots of digits and point,
+    exponent and separator; the 0 bytes between them are dropped."""
+    t = _tables(WIDE)
+    x = cells.ravel()
+    finite = np.isfinite(x)
+    a = np.where(finite & (x != 0), np.abs(x), 1.0)  # 0 is printed from 1 with the digit 1 as 0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    s = a.astype(WIDE) * t.powers[e - _E_LO]  # outside [1e14, 1e15) if log10 rounds to 10^e
+    r = np.rint(s)
+    tie_gap = 2 * np.finfo(WIDE).eps * 1e15
+    exact = finite & (s >= 1e14) & (s < 1e15) & (np.abs(s - r) < 0.5 - tie_gap)
+    m = np.where(exact, r.astype(np.int64), 10**14)  # the 15 digits
+    up = m == 10**15  # rounds up to the next decade
+    m[up] = 10**14
+    e += up
+    hi = m // 10**7
+    lo = m - hi * 10**7
+    hi_hi, lo_hi = hi // 10**4, lo // 10**4
+    d = [t.digits[hi_hi] | t.digits[hi - hi_hi * 10**4] << 32,  # digits 1-8
+         t.digits[lo_hi] >> 8 | t.digits[lo - lo_hi * 10**4] << 24]  # digits 9-15
+    # the digits up to the last that is not 0: its byte is the highest nonzero one of d ^ "0"s
+    top = [(np.frexp((w ^ np.uint64(zeros)).astype(float))[1] + 7) // 8
+           for w, zeros in zip(d, (0x3030303030303030, 0x30303030303030))]
+    kept = np.where(top[1] > 0, 8 + top[1], top[0])
+    fixed = (e >= -4) & (e < 15)
+    small = fixed & (e < 0)
+    lead = np.where(fixed & ~small, e + 1, 1)  # digits before the point
+    kept = np.maximum(kept, lead)
+    place = np.where(small | (kept <= lead), 16, lead)
+    for k in (0, 1):
+        d[k] &= t.first[k][kept]
+    d[0][x == 0] = ord("0")
+    shifted = [d[0] << 8, d[1] << 8 | d[0] >> 56]  # the digits one slot later
+    words = np.empty((len(x), 4), "<u8")
+    words[:, 0] = t.prefix[np.where(x < 0, 5, 0) + np.where(small, -e, 0)]
+    for k in (0, 1):
+        words[:, 1 + k] = (d[k] & t.first[k][place] | shifted[k] & t.after[k][place]
+                           | t.point[k][place])
+    words[:, 3] = np.where(fixed, 0, t.exp[e - _E_LO])
+    text = words.view(np.uint8)
+    for i in np.flatnonzero(~exact).tolist():
+        cell = _fmt(x[i]).encode("ascii")
+        text[i] = 0
+        text[i, :len(cell)] = np.frombuffer(cell, np.uint8)
+    text = text.reshape(*cells.shape, 32)
+    text[..., -1] = ord(",")
+    text[:, -1, -1] = ord("\n")
+    return text[text != 0].tobytes().decode("ascii")
+
+
 def _write_table(path, header, values):
     """CSV of the header names and of the rows of a 2-D value array, each cell
-    as _fmt prints it (an integral value as str prints the int), written in
-    blocks of ROW_BLOCK rows, each as soon as it is formatted."""
-    row = ",".join(["%.15g"] * values.shape[1]) + "\n"
-    blocks = (values[i:i + ROW_BLOCK] + 0.0 for i in range(0, len(values), ROW_BLOCK))
-    text = ("".join([row % tuple(cells) for cells in block.tolist()]) for block in blocks)
+    as _fmt prints it (an integral value as str prints the int), formatted by
+    _format_cells in blocks of at most CELL_BLOCK cells (whole rows, at least
+    one), each written as soon as it is formatted."""
+    step = max(CELL_BLOCK // values.shape[1], 1)
+    text = (_format_cells(values[i:i + step]) for i in range(0, len(values), step))
     _write(path, itertools.chain([",".join(header) + "\n"], text))
 
 
@@ -287,7 +388,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -314,6 +315,15 @@ class TestGridInput:
         assert message in capsys.readouterr().err
         assert not path.exists()
 
+    def test_oversized_grid_is_an_error_line(self, tmp_path, capsys):
+        # numpy refuses the 7 PiB grid before allocating any of it
+        path = tmp_path / "x.csv"
+        argv = ["sweep", "--g-min", "0", "--g-max", "1", "--g-steps", str(10**15)]
+        assert main(argv + ["--output", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not path.exists()
+
     def test_default_steps_with_range(self, tmp_path):
         code, rows, _ = run_csv(tmp_path, ["sweep", "--n", "4", "--g-min", "0",
                                            "--g-max", "1"])
@@ -386,24 +396,41 @@ class TestFigure2:
 
 
 SPECIAL_CELLS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e15, 1e16, 0.1 + 0.2]
+DECADES = np.array([float(f"1e{k}") for k in range(-323, 309)])
+# the largest double below each rounding boundary 9.999999999999995·10^k, so
+# the boundary's neighbours below and above round down and up to the decade
+BELOW_DECADES = np.nextafter([float(f"9.999999999999995e{k}") for k in range(-324, 308)], 0)
 
 
 class TestWriteTable:
-    """One format per row gives the bytes of _fmt per cell: -0 prints as 0, nan
-    and inf as Python prints them, and the ints N, epsilon, eta and degeneracy,
-    stored as floats, as str prints them."""
+    """One numpy kernel per block gives the bytes of _fmt per cell: -0 prints as
+    0, nan and inf as Python prints them, and the ints N, epsilon, eta and
+    degeneracy, stored as floats, as str prints them."""
 
     HEADER = [f"c{k}" for k in range(12)]
+    BLOCK = cli.CELL_BLOCK // len(HEADER)  # rows of 12 cells formatted at a time
 
     def expected(self, rows):
         return "".join(",".join(row) + "\n" for row in [self.HEADER]
                        + [list(map(cli._fmt, row)) for row in rows])
 
+    def assert_cells(self, tmp_path, cells, columns):
+        """cells, padded with 0 to whole rows of the given width, come out as _fmt
+        prints each; only the indices of differing lines are compared, since a
+        diff of many lines is slow to print."""
+        cells = np.concatenate([cells, np.zeros(-len(cells) % columns)]).reshape(-1, columns)
+        path = tmp_path / "t.csv"
+        cli._write_table(str(path), self.HEADER[:columns], cells)
+        got = path.read_text().splitlines()[1:]
+        want = [",".join(map(cli._fmt, row)) for row in cells.tolist()]
+        assert len(got) == len(want)
+        assert [i for i, (a, b) in enumerate(zip(got, want)) if a != b] == []
+
     def test_rows_across_a_block_boundary(self, tmp_path):
         # N, epsilon, eta and degeneracy as ints, then the special values, whose
         # order flips on the two rows either side of the boundary
-        rows = [[1024, -1, 1, 2, *SPECIAL_CELLS[::-1]] for _ in range(cli.ROW_BLOCK + 1)]
-        rows[cli.ROW_BLOCK - 1][4:] = rows[cli.ROW_BLOCK][4:] = SPECIAL_CELLS
+        rows = [[1024, -1, 1, 2, *SPECIAL_CELLS[::-1]] for _ in range(self.BLOCK + 1)]
+        rows[self.BLOCK - 1][4:] = rows[self.BLOCK][4:] = SPECIAL_CELLS
         path = tmp_path / "t.csv"
         cli._write_table(str(path), self.HEADER, np.array(rows, dtype=float))
         got, want = path.read_text().splitlines(), self.expected(rows).splitlines()
@@ -420,6 +447,63 @@ class TestWriteTable:
         assert path.read_text() == capsys.readouterr().out == want
         assert want.endswith("\n4,1,-1,3,0,nan,inf,-inf,4.94065645841247e-324,1e+15,1e+16,"
                              "0.3\n")
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(1901).integers(0, 2**64, 10**6, dtype=np.uint64)
+        self.assert_cells(tmp_path, bits.view(np.float64), 8)
+
+    def test_decades_and_their_rounding_boundaries(self, tmp_path):
+        values = np.concatenate([DECADES, BELOW_DECADES])
+        cells = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+        self.assert_cells(tmp_path, np.concatenate([cells, -cells]), 12)
+
+    def test_notation_after_rounding(self, capsys):
+        # each rounds up to the next decade, which switches its notation
+        cli._write_table(None, ["a", "b", "c"], np.array([[9.9999999999999995e-5, 1e15,
+                                                         999999999999999.9]]))
+        assert capsys.readouterr().out == "a,b,c\n0.0001,1e+15,1e+15\n"
+        assert cli._fmt(9.9999999999999995e-5) == "0.0001"
+
+    def test_exact_ties_and_extremes(self, tmp_path):
+        ties = np.random.default_rng(1902).integers(10**14, 10**15, 20000) + 0.5
+        extremes = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, np.finfo(float).max,
+                    -np.finfo(float).max, 123456789012345.5, 999999999999999.5]
+        self.assert_cells(tmp_path, np.concatenate([ties, extremes]), 12)
+
+    def test_only_nonfinite_and_undecided_cells_use_fmt(self, monkeypatch):
+        calls = []
+        fmt = cli._fmt
+        monkeypatch.setattr(cli, "_fmt", lambda x: calls.append(x) or fmt(x))
+        ties = np.arange(10**14, 10**14 + 10) + 0.5
+        cells = np.concatenate([np.linspace(-3, 3, 1000), ties, [np.nan, np.inf, -np.inf]])
+        text = cli._format_cells(cells.reshape(-1, 1))
+        assert text.splitlines() == list(map(fmt, cells))
+        assert np.array_equal(calls, np.concatenate([ties, [np.nan, np.inf, -np.inf]]),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("columns", [1, 12])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_shapes(self, tmp_path, columns, extra):
+        rng = np.random.default_rng(columns + extra)
+        n = (cli.CELL_BLOCK // columns + extra) * columns  # a block of rows, one less, one more
+        cells = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        self.assert_cells(tmp_path, cells, columns)
+        self.assert_cells(tmp_path, cells[:columns], columns)  # one row
+
+    def test_float64_precision(self, tmp_path, monkeypatch):
+        # with no wider float most cells are undecided and go through _fmt
+        monkeypatch.setattr(cli, "WIDE", np.float64)
+        cells = np.random.default_rng(3).integers(0, 2**64, 30000, dtype=np.uint64)
+        self.assert_cells(tmp_path, np.concatenate([cells.view(np.float64), DECADES,
+                                                    BELOW_DECADES]), 8)
+
+    def test_powers_are_correctly_rounded(self):
+        powers = cli._tables(cli.WIDE).powers
+        for e, p in zip(range(cli._E_LO, cli._E_HI + 1), powers):
+            if p == 0:  # beyond the range of WIDE: those cells go through _fmt
+                continue
+            error = abs(Fraction(*p.as_integer_ratio()) - Fraction(10)**(14 - e))
+            assert error <= Fraction(*np.spacing(p).as_integer_ratio()) / 2, e
 
 
 class TestEdCompare:
