@@ -225,7 +225,7 @@ def cmd_sweep(args):
     for j, n in enumerate(n_list):
         if n in checked:
             worst[j] = np.empty(len(regular))
-            p = ModelParams(epsilon=args.epsilon, g=regular, j=args.j, n=n)
+            p = ModelParams(epsilon=args.epsilon, g=regular, n=n)
             for rows, psi in states_over_g(p):
                 rho = ed.pair_density_brute(psi, 1, 2)
                 values = (CHECK_OPS @ rho[..., None, :, :]).trace(axis1=-2, axis2=-1).real
@@ -347,7 +347,7 @@ COMMANDS = {
     "verify": (cmd_verify, "run all invariant and oracle checks",
                ("--j", "--tolerance")),
     "sweep": (cmd_sweep, "closed-form observables over a (g, N) grid as CSV",
-              ("--epsilon", "--j", "--tolerance", "--check")),
+              ("--epsilon", "--tolerance", "--check")),
     "figure1": (cmd_figure1, "scaled concurrence curves and their limit as CSV", ()),
     "figure2": (cmd_figure2, "finite-N and limiting magnetization as CSV", ("--epsilon",)),
     "ed-compare": (cmd_ed_compare, "exact-diagonalization comparison table",

@@ -165,41 +165,6 @@ def transfer_with_operator(t, op):
     return e.reshape(*e.shape[:-4], 4, 4)  # row (a, b), column (c, d), as in np.kron
 
 
-# powers that _powers forms at once, over members and exponents together; each
-# holds its log2(k) factors meanwhile, 4096 x 17 x 256 B = 18 MB at k ~ 1e5
-ROW_BLOCK = 4096
-
-
-def _powers(e, exps):
-    """e_m^k for every member e_m of the stack e (M, 4, 4) and every row k of
-    the integer array exps (K, c), in blocks of at most ROW_BLOCK powers:
-    yields (m, i, powers), powers (len(m), c, 4, 4) the rows i of exps on
-    the members m, over the M K pairs (m, i) in m-major order.
-
-    Binary powering batched over the pairs: the squarings e_m^(2^j) are
-    formed once, up to the top bit of max(exps), and each power is the
-    product of the squarings its set bits select, in increasing j (decreasing
-    below e^4, as matrix_power forms e^3 as (e e) e), the identity standing in
-    (an exact multiply) where a bit is unset.  So each power but an e^3 beside
-    larger ones has the bits of np.linalg.matrix_power, overflow raises where
-    it does, and no eigendecomposition is needed, so a defective e is fine.
-    """
-    bits = max(int(exps.max()).bit_length(), 1)
-    factors = np.empty((bits + 1, *e.shape), e.dtype)  # e^(2^j) for j < bits, then 1
-    factors[0], factors[bits] = e, np.eye(4)
-    for j in range(1, bits):
-        factors[j] = factors[j - 1] @ factors[j - 1]
-    columns = np.arange(bits)[::-1] if bits == 2 else np.arange(bits)
-    pairs, step = len(e) * len(exps), max(ROW_BLOCK // exps.shape[1], 1)
-    for start in range(0, pairs, step):
-        m, i = np.divmod(np.arange(start, min(start + step, pairs)), len(exps))
-        chain = factors[np.where(exps[i, :, None] >> columns & 1, columns, bits), m[:, None, None]]
-        product = chain[..., 0, :, :]
-        for j in range(1, bits):
-            product = product @ chain[..., j, :, :]
-        yield m, i, product
-
-
 def _contract(t, op_a, op_b, r, n):
     """tr(E_a E^{r-2} E_b E^{n-r}) / tr(E^n), with E_a and E_b the
     transfer matrices dressed with op_a and op_b, for tensors (2, 2) or a
@@ -209,9 +174,10 @@ def _contract(t, op_a, op_b, r, n):
     (*batch, *ops, *r.shape), and each member gives the bits of its own call.
 
     Every factor is divided by the spectral radius of its E, which leaves
-    the ratio unchanged and keeps the powers of E finite for any n.  E^n is
-    a third column of the one _powers call, bit for bit matrix_power(E, n);
-    a member whose tr(E^n) is 0 (eta = -1, odd n) raises ValueError.
+    the ratio unchanged and keeps the powers of E finite for any n.  Every
+    power is one np.linalg.matrix_power on the stack of members: E^n once,
+    and each distinct exponent among r - 2 and n - r once per call.  A
+    member whose tr(E^n) is 0 (eta = -1, odd n) raises ValueError.
     """
     r, batch = np.asarray(r), np.shape(t.a0)[:-2]
     shape_a, shape_b = np.shape(op_a)[:-2], np.shape(op_b)[:-2]
@@ -222,16 +188,15 @@ def _contract(t, op_a, op_b, r, n):
         dressed = dressed / np.abs(np.linalg.eigvals(dressed[0])).max(axis=-1)[:, None, None]
         e, k = dressed[0], len(ops) - np.size(op_b) // 4  # E, then E_a, then E_b
         e_a, e_b = dressed[1:k].reshape(shape_a + e.shape), dressed[k:].reshape(shape_b + e.shape)
+        total = np.linalg.matrix_power(e, n).trace(axis1=1, axis2=2)
+        vanish = (total == 0).reshape(batch)
+        if vanish.any():  # eta = -1 on an odd ring, unless rounding leaves a residue
+            raise _naming(ValueError("tr(E^n) is 0 for these tensors"), _first(vanish))
+        powers = {x: np.linalg.matrix_power(e, x) for x in set(np.ravel([r - 2, n - r]).tolist())}
         values = np.empty((*np.broadcast_shapes(shape_a, shape_b), len(e), r.size), complex)
-        exps = np.column_stack([r.ravel() - 2, n - r.ravel(), np.full(r.size, n)])
-        for m, i, powers in _powers(e, exps):
-            total = powers[:, 2].trace(axis1=1, axis2=2)
-            vanish = total == 0  # eta = -1 on an odd ring, unless rounding leaves a residue
-            if vanish.any():
-                k = tuple(map(int, np.unravel_index(m[np.argmax(vanish)], batch)))
-                raise _naming(ValueError("tr(E^n) is 0 for these tensors"), k)
-            chain = e_a[..., m, :, :] @ powers[:, 0] @ e_b[..., m, :, :] @ powers[:, 1]
-            values[..., m, i] = chain.trace(axis1=-2, axis2=-1) / total
+        for i, x in enumerate(r.flat):
+            chain = e_a @ powers[x - 2] @ e_b @ powers[n - x]
+            values[..., i] = chain.trace(axis1=-2, axis2=-1) / total
         return np.moveaxis(values, -2, 0).reshape(batch + values.shape[:-2] + r.shape)[()]
 
 

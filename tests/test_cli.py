@@ -14,6 +14,7 @@ from xyzring.checks import VerifyConfig
 from xyzring.cli import COMMANDS, main
 from xyzring.model import ModelParams, mps_matrices, ring_points
 from xyzring.mps import build_state
+from xyzring.observables import SingularParameterError
 from xyzring.parent import constant_shift
 
 
@@ -146,6 +147,18 @@ class TestVerify:
         assert main(["verify"]) == 2
         assert capsys.readouterr().err == "error: overflow encountered in matmul\n"
 
+    def test_singular_parameter_error_is_an_error_line(self, monkeypatch, capsys):
+        # the singular g are dropped before any closed form sees them, so one
+        # that reaches a check is a defect, not a skip
+        def singular(cfg):
+            raise SingularParameterError("u(g) is singular at g = -1")
+
+        registry = [(name, covers, singular if name == "closed-form-correlators" else fn)
+                    for name, covers, fn in checks._REGISTRY]
+        monkeypatch.setattr(checks, "_REGISTRY", registry)
+        assert main(["verify"]) == 2
+        assert capsys.readouterr().err == "error: u(g) is singular at g = -1\n"
+
 
 class TestSweep:
     def test_golden_row(self, tmp_path):
@@ -238,6 +251,7 @@ UNREAD_FLAGS = [
     (["ed-compare", "--epsilon", "-1"], "--epsilon"),
     (["verify", "--eta", "-1", "--n", "5"], "--eta"),
     (["sweep", "--eta", "-1"], "--eta"),
+    (["sweep", "--j", "1"], "--j"),
 ] + [([cmd, "--workers", "2"], "--workers") for cmd in COMMANDS]
 
 
@@ -258,7 +272,6 @@ BAD_FLOATS = [
     (["figure2"], "--g-min", "nan"),
     (["sweep", "--n", "4"], "--g-max", "-inf"),
     (["figure1"], "--g-max", "nan"),
-    (["sweep", "--n", "4"], "--j", "inf"),
     (["verify"], "--j", "nan"),
     (["ed-compare"], "--j", "-inf"),
     (["sweep", "--n", "4"], "--tolerance", "nan"),

@@ -365,14 +365,7 @@ class TestBatchedSeparations:
             batch = mps._contract(t, GENERIC_A, GENERIC_B, rs, n)
             scalar = [mps._contract(t, GENERIC_A, GENERIC_B, int(r), n) for r in rs]
             assert batch.shape == rs.shape
-            assert np.max(np.abs(batch - scalar)) <= 1e-15, p
-
-    def test_row_blocks(self, monkeypatch):
-        t = mps_matrices(params(g=0.3, n=12))
-        rs = np.arange(2, 13)
-        whole = expectation_two_point(t, GENERIC_A, GENERIC_B, rs, 12)
-        monkeypatch.setattr(mps, "ROW_BLOCK", 4)  # 11 pairs of 3 powers, one pair a block
-        assert np.array_equal(expectation_two_point(t, GENERIC_A, GENERIC_B, rs, 12), whole)
+            assert batch.tobytes() == np.array(scalar).tobytes(), p
 
     def test_result_takes_the_shape_of_r(self):
         t = mps_matrices(params(g=0.3, n=8))
@@ -400,29 +393,57 @@ class TestBatchedSeparations:
         with pytest.raises(FloatingPointError):
             expectation_one_point(t, SZ, 1, 10**5)
 
+    def test_many_separations_hold_one_power_per_exponent(self):
+        # 41 members x 999 distinct exponents of E, 10.5 MB, and no more
+        t = mps_matrices(params(g=np.linspace(-3, 3, 41), n=10))
+        sigma = np.array([SX, SY, SZ])
+        tracemalloc.start()
+        try:
+            expectation_two_point(t, sigma, sigma, np.arange(2, 1001), 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
 
 class TestTransferTrace:
-    """tr(E^n) in _contract: read from the squarings _powers forms, with the
-    bits of np.linalg.matrix_power, and refused where it vanishes."""
+    """The powers of E in _contract: each one np.linalg.matrix_power on the
+    stack of members, E^n once per call, and tr(E^n) refused where it vanishes."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 1000, 10**5, 2**20 - 1])
-    def test_powers_have_the_bits_of_matrix_power(self, n):
-        e = transfer_matrix(mps_matrices(params(g=np.linspace(-3, 3, 61), n=10)))
-        e = e / np.abs(np.linalg.eigvals(e)).max(axis=-1)[:, None, None]
-        (_, _, powers), = mps._powers(e, np.array([[n]]))
-        assert powers[:, 0].tobytes() == np.linalg.matrix_power(e, n).tobytes()
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 1000, 10**5])
+    def test_reference_bits(self, n):
+        # r - 2 = 3 and n - r = 3 where the ring has them, by an r array and by int r
+        mp = np.linalg.matrix_power
+        rs = np.unique(np.clip([2, 5, n // 2 + 1, n - 3, n], 2, n))
+        for p in ring_points([np.array(TestBatchedOracles.G_BATCH)], [n], 1.0):
+            t = mps_matrices(p)
+            e, e_a, e_b = (transfer_with_operator(t, op) for op in (SI, GENERIC_A, GENERIC_B))
+            rho = np.abs(np.linalg.eigvals(e)).max(axis=-1)[:, None, None]
+            e, e_a, e_b = e / rho, e_a / rho, e_b / rho
+            total = np.trace(mp(e, n), axis1=1, axis2=2)
+            want = np.stack([np.trace(e_a @ mp(e, r - 2) @ e_b @ mp(e, n - r), axis1=1, axis2=2)
+                             / total for r in rs], axis=-1)
+            assert mps._contract(t, GENERIC_A, GENERIC_B, rs, n).tobytes() == want.tobytes(), p
+            for k, r in enumerate(rs):
+                one = mps._contract(t, GENERIC_A, GENERIC_B, int(r), n)
+                assert one.tobytes() == want[:, k].tobytes(), (p, r)
 
-    @pytest.mark.parametrize("eta", [1, -1])
-    def test_no_separate_matrix_power(self, monkeypatch, eta):
-        t = mps_matrices(params(1, eta, g=np.array([0.3, -2.0, 1.5]), n=10))
-        rs = np.array([2, 3, 50001, 100000])
-        want = expectation_two_point(t, SX, SX, rs, 10**5)
+    @pytest.mark.parametrize("g", [[0.3], np.linspace(-2, 2, 6)], ids=["1g", "6g"])
+    def test_one_matrix_power_per_distinct_exponent(self, monkeypatch, g):
+        calls, power = [], np.linalg.matrix_power
 
-        def refuse(*args):
-            raise AssertionError("_contract called np.linalg.matrix_power")
+        def counted(a, k):
+            calls.append(k)
+            return power(a, k)
 
-        monkeypatch.setattr(np.linalg, "matrix_power", refuse)
-        assert expectation_two_point(t, SX, SX, rs, 10**5).tobytes() == want.tobytes()
+        monkeypatch.setattr(np.linalg, "matrix_power", counted)
+        t = mps_matrices(params(g=np.array(g), n=10))
+        expectation_two_point(t, SX, SX, np.arange(2, 1001), 1000)
+        assert sorted(calls) == [*range(999), 1000]
+        for r, count in [(7, 3), (501, 2)]:  # r - 2 = n - r = 499 at r = 501
+            calls.clear()
+            expectation_two_point(t, SX, SX, r, 1000)
+            assert len(calls) == count, r
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("g", [-0.5, 0.0, 0.7, 1.0])
@@ -509,35 +530,6 @@ class TestBatchedOracles:
                 one = mps.product_term_cell(q)
                 for term, term_one in zip(cell, one):
                     assert [v[k].tobytes() for v in term] == [v.tobytes() for v in term_one]
-
-    def test_powers_hold_at_most_a_row_block(self, monkeypatch):
-        # 3 members x 11 separations x 2 powers: 66 powers in blocks of 2 pairs
-        t = mps_matrices(params(g=np.array([0.3, -2.0, 1.5]), n=12))
-        e = transfer_matrix(t)
-        rs = np.arange(2, 13)
-        exps = np.column_stack([rs - 2, 12 - rs])
-        whole = list(mps._powers(e, exps))
-        assert len(whole) == 1
-        monkeypatch.setattr(mps, "ROW_BLOCK", 5)
-        blocks = list(mps._powers(e, exps))
-        assert all(powers.shape[:2] == (len(m), 2) and powers[..., 0, 0].size <= 5
-                   for m, _, powers in blocks)
-        assert len(blocks) == 17  # 33 pairs, member-major
-        assert np.concatenate([m for m, _, _ in blocks]).tolist() == [0] * 11 + [1] * 11 + [2] * 11
-        assert np.concatenate([i for _, i, _ in blocks]).tolist() == list(range(11)) * 3
-        joined = np.concatenate([powers for _, _, powers in blocks])
-        assert joined.tobytes() == whole[0][2].tobytes()
-        for m, i, powers in blocks:
-            for k in range(len(m)):
-                want = [np.linalg.matrix_power(e[m[k]], x) for x in exps[i[k]]]
-                assert np.allclose(powers[k], want, rtol=1e-13, atol=0)
-
-    def test_contraction_blocks_give_the_same_bits(self, monkeypatch):
-        t = mps_matrices(params(g=np.array([0.3, -2.0, 1.5, 0.0]), n=12))
-        rs = np.arange(2, 13)
-        whole = expectation_two_point(t, GENERIC_A, GENERIC_B, rs, 12)
-        monkeypatch.setattr(mps, "ROW_BLOCK", 3)  # one pair of powers at a time
-        assert expectation_two_point(t, GENERIC_A, GENERIC_B, rs, 12).tobytes() == whole.tobytes()
 
 
 class TestOperatorStacks:
