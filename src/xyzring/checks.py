@@ -169,7 +169,8 @@ def _separations(n):
     """Every r = 2..n up to n = 1000, above that ~60 geometric r that include 2, n // 2 and n."""
     if n <= 1000:
         return np.arange(2, n + 1)
-    return np.unique(np.append(np.geomspace(2, n, 64).astype(int), n // 2))
+    r = np.sort(np.append(np.geomspace(2, n, 64).astype(int), n // 2))
+    return r[np.append(True, r[1:] != r[:-1])]  # np.unique would import numpy.ma
 
 
 @_check("closed-form-correlators",
@@ -206,8 +207,12 @@ def check_closed_form_correlators(cfg):
 @_check("ground-state-equivalence", [build_state, explicit_ground_state],
         f"dense state needs n <= {mps.DENSE_STATE_CAP}", high=mps.DENSE_STATE_CAP)
 def check_ground_state_equivalence(cfg):
-    ovs = [np.abs(overlap(psi, explicit_ground_state(replace(p, g=p.g[rows]))))
-           for p in _grid_classes(cfg) for rows, psi in states_over_g(p)]
+    ovs = []
+    for p in _grid_classes(cfg):
+        for rows, psi in states_over_g(p):
+            with mps._naming_g(p.g[rows], p.n):
+                chi = explicit_ground_state(replace(p, g=p.g[rows]))
+            ovs.append(np.abs(overlap(psi, chi)))
     worst = float(np.min(np.hstack([1.0, *ovs])))  # NaN when any overlap is NaN
     return worst > 1 - 1e-10, {"min_overlap": worst}
 

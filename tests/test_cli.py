@@ -139,6 +139,14 @@ class TestVerify:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: normalization mismatch")
 
+    def test_explicit_state_error_names_g_and_n(self, capsys):
+        # the explicit amplitudes at |g| = 1e8 trip the tr(E^n) cross-check
+        # (ROADMAP item 6); the error names the point it failed at
+        assert main(["verify", "--n", "3", "--g-min=-1e8", "--g-max=-1e8", "--g-steps", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: normalization mismatch")
+        assert err[0].endswith("(g=-100000000.0, n=3)")
+
     def test_floating_point_error_is_an_error_line(self, monkeypatch, capsys):
         def overflow(*args):
             raise FloatingPointError("overflow encountered in matmul")
@@ -862,6 +870,12 @@ class TestChecks:
             assert np.array_equal(r, np.arange(2, n + 1))
         else:
             assert 50 <= len(r) <= 70
+
+    @pytest.mark.parametrize("n", [1001, 1024, 4097, 10**5, 10**6, 10**9])
+    def test_separations_are_the_unique_geometric_r(self, n):
+        r = checks._separations(n)
+        want = np.unique(np.append(np.geomspace(2, n, 64).astype(int), n // 2))
+        assert r.dtype == want.dtype and np.array_equal(r, want)
 
     def test_one_separation_off_fails(self, monkeypatch):
         real = entanglement.pair_density

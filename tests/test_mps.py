@@ -118,6 +118,19 @@ class TestBuildState:
         z = np.trace(np.linalg.matrix_power(e, n)).real
         assert psi.z == pytest.approx(z, rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_z_is_the_squared_norm_of_the_amplitudes(self, n):
+        # z is an inner product over the float64 view; against sum |amp|^2
+        real = [mps_matrices(params(eps, eta, np.array(G_GRID), n=n))
+                for eps, eta in CLASSES if eta == 1 or n % 2 == 0]
+        generic = _stack([general_mps_matrices(0.3 + 0.2j, g, -0.7j, 0.4 - 0.5j, epsilon=-1)
+                          for g in G_GRID])
+        for batch in (*real, generic):
+            want = np.sum(np.abs(mps._all_amplitudes(batch, n)) ** 2, axis=-1)
+            assert build_state(batch, n).z == pytest.approx(want, rel=1e-12, abs=0)
+            for k, t in enumerate(zip(batch.a0, batch.a1)):
+                assert build_state(MpsTensors(*t), n).z == pytest.approx(want[k], rel=1e-12, abs=0)
+
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             build_state(mps_matrices(params(n=21)), 21)
@@ -159,11 +172,13 @@ class TestBuildState:
 
     @pytest.mark.parametrize("eta", [1, -1])
     def test_one_full_size_buffer_beside_the_amplitudes(self, eta):
-        # |amp|^2 (8 B per amplitude) is the only full-size temporary: real
-        # amplitudes (8 B) plus it, then plus the complex output (16 B), or
-        # complex amplitudes (16 B) plus it, scaled in place; 1.5x the output
+        # z is an inner product, so no |amp|^2 buffer is made: complex
+        # amplitudes (16 B per amplitude) are normalized in place, 1.0x the
+        # output; real amplitudes (8 B) are scaled into the complex output
+        # (16 B), the one extra full-size buffer, 1.5x
         p = params(1, eta, g=0.37, n=18)
-        for build in (lambda: explicit_ground_state(p), lambda: build_state(mps_matrices(p), 18)):
+        for build, bound in ((lambda: explicit_ground_state(p), 1.1),
+                             (lambda: build_state(mps_matrices(p), 18), 1.6)):
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
@@ -172,7 +187,7 @@ class TestBuildState:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert peak < 1.6 * psi.amplitudes.nbytes
+            assert peak < bound * psi.amplitudes.nbytes
 
 
 def _stack(tensors):
