@@ -63,7 +63,6 @@ from .ed import (
     certify,
     dense_spectrum,
     ground_membership,
-    pair_density_brute,
     ring_spectrum,
 )
 

@@ -2,7 +2,7 @@
 
 Every check certifies a closed form or an invariant against an
 independent oracle (dense state construction, exact diagonalization or
-brute-force partial traces) and declares which library functions it
+transfer-matrix contraction) and declares which library functions it
 exercises. Op-coverage passes when every function that some check covers
 is covered by a check that was not skipped.
 """

@@ -16,19 +16,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import ed, observables, parent
-from .checks import (DEFAULT_G_VALUES, DEFAULT_SIZES, VerifyConfig, run_verify, states_over_g,
-                     worst_error)
+from . import ed, mps, observables, parent
+from .checks import DEFAULT_G_VALUES, DEFAULT_SIZES, VerifyConfig, run_verify, worst_error
 from .entanglement import concurrence_closed, scaling_limit
-from .model import ModelParams, ring_points
+from .model import ModelParams, mps_matrices, ring_points
+from .mps import expectation_two_point
 from .pauli import SI, SX, SY, SZ
 
 FIGURE1_SIZES = [6, 7, 8, 9, 10, 20, 30, 40, 50]
 DEFAULT_G_STEPS = 41
-CHECK_MAX_N = 10  # sweep --check builds the dense states of the rows up to this size
-# sigma^x x 1, sigma^x x sigma^x, sigma^y x sigma^y, sigma^z x sigma^z on sites (1, 2):
-# their traces against the pair density are <sigma^x_1>, Gx, Gy and Gz
-CHECK_OPS = np.stack([np.kron(SX, SI), np.kron(SX, SX), np.kron(SY, SY), np.kron(SZ, SZ)])
+# operators on sites 1 and 2 whose pair expectations are <sigma^x_1>, Gx, Gy and Gz
+CHECK_A, CHECK_B = np.array([SX, SX, SY, SZ]), np.array([SI, SX, SY, SZ])
 CELL_BLOCK = 8192  # CSV cells formatted and written at a time (whole rows, at least one)
 WIDE = np.longdouble  # precision of the scaled cells; were it float64, most would go to _fmt
 _E_LO, _E_HI = -330, 315  # decimal exponents of the power table, past those of any double
@@ -208,37 +206,29 @@ def cmd_verify(args):
 def cmd_sweep(args):
     g_values = _g_grid(args, np.linspace(0.0, 2.0, 41))
     n_list = args.n_list or [8]
-    unchecked = sorted({n for n in n_list if n > CHECK_MAX_N})
-    if args.check and unchecked:
-        print(f"warning: --check skips rings above n={CHECK_MAX_N} "
-              f"(unchecked n={','.join(map(str, unchecked))})", file=sys.stderr)
     g = np.array(g_values)
     singular = g == -1
     regular = g[~singular]
     table = np.empty((len(regular), len(n_list), 8))  # rows g outer, n inner
+    worst = np.empty((len(regular), len(n_list))) if args.check else None  # --check errors per cell
     for j, n in enumerate(n_list):
         r = observables.observable_record(args.epsilon, regular, n)
         columns = np.broadcast_arrays(r.g, r.n, r.u, r.mx, r.gx, r.gy, r.gz, r.c)
         table[:, j] = np.column_stack(columns)
-    checked = {n for n in n_list if n <= CHECK_MAX_N} if args.check else set()
-    worst = {}  # per checked column j, the worst error of each regular row
-    for j, n in enumerate(n_list):
-        if n in checked:
-            worst[j] = np.empty(len(regular))
-            p = ModelParams(epsilon=args.epsilon, g=regular, n=n)
-            for rows, psi in states_over_g(p):
-                rho = ed.pair_density_brute(psi, 1, 2)
-                values = (CHECK_OPS @ rho[..., None, :, :]).trace(axis1=-2, axis2=-1).real
-                worst[j][rows] = np.max(np.abs(values - table[rows, j, 3:7]), axis=-1)
+        if args.check:
+            t = mps_matrices(ModelParams(epsilon=args.epsilon, g=regular, n=n))
+            with mps._naming_g(regular, n):
+                values = expectation_two_point(t, CHECK_A, CHECK_B, 2, n).real
+            worst[:, j] = np.max(np.abs(values - table[:, j, 3:7]), axis=-1)
     index = np.cumsum(~singular) - 1  # of each g among the regular ones
     # in row order, before the output is opened
-    for i in (range(len(g)) if checked else np.flatnonzero(singular)):
+    for i in (range(len(g)) if args.check else np.flatnonzero(singular)):
         for j, n in enumerate(n_list):
             if singular[i]:
                 print(f"warning: skipping singular point g=-1 (n={n})", file=sys.stderr)
-            elif j in worst and not worst[j][index[i]] <= args.tolerance:
+            elif not worst[index[i], j] <= args.tolerance:
                 print(f"error: cross-check failed at g={g_values[i]}, n={n}: "
-                      f"max error {worst[j][index[i]]}", file=sys.stderr)
+                      f"max error {worst[index[i], j]}", file=sys.stderr)
                 return 1
     _write_table(args.output, ["g", "N", "u", "mx", "Gx", "Gy", "Gz", "C"], table.reshape(-1, 8))
     return 0
@@ -340,7 +330,7 @@ FLAGS = {
                 help="non-negative coupling weight (default 1)"),
     "--tolerance": dict(type=_float_flag("finite and positive", lambda v: v > 0), default=1e-10),
     "--check": dict(action="store_true",
-                    help=f"cross-check each row against a dense state (N <= {CHECK_MAX_N})"),
+                    help="cross-check each row against the transfer-matrix correlators"),
 }
 
 COMMANDS = {

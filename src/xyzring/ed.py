@@ -229,13 +229,3 @@ def certify(p):
                 float(np.max(np.abs(h - bond_operator(q, "projector") + c0 * np.eye(4))))))
     return certs if gs.ndim else certs[0]
 
-
-def pair_density_brute(psi, i, j):
-    """Partial-trace oracle for the reduced state of sites (i, j): a 4x4
-    density for one state, and the stack (..., 4, 4) of the members' densities
-    for a batch (amplitudes (..., 2^n))."""
-    batch = psi.amplitudes.shape[:-1]
-    t = psi.amplitudes.reshape(*batch, *[2] * psi.n)
-    b = len(batch)
-    t = np.moveaxis(t, [b + i - 1, b + j - 1], [b, b + 1]).reshape(*batch, 4, -1)
-    return t @ t.conj().swapaxes(-1, -2)

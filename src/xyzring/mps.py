@@ -174,19 +174,28 @@ def _contract(t, op_a, op_b, r, n):
     batch shapes broadcast to ops; the result has the shape
     (*batch, *ops, *r.shape), and each member gives the bits of its own call.
 
-    Every factor is divided by the spectral radius of its E, which leaves
-    the ratio unchanged and keeps the powers of E finite for any n.  Every
-    power is one np.linalg.matrix_power on the stack of members: E^n once,
-    and each distinct exponent among r - 2 and n - r once per call.  A
-    member whose tr(E^n) is 0 (eta = -1, odd n) raises ValueError.
+    Each distinct operator is dressed once.  Every factor is divided by the
+    spectral radius of its E, which leaves the ratio unchanged and keeps the
+    powers of E finite for any n.  Every power is one np.linalg.matrix_power
+    on the stack of members: E^n once, and each distinct exponent among
+    r - 2 and n - r once per call.  A member whose dressed matrices overflow
+    raises FloatingPointError, one whose tr(E^n) is 0 (eta = -1, odd n)
+    ValueError.
     """
     r, batch = np.asarray(r), np.shape(t.a0)[:-2]
     shape_a, shape_b = np.shape(op_a)[:-2], np.shape(op_b)[:-2]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         t = MpsTensors(np.reshape(t.a0, (-1, 2, 2)), np.reshape(t.a1, (-1, 2, 2)))
         ops = np.concatenate([SI[None], np.reshape(op_a, (-1, 2, 2)), np.reshape(op_b, (-1, 2, 2))])
-        dressed = transfer_with_operator(t, ops[:, None])
+        keys = [o.tobytes() for o in ops]
+        slot = {key: s for s, key in enumerate(dict.fromkeys(keys))}  # 1, so E, in slot 0
+        dressed = transfer_with_operator(t, ops[[keys.index(key) for key in slot]][:, None])
+        overflow = ~np.isfinite(dressed).all(axis=(0, 2, 3)).reshape(batch)
+        if overflow.any():  # einsum ignores np.errstate
+            raise _naming(FloatingPointError("overflow in the dressed transfer matrices"),
+                          _first(overflow))
         dressed = dressed / np.abs(np.linalg.eigvals(dressed[0])).max(axis=-1)[:, None, None]
+        dressed = dressed[[slot[key] for key in keys]]
         e, k = dressed[0], len(ops) - np.size(op_b) // 4  # E, then E_a, then E_b
         e_a, e_b = dressed[1:k].reshape(shape_a + e.shape), dressed[k:].reshape(shape_b + e.shape)
         total = np.linalg.matrix_power(e, n).trace(axis1=1, axis2=2)

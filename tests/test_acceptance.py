@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from dense_ref import op_on_sites
+from dense_ref import op_on_sites, pair_density_brute
 from xyzring import (
     ModelParams,
     build_state,
@@ -33,7 +33,6 @@ from xyzring import (
     null_space_k2,
     overlap,
     pair_density,
-    pair_density_brute,
     pauli_decompose,
     ring_apply,
     scaled_concurrence_curve,

@@ -12,8 +12,7 @@ import pytest
 from xyzring import checks, cli, ed, entanglement, mps
 from xyzring.checks import VerifyConfig
 from xyzring.cli import COMMANDS, main
-from xyzring.model import ModelParams, mps_matrices, ring_points
-from xyzring.mps import build_state
+from xyzring.model import ModelParams, ring_points
 from xyzring.observables import SingularParameterError
 from xyzring.parent import constant_shift
 
@@ -230,16 +229,42 @@ class TestSweep:
         )
         assert b"-0," not in raw and not raw.endswith(b"-0\n")
 
-    def test_check_warns_about_unchecked_sizes(self, tmp_path, capsys):
-        argv = ["sweep", "--n-list", "4,64,12", "--g-min", "0.3", "--g-max", "0.3",
+    def test_check_covers_every_size(self, tmp_path, capsys, monkeypatch):
+        argv = ["sweep", "--n-list", "4,64,12,1000000", "--g-min", "0.3", "--g-max", "0.3",
                 "--g-steps", "1"]
         _, _, plain = run_csv(tmp_path, argv, "plain.csv")
-        assert capsys.readouterr().err == ""
         code, rows, checked = run_csv(tmp_path, argv + ["--check"], "checked.csv")
-        assert code == 0 and len(rows) == 3
+        assert code == 0 and len(rows) == 4
         assert checked == plain
-        (warning,) = capsys.readouterr().err.splitlines()
-        assert warning.startswith("warning: --check") and "n=12,64" in warning
+        assert capsys.readouterr().err == ""
+        real = cli.expectation_two_point
+        monkeypatch.setattr(cli, "expectation_two_point", lambda t, a, b, r, n: real(
+            t, a, b, r, n) * (np.nan if n == 10**6 else 1))
+        path = tmp_path / "x.csv"
+        assert main(argv + ["--check", "--output", str(path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cross-check failed at g=0.3, n=1000000: max error nan")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("n,g", [(3, -3e17), (3, 7e8), (4, -1e150), (10, 1e150)])
+    def test_check_at_huge_field(self, tmp_path, capsys, n, g):
+        # the closed-form rows are right at these fields, so the check must pass them
+        argv = ["sweep", "--n", str(n), f"--g-min={g}", f"--g-max={g}", "--g-steps", "1"]
+        _, _, plain = run_csv(tmp_path, argv, "plain.csv")
+        code, rows, checked = run_csv(tmp_path, argv + ["--check"], "checked.csv")
+        assert code == 0 and len(rows) == 1
+        assert checked == plain
+        assert capsys.readouterr().err == ""
+
+    def test_check_overflow_names_g_and_n(self, tmp_path, capsys):
+        # E ~ 2 g^2 overflows a double from |g| ~ 9.5e153
+        path = tmp_path / "x.csv"
+        assert main(["sweep", "--check", "--n", "4", "--g-min", "1e300", "--g-max", "1e300",
+                     "--g-steps", "1", "--output", str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: overflow in the dressed transfer matrices")
+        assert line.endswith("(g=1e+300, n=4)")
+        assert not path.exists()
 
     def test_odd_ring_at_huge_field(self, tmp_path):
         # v rounds to -1 there, but 1 + v^3 does not vanish
@@ -686,7 +711,8 @@ class TestNanFails:
         assert "max deviation: nan" in err
 
     def test_sweep_check(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(ed, "pair_density_brute", lambda *args: np.full((4, 4), np.nan))
+        monkeypatch.setattr(cli, "expectation_two_point",
+                            lambda t, *args: np.full((*np.shape(t.a0)[:-2], 4), np.nan))
         code = main(["sweep", "--check", "--n", "4", "--g-min", "0.3", "--g-max", "0.3",
                      "--g-steps", "1", "--output", str(tmp_path / "x.csv")])
         assert code == 1
@@ -696,29 +722,27 @@ class TestNanFails:
     @staticmethod
     def _sweep_with_nan_at(tmp_path, monkeypatch, planted):
         """sweep --check over g = 0, 0.5, 1 and n = 4, 6 with a NaN in the batched
-        density of every member whose state is that of a planted (g, n); returns
-        the exit code and the amplitude shape of each density call."""
-        real, calls = ed.pair_density_brute, []
-        states = {(g, n): build_state(mps_matrices(ModelParams(g=g, n=n)), n).amplitudes
-                  for g, n in planted}
+        transfer-matrix values of every member at a planted (g, n); returns the
+        exit code and the g shape of each call."""
+        real, calls = cli.expectation_two_point, []
 
-        def density(psi, i, j):
-            calls.append(psi.amplitudes.shape)
-            rho = real(psi, i, j)
-            for (_, n), amps in states.items():
-                if psi.n == n:
-                    rho[np.all(psi.amplitudes == amps, axis=-1)] = np.nan
-            return rho
+        def values(t, op_a, op_b, r, n):
+            calls.append(np.shape(t.a0)[:-2])
+            out = real(t, op_a, op_b, r, n)
+            for g, m in planted:
+                if m == n:
+                    out[t.a0[:, 0, 1] == g] = np.nan
+            return out
 
-        monkeypatch.setattr(ed, "pair_density_brute", density)
+        monkeypatch.setattr(cli, "expectation_two_point", values)
         code = main(["sweep", "--check", "--n-list", "4,6", "--g-min", "0", "--g-max", "1",
                      "--g-steps", "3", "--output", str(tmp_path / "x.csv")])
         return code, calls
 
     def test_sweep_check_names_first_failing_row(self, tmp_path, capsys, monkeypatch):
-        # rows go g outer, n inner; each n has one batched density call
+        # rows go g outer, n inner; each n has one batched call over the g grid
         code, calls = self._sweep_with_nan_at(tmp_path, monkeypatch, [(0.5, 6)])
-        assert code == 1 and calls == [(3, 2**4), (3, 2**6)]
+        assert code == 1 and calls == [(3,), (3,)]
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: cross-check failed at g=0.5, n=6: max error nan")
         assert not (tmp_path / "x.csv").exists()
@@ -733,11 +757,11 @@ class TestNanFails:
         assert not (tmp_path / "x.csv").exists()
 
     def test_sweep_check_site_one_marginal(self, tmp_path, capsys, monkeypatch):
-        # (sigma^x x 1)/4 moves only the site-1 marginal: Gx, Gy and Gz keep their
+        # a shift of the (sigma^x, 1) column alone: Gx, Gy and Gz keep their
         # values, so only the <sigma^x_1> check can see it
-        real = ed.pair_density_brute
-        shift = 1e-6 * np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)) / 4
-        monkeypatch.setattr(ed, "pair_density_brute", lambda *args: real(*args) + shift)
+        real = cli.expectation_two_point
+        monkeypatch.setattr(cli, "expectation_two_point",
+                            lambda *args: real(*args) + np.array([1e-6, 0, 0, 0]))
         code = main(["sweep", "--check", "--n", "4", "--g-min", "0.3", "--g-max", "0.3",
                      "--g-steps", "1", "--output", str(tmp_path / "x.csv")])
         assert code == 1

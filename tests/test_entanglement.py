@@ -6,13 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dense_ref import pair_density_brute
 from xyzring import (
     ModelParams,
     build_state,
     concurrence_closed,
     mps_matrices,
     pair_density,
-    pair_density_brute,
     scaled_concurrence_curve,
     scaling_limit,
     wootters_concurrence,

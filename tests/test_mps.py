@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_ref import kron_all
+from dense_ref import kron_all, pair_density_brute
 from xyzring import (
     ModelParams,
     MpsTensors,
@@ -21,7 +21,7 @@ from xyzring import (
     mps,
     mps_matrices,
     overlap,
-    pair_density_brute,
+    pair_density,
     ring_points,
     transfer_matrix,
     transfer_with_operator,
@@ -270,7 +270,7 @@ class TestBatchedBuild:
                 one = build_state(mps_matrices(params(-1, 1, x, n=n)), n)
                 assert np.array_equal(rho[k], pair_density_brute(one, i, j)), (i, j, x)
 
-    def test_sweep_check_blocks(self, tmp_path, monkeypatch):
+    def test_states_over_g_blocks(self, monkeypatch):
         # 2^10 amplitudes per state: at most 16 states per build_state call
         shapes, real = [], mps.build_state
 
@@ -279,12 +279,12 @@ class TestBatchedBuild:
             shapes.append(psi.amplitudes.shape)
             return psi
 
-        monkeypatch.setattr(mps, "build_state", recording)
-        monkeypatch.setattr(checks, "build_state", recording)  # the name sweep --check calls
-        assert cli.main(["sweep", "--check", "--n", "10", "--g-min", "0", "--g-max", "2",
-                         "--g-steps", "401", "--output", str(tmp_path / "x.csv")]) == 0
+        monkeypatch.setattr(checks, "build_state", recording)
+        g = np.linspace(0, 2, 401)
+        blocks = list(checks.states_over_g(params(g=g, n=10)))
         assert max(rows * size for rows, size in shapes) <= 2**14
         assert sum(rows for rows, _ in shapes) == 401 and len(shapes) == -(-401 // 16)
+        assert [rows.start for rows, _ in blocks] == list(range(0, 401, 16))
 
 
 class TestTransferMatrix:
@@ -408,6 +408,13 @@ class TestBatchedSeparations:
         with pytest.raises(FloatingPointError):
             expectation_one_point(t, SZ, 1, 10**5)
 
+    def test_dressing_overflow_names_the_member(self):
+        # E ~ 2 g^2 is past the float range at g = 1e160, where einsum ignores np.errstate
+        t = mps_matrices(params(g=np.array([0.3, 1e160]), n=4))
+        with pytest.raises(FloatingPointError, match="overflow.* at batch member 1$") as info:
+            expectation_two_point(t, SX, SX, 2, 4)
+        assert info.value.member == 1
+
     def test_many_separations_hold_one_power_per_exponent(self):
         # 41 members x 999 distinct exponents of E, 10.5 MB, and no more
         t = mps_matrices(params(g=np.linspace(-3, 3, 41), n=10))
@@ -423,7 +430,8 @@ class TestBatchedSeparations:
 
 class TestTransferTrace:
     """The powers of E in _contract: each one np.linalg.matrix_power on the
-    stack of members, E^n once per call, and tr(E^n) refused where it vanishes."""
+    stack of members, E^n once per call, and tr(E^n) refused where it vanishes;
+    and each distinct operator dressed once."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 7, 1000, 10**5])
     def test_reference_bits(self, n):
@@ -459,6 +467,23 @@ class TestTransferTrace:
             calls.clear()
             expectation_two_point(t, SX, SX, r, 1000)
             assert len(calls) == count, r
+
+    def test_each_distinct_operator_dressed_once(self, tmp_path, monkeypatch):
+        # 1 and the 16 Pauli pairs of pair_density, 1 and the 4 pairs of sweep
+        # --check: 9 operators, 4 of them distinct, in both
+        counts, dress = [], mps.transfer_with_operator
+
+        def counted(t, op):
+            counts.append(len(op))
+            return dress(t, op)
+
+        monkeypatch.setattr(mps, "transfer_with_operator", counted)
+        pair_density(params(g=np.array([0.3, 0.7]), n=6), 1, 3)
+        assert counts == [4]
+        counts.clear()
+        argv = ["sweep", "--check", "--n-list", "4,6", "--output", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 0
+        assert counts == [4, 4]
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("g", [-0.5, 0.0, 0.7, 1.0])

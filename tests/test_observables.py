@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dense_ref import pair_density_brute
 from xyzring import (
     DiscontinuityError,
     ModelParams,
@@ -16,7 +17,6 @@ from xyzring import (
     magnetization_x,
     mps_matrices,
     observable_record,
-    pair_density_brute,
     scaling_limit,
     thermodynamic_correlations,
     thermodynamic_magnetization,
