@@ -32,7 +32,7 @@ from .mps import (
     transfer_matrix,
     transfer_with_operator,
 )
-from .pauli import SX, SY, SZ
+from .pauli import SIGMA
 
 
 def worst_error(*errors):
@@ -47,7 +47,6 @@ def worst_error(*errors):
 BLOCK_AMPLITUDES = 2**14  # dense amplitudes that states_over_g builds at once
 DEFAULT_SIZES = (4, 6)  # with DEFAULT_G_VALUES, the grid of verify and ed-compare without flags
 DEFAULT_G_VALUES = (-2.0, -0.5, 0.3, 0.7, 1.0, 1.5)
-_SXYZ = np.array([SX, SY, SZ])
 
 
 @dataclass
@@ -191,7 +190,7 @@ def check_closed_form_correlators(cfg):
             u = np.divide(1, u, out=u, where=np.abs(u) > 1)
             errs.append(np.abs(p.epsilon * u * (1 + u ** (n - 2)) / (1 + u**n) - mx))
             # (mx, 0, 0) at site 1; the transfer-matrix trace is cyclic, so every site gives it
-            errs.append(np.abs(expectation_one_point(t, _SXYZ, 1, n) - np.outer(mx, [1, 0, 0])))
+            errs.append(np.abs(expectation_one_point(t, SIGMA[1:], 1, n) - np.outer(mx, [1, 0, 0])))
             # identities
             errs += [np.abs(gx + gy + gz - 1), np.abs((1 - gz) * (1 - gy) - mx * mx)]
             expected = (gx[:, None], gy[:, None], gz[:, None])
@@ -199,7 +198,7 @@ def check_closed_form_correlators(cfg):
             # the eta = -1 sector through the alternating map
             expected = observables.correlations_eta_minus(g[:, None], n, separations)
         expected = np.stack(np.broadcast_arrays(*expected), axis=1)  # (g, operator, r)
-        errs.append(np.abs(expectation_two_point(t, _SXYZ, _SXYZ, separations, n) - expected))
+        errs.append(np.abs(expectation_two_point(t, SIGMA[1:], SIGMA[1:], separations, n) - expected))
     worst, counts = worst_error(*errs), {n: len(_separations(n)) for n in cfg.n_list}
     return worst < cfg.tolerance, {"max_error": worst, "separations": counts}
 

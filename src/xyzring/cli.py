@@ -21,12 +21,12 @@ from .checks import DEFAULT_G_VALUES, DEFAULT_SIZES, VerifyConfig, run_verify, w
 from .entanglement import concurrence_closed, scaling_limit
 from .model import ModelParams, mps_matrices, ring_points
 from .mps import expectation_two_point
-from .pauli import SI, SX, SY, SZ
+from .pauli import SIGMA
 
 FIGURE1_SIZES = [6, 7, 8, 9, 10, 20, 30, 40, 50]
 DEFAULT_G_STEPS = 41
 # operators on sites 1 and 2 whose pair expectations are <sigma^x_1>, Gx, Gy and Gz
-CHECK_A, CHECK_B = np.array([SX, SX, SY, SZ]), np.array([SI, SX, SY, SZ])
+CHECK_A, CHECK_B = SIGMA[[1, 1, 2, 3]], SIGMA
 CELL_BLOCK = 8192  # CSV cells formatted and written at a time (whole rows, at least one)
 WIDE = np.longdouble  # precision of the scaled cells; were it float64, most would go to _fmt
 _E_LO, _E_HI = -330, 315  # decimal exponents of the power table, past those of any double

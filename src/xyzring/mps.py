@@ -153,16 +153,17 @@ def transfer_matrix(t):
 
 
 def transfer_with_operator(t, op):
-    """Dressed transfer matrix E_O = sum_ij <i|O|j> conj(A_i) x A_j.
+    """Dressed transfer matrix E_O = sum_ij <i|O|j> conj(A_i) x A_j, taken
+    as B_j = sum_i O_ij conj(A_i), then E_O = sum_j B_j x A_j.
 
     The batch axes of the operators (..., 2, 2) and of the tensors
     (..., 2, 2) broadcast against each other: a stack of operators for one
     pair of tensors, or one operator for a stack of tensors, gives the stack
     (..., 4, 4).
     """
-    op = np.asarray(op, dtype=complex)
     mats = _stack(t).astype(complex)
-    e = np.einsum("...ij,...iac,...jbd->...abcd", op, mats.conj(), mats)
+    b = np.einsum("...ij,...iac->...jac", np.asarray(op, dtype=complex), mats.conj())
+    e = np.einsum("...jac,...jbd->...abcd", b, mats)
     return e.reshape(*e.shape[:-4], 4, 4)  # row (a, b), column (c, d), as in np.kron
 
 
@@ -174,7 +175,7 @@ def _contract(t, op_a, op_b, r, n):
     batch shapes broadcast to ops; the result has the shape
     (*batch, *ops, *r.shape), and each member gives the bits of its own call.
 
-    Each distinct operator is dressed once.  Every factor is divided by the
+    1, op_a and op_b are dressed as one stack.  Every factor is divided by the
     spectral radius of its E, which leaves the ratio unchanged and keeps the
     powers of E finite for any n.  Every power is one np.linalg.matrix_power
     on the stack of members: E^n once, and each distinct exponent among
@@ -187,15 +188,12 @@ def _contract(t, op_a, op_b, r, n):
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         t = MpsTensors(np.reshape(t.a0, (-1, 2, 2)), np.reshape(t.a1, (-1, 2, 2)))
         ops = np.concatenate([SI[None], np.reshape(op_a, (-1, 2, 2)), np.reshape(op_b, (-1, 2, 2))])
-        keys = [o.tobytes() for o in ops]
-        slot = {key: s for s, key in enumerate(dict.fromkeys(keys))}  # 1, so E, in slot 0
-        dressed = transfer_with_operator(t, ops[[keys.index(key) for key in slot]][:, None])
+        dressed = transfer_with_operator(t, ops[:, None])
         overflow = ~np.isfinite(dressed).all(axis=(0, 2, 3)).reshape(batch)
         if overflow.any():  # einsum ignores np.errstate
             raise _naming(FloatingPointError("overflow in the dressed transfer matrices"),
                           _first(overflow))
         dressed = dressed / np.abs(np.linalg.eigvals(dressed[0])).max(axis=-1)[:, None, None]
-        dressed = dressed[[slot[key] for key in keys]]
         e, k = dressed[0], len(ops) - np.size(op_b) // 4  # E, then E_a, then E_b
         e_a, e_b = dressed[1:k].reshape(shape_a + e.shape), dressed[k:].reshape(shape_b + e.shape)
         total = np.linalg.matrix_power(e, n).trace(axis1=1, axis2=2)
@@ -214,8 +212,10 @@ def expectation_one_point(t, op, k, n):
     """<O(k)> = tr(E^{k-1} E_O E^{n-k}) / tr(E^n), which by cyclicity of the
     trace is tr(E_O E^{n-1}) / tr(E^n) for every k (per member of a batch).
 
-    Overflow or an invalid value raises FloatingPointError, a zero tr(E^n) ValueError.
+    Overflow or an invalid value raises FloatingPointError; n < 2 or a zero tr(E^n) ValueError.
     """
+    if n < 2:
+        raise ValueError(f"ring size {n} below 2")
     if not 1 <= k <= n:
         raise ValueError(f"site index {k} outside 1..{n}")
     return _contract(t, op, SI, 2, n)

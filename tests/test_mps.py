@@ -13,7 +13,6 @@ from xyzring import (
     bell_pair_matrices,
     build_state,
     checks,
-    cli,
     expectation_one_point,
     expectation_two_point,
     explicit_ground_state,
@@ -21,7 +20,6 @@ from xyzring import (
     mps,
     mps_matrices,
     overlap,
-    pair_density,
     ring_points,
     transfer_matrix,
     transfer_with_operator,
@@ -311,6 +309,47 @@ class TestTransferMatrix:
             transfer_with_operator(t, SI), transfer_matrix(t)
         )
 
+    @staticmethod
+    def _tensors():
+        """The four classes' tensors over a g grid, and a random complex stack."""
+        g = np.array(G_GRID)
+        yield from (mps_matrices(params(eps, eta, g)) for eps, eta in CLASSES)
+        a = np.random.default_rng(7).normal(size=(2, 5, 2, 2, 2)) @ np.array([1, 1j])
+        yield MpsTensors(*a)
+
+    @pytest.mark.parametrize("k", range(6), ids=["1", "x", "y", "z", "A", "B"])
+    def test_dressing_is_the_sum_of_krons(self, k):
+        op = TestOperatorStacks.OPS[k]
+        for t in self._tensors():
+            mats = np.stack([t.a0, t.a1])
+            for m in range(len(t.a0)):
+                want = sum(op[i, j] * np.kron(mats[i, m].conj(), mats[j, m])
+                           for i in range(2) for j in range(2))
+                got = transfer_with_operator(MpsTensors(t.a0[m], t.a1[m]), op)
+                assert got.shape == (4, 4)
+                assert np.abs(got - want).max() <= 1e-15 * max(np.abs(want).max(), 1)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stack_members_keep_their_single_call_bits(self, dtype):
+        t = [t for t in self._tensors() if t.a0.dtype == dtype][0]
+        stack = transfer_with_operator(t, TestOperatorStacks.OPS[:, None])
+        assert stack.shape == (6, len(t.a0), 4, 4)
+        for k, m in itertools.product(range(6), range(len(t.a0))):
+            one = transfer_with_operator(MpsTensors(t.a0[m], t.a1[m]), TestOperatorStacks.OPS[k])
+            assert stack[k, m].tobytes() == one.tobytes(), (k, m)
+
+    @pytest.mark.parametrize("eps,eta", CLASSES)
+    def test_overflow_edge_of_the_dressing(self, eps, eta):
+        # E ~ 2 g^2 leaves the float range between |g| = 9.4e153 and 9.6e153
+        # for 1 and the Paulis (README: |g| >~ 9.5e153)
+        for g in (9.4e153, -9.4e153):
+            t = mps_matrices(params(eps, eta, g))
+            assert np.isfinite(transfer_with_operator(t, TestOperatorStacks.OPS[:4, None])).all()
+            assert np.isfinite(expectation_two_point(t, SX, SX, 2, 4)), g
+        for g in (9.6e153, -9.6e153):
+            with pytest.raises(FloatingPointError, match="^overflow in the dressed transfer"):
+                expectation_two_point(mps_matrices(params(eps, eta, g)), SX, SX, 2, 4)
+
 
 class TestExpectations:
     def test_one_point_sx_worked_value(self):
@@ -330,6 +369,13 @@ class TestExpectations:
         assert expectation_one_point(t, SX, k, 4) == pytest.approx(
             expectation_one_point(t, SX, 1, 4), abs=1e-12
         )
+
+    @pytest.mark.parametrize("g", [0.3, 1.0])  # E is singular at g = 1
+    def test_one_point_refuses_a_ring_of_one_site(self, g):
+        t = mps_matrices(params(g=g))
+        for n in (1, 0):
+            with pytest.raises(ValueError, match=f"^ring size {n} below 2$"):
+                expectation_one_point(t, SX, 1, n)
 
     def test_one_point_identity(self):
         t = mps_matrices(params(g=0.8, n=5))
@@ -430,8 +476,7 @@ class TestBatchedSeparations:
 
 class TestTransferTrace:
     """The powers of E in _contract: each one np.linalg.matrix_power on the
-    stack of members, E^n once per call, and tr(E^n) refused where it vanishes;
-    and each distinct operator dressed once."""
+    stack of members, E^n once per call, and tr(E^n) refused where it vanishes."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 7, 1000, 10**5])
     def test_reference_bits(self, n):
@@ -467,23 +512,6 @@ class TestTransferTrace:
             calls.clear()
             expectation_two_point(t, SX, SX, r, 1000)
             assert len(calls) == count, r
-
-    def test_each_distinct_operator_dressed_once(self, tmp_path, monkeypatch):
-        # 1 and the 16 Pauli pairs of pair_density, 1 and the 4 pairs of sweep
-        # --check: 9 operators, 4 of them distinct, in both
-        counts, dress = [], mps.transfer_with_operator
-
-        def counted(t, op):
-            counts.append(len(op))
-            return dress(t, op)
-
-        monkeypatch.setattr(mps, "transfer_with_operator", counted)
-        pair_density(params(g=np.array([0.3, 0.7]), n=6), 1, 3)
-        assert counts == [4]
-        counts.clear()
-        argv = ["sweep", "--check", "--n-list", "4,6", "--output", str(tmp_path / "x.csv")]
-        assert cli.main(argv) == 0
-        assert counts == [4, 4]
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("g", [-0.5, 0.0, 0.7, 1.0])
