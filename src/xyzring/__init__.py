@@ -61,7 +61,6 @@ from .ed import (
     Certificate,
     SpectrumResult,
     certify,
-    dense_spectrum,
     ground_membership,
     ring_spectrum,
 )

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import ed, entanglement, mps, observables, parent
 from .model import (
+    ModelParams,
     check_symmetries,
     couplings_from_params,
     general_mps_matrices,
@@ -51,7 +52,7 @@ DEFAULT_G_VALUES = (-2.0, -0.5, 0.3, 0.7, 1.0, 1.5)
 
 @dataclass
 class VerifyConfig:
-    j: float = 1.0
+    j: float = ModelParams.j
     n_list: List[int] = field(default_factory=lambda: list(DEFAULT_SIZES))
     g_values: List[float] = field(default_factory=lambda: list(DEFAULT_G_VALUES))
     tolerance: float = 1e-10
@@ -273,7 +274,7 @@ def check_coupling_recovery(cfg):
 
 
 @_check("parent-hamiltonian",
-        [parent.ring_apply, ed.dense_spectrum, ed.ring_spectrum, ed.ground_membership, ed.certify],
+        [parent.ring_apply, ed.ring_spectrum, ed.ground_membership, ed.certify],
         f"ED needs n <= {parent.DENSE_CAP}", high=parent.DENSE_CAP)
 def check_parent_hamiltonian(cfg):
     # one certify call per class; the ground space holds the two product terms' span

@@ -204,6 +204,9 @@ def cmd_verify(args):
 
 
 def cmd_sweep(args):
+    if args.tolerance is not None and not args.check:
+        raise ValueError("--tolerance needs --check")
+    tolerance = FLAGS["--tolerance"]["default"] if args.tolerance is None else args.tolerance
     g_values = _g_grid(args, np.linspace(0.0, 2.0, 41))
     n_list = args.n_list or [8]
     g = np.array(g_values)
@@ -226,7 +229,7 @@ def cmd_sweep(args):
         for j, n in enumerate(n_list):
             if singular[i]:
                 print(f"warning: skipping singular point g=-1 (n={n})", file=sys.stderr)
-            elif not worst[index[i], j] <= args.tolerance:
+            elif not worst[index[i], j] <= tolerance:
                 print(f"error: cross-check failed at g={g_values[i]}, n={n}: "
                       f"max error {worst[index[i], j]}", file=sys.stderr)
                 return 1
@@ -326,8 +329,8 @@ _ring_size.__name__ = "int"  # so that a non-integer reads "invalid int value"
 FLAGS = {
     "--epsilon": dict(type=int, choices=(1, -1), default=1,
                       help="sign of the field term (default +1)"),
-    "--j": dict(type=_float_flag("finite and non-negative", lambda v: v >= 0), default=1.0,
-                help="non-negative coupling weight (default 1)"),
+    "--j": dict(type=_float_flag("finite and non-negative", lambda v: v >= 0), default=ModelParams.j,
+                help=f"non-negative coupling weight (default {ModelParams.j:g})"),
     "--tolerance": dict(type=_float_flag("finite and positive", lambda v: v > 0), default=1e-10),
     "--check": dict(action="store_true",
                     help="cross-check each row against the transfer-matrix correlators"),
@@ -366,6 +369,8 @@ def build_parser():
         sp.add_argument("--output", default=None, help="output file (default stdout)")
         for flag in flags:
             sp.add_argument(flag, **FLAGS[flag])
+        if "--check" in flags:
+            sp.set_defaults(tolerance=None)  # read only with --check, so given alone it is refused
         sp.set_defaults(func=fn)
     return parser
 

@@ -11,7 +11,7 @@ from .mps import PureState, _first, _naming, _naming_g, explicit_ground_state
 from .parent import DENSE_CAP, bond_operator, constant_shift, ring_apply
 
 DEGENERACY_TOL = 1e-8  # of the ground-space cut, relative to max(1, |lowest eigenvalue|)
-HERMITICITY_TOL = 1e-10  # of max |h - h^dagger|, relative to max(1, max |h|)
+HERMITICITY_TOL = 1e-10  # max |h2 - h2^T| of the bond term, relative to max(1, max |h2|)
 SYMMETRY_TOL = 1e-10  # max |h2 - (sx.sx) h2 (sx.sx)| over the 16 entries of the bond term
 BLOCK_ENTRIES = 2**19  # certify stacks this many / 4^n values of g at once (one from n = 10)
 
@@ -23,30 +23,6 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     ground_space_dim: int
     ground_vectors: np.ndarray  # columns, orthonormal
-
-
-def dense_spectrum(h):
-    """Full Hermitian spectrum and the eigenspace of the minimum w[0], the
-    eigenvalues w <= w[0] + DEGENERACY_TOL * max(1, |w[0]|).
-
-    Real input stays real, so a real symmetric matrix is diagonalized in
-    float64 and its ground vectors come out real. A stack (..., R, R) gives
-    eigenvalues (R, ...), ground_space_dim (...) and ground_vectors (R, d, ...)
-    with d the largest dimension: batch axes last, so eigenvalues[0] is every
-    member's minimum and a member's ground space its first ground_space_dim vectors.
-    """
-    h = np.asarray(h)
-    h = h.astype(complex if np.iscomplexobj(h) else float, copy=False)
-    scale = np.maximum(1.0, abs(h).max(axis=(-2, -1)))
-    skew = abs(h - h.conj().swapaxes(-2, -1)).max(axis=(-2, -1)) > HERMITICITY_TOL * scale
-    if skew.any():
-        raise _naming(ValueError("matrix is not Hermitian"), _first(skew))
-    w, v = np.linalg.eigh(h)
-    w0 = w[..., :1]
-    dim = (w <= w0 + DEGENERACY_TOL * np.maximum(1.0, abs(w0))).sum(axis=-1)
-    # a copy, so that the result does not keep the whole eigenvector matrix alive
-    vectors = v[..., :dim.max(initial=0)].transpose(-2, -1, *range(dim.ndim)).copy()
-    return SpectrumResult(w.transpose(-1, *range(dim.ndim)), dim if dim.ndim else int(dim), vectors)
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,10 +62,12 @@ def _ring_sectors(n):
 
 
 def ring_spectrum(h2, n):
-    """dense_spectrum of the ring Hamiltonian of a real symmetric bond term
-    h2 (the sum of h2 over the n bonds), one sector at a time. A stack of
-    bond terms (G, 4, 4) gives the list of its members' results, each equal
-    to its own call, from one stacked dense_spectrum per sector.
+    """Full sorted spectrum and real orthonormal ground vectors of the ring
+    Hamiltonian of a real symmetric bond term h2 (the sum of h2 over the n
+    bonds), one sector at a time. The ground space is every eigenvalue
+    w <= w[0] + DEGENERACY_TOL * max(1, |w[0]|). A stack of bond terms
+    (G, 4, 4) gives the list of its members' results, each equal to its own
+    call, from one np.linalg.eigh of the stacked blocks per sector.
 
     Every bond applies the same h2, so H commutes with the one-site rotation
     T; it commutes with the spin flip F when (sx.sx) h2 (sx.sx) = h2. So it
@@ -101,17 +79,21 @@ def ring_spectrum(h2, n):
     makes the sector -k the complex conjugate of k, so only k <= n/2 is
     diagonalized and counted twice. A complex ground vector v of sector k
     gives the real orthonormal pair sqrt(2) Re v, sqrt(2) Im v, which spans
-    v and its conjugate. A non-finite value in any block of a member makes
-    every value of that member's result non-finite (with at least one ground
-    vector, all NaN, when every eigenvalue is NaN). The blocks are gathered
-    from the columns of H at the representatives, ring_apply of h2 to their
-    unit vectors.
+    v and its conjugate. A non-finite eigenvalue or eigenvector in any block
+    of a member makes every value of that member's result non-finite (with
+    at least one ground vector, all NaN, when every eigenvalue is NaN). The
+    blocks are gathered from the columns of H at the representatives,
+    ring_apply of h2 to their unit vectors.
     """
     h2 = np.asarray(h2)
     if n > DENSE_CAP:
         raise ValueError(f"ring size {n} exceeds dense cap {DENSE_CAP}")
     if np.iscomplexobj(h2):
         raise ValueError("ring_spectrum needs a real symmetric bond term")
+    scale = np.maximum(1.0, np.abs(h2).max(axis=(-2, -1)))
+    skew = np.abs(h2 - h2.swapaxes(-2, -1)).max(axis=(-2, -1)) > HERMITICITY_TOL * scale
+    if skew.any():
+        raise _naming(ValueError("bond term is not symmetric"), _first(skew))
     if np.max(np.abs(h2 - h2[..., ::-1, ::-1])) > SYMMETRY_TOL:  # sx.sx reverses the 4 states
         raise ValueError("bond term does not commute with the spin flip")
     reps, orbits, stab, chars, members, copies = _ring_sectors(n)
@@ -122,27 +104,26 @@ def ring_spectrum(h2, n):
     gathered = cols[:, orbits] / np.sqrt(np.outer(stab, stab))  # H[g(r_a), r_b]
     blocks = (chars @ gathered.reshape(len(stack), len(orbits), -1)).reshape(
         len(stack), -1, size, size)
-    specs = [dense_spectrum((block if twice == 2 else block.real)[:, sel[:, None], sel])
-             for block, sel, twice in zip(blocks.swapaxes(0, 1), members, copies)]
-    w = np.sort(np.concatenate([s.eigenvalues for s, c in zip(specs, copies) for _ in range(c)]),
-                axis=0)
-    tops = w[0] + DEGENERACY_TOL * np.maximum(1.0, np.abs(w[0]))
-    finite = np.isfinite(w).all(axis=0)
-    for s in specs:
-        finite &= np.isfinite(s.ground_vectors).all(axis=(0, 1))
+    sectors = [np.linalg.eigh((block if twice == 2 else block.real)[:, sel[:, None], sel])
+               for block, sel, twice in zip(blocks.swapaxes(0, 1), members, copies)]
+    w = np.sort(np.concatenate([ws for (ws, vs), c in zip(sectors, copies) for _ in range(c)],
+                               axis=1), axis=1)
+    tops = w[:, 0] + DEGENERACY_TOL * np.maximum(1.0, np.abs(w[:, 0]))
+    finite = np.isfinite(w).all(axis=1)
+    for _, vs in sectors:
+        finite &= np.isfinite(vs).all(axis=(1, 2))
     results = []
-    for m, (wm, top) in enumerate(zip(w.T.copy(), tops)):
+    for m, (wm, top) in enumerate(zip(w, tops)):
         dim = int((wm <= top).sum())
         if not finite[m]:
             wm[0] = np.nan  # np.sort moved any NaN to the end
             results.append(SpectrumResult(wm, dim, np.full((2**n, max(dim, 1)), np.nan)))
             continue
         columns = []
-        for spec, sel, char, twice in zip(specs, members, chars, copies):
-            if spec.eigenvalues[0, m] > top:
-                continue  # no ground vector in this sector
-            d = spec.ground_space_dim[m]
-            c = spec.ground_vectors[:, :d, m][:, spec.eigenvalues[:d, m] <= top]
+        for (ws, vs), sel, char, twice in zip(sectors, members, chars, copies):
+            c = vs[m][:, ws[m] <= top]  # the sector's ground vectors, if it holds any
+            if not c.shape[1]:
+                continue
             # each state of the orbit of r_a is g(r_a) for |Stab_a| elements g
             # with the same chi(g), so one assignment per state times |Stab_a|
             # stands for the sum: |Stab_a| / sqrt(2n |Stab_a|)
@@ -173,8 +154,9 @@ def ground_membership(h2, psi, spectrum):
     under the ring Hamiltonian of the bond term h2.
 
     residual = ||H psi - <psi|H|psi> psi||; overlap = ||P_ground psi||.
-    spectrum: the dense_spectrum or ring_spectrum of H or of any
-    H + c*identity (the same eigenvectors).
+    spectrum: a SpectrumResult whose ground_vectors span the ground space,
+    such as the ring_spectrum of h2 or of h2 + c*identity (the same
+    eigenvectors).
     """
     vec = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi, complex)
     if abs(np.linalg.norm(vec) - 1) > 1e-10:

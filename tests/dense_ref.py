@@ -1,7 +1,8 @@
 """Dense references for the tests: operators and product states built factor
 by factor with np.kron, independent of the bond-by-bond ring_apply and of
-the trace-formula states they are compared with, and the partial-trace pair
-density, independent of the transfer-matrix contraction.
+the trace-formula states they are compared with, the partial-trace pair
+density, independent of the transfer-matrix contraction, and the spectrum of
+a whole dense matrix, independent of the sector blocks of ring_spectrum.
 
 Conventions as in xyzring.pauli: site 1 is the most significant bit.
 """
@@ -10,6 +11,7 @@ from functools import reduce
 
 import numpy as np
 
+from xyzring.ed import DEGENERACY_TOL, HERMITICITY_TOL, SpectrumResult
 from xyzring.pauli import SI
 
 
@@ -32,3 +34,19 @@ def pair_density_brute(psi, i, j):
     b = len(batch)
     t = np.moveaxis(t, [b + i - 1, b + j - 1], [b, b + 1]).reshape(*batch, 4, -1)
     return t @ t.conj().swapaxes(-1, -2)
+
+
+def dense_spectrum(h):
+    """Full spectrum of a dense Hermitian matrix from one eigh, and the
+    eigenspace of its minimum w[0]: the eigenvalues w <= w[0] +
+    DEGENERACY_TOL * max(1, |w[0]|), the ground space of ring_spectrum.
+    Real input stays real, so a real symmetric matrix gives real ground vectors.
+    """
+    h = np.asarray(h)
+    h = h.astype(complex if np.iscomplexobj(h) else float, copy=False)
+    if abs(h - h.conj().T).max() > HERMITICITY_TOL * max(1.0, abs(h).max()):
+        raise ValueError("matrix is not Hermitian")
+    w, v = np.linalg.eigh(h)
+    dim = int((w <= w[0] + DEGENERACY_TOL * max(1.0, abs(w[0]))).sum())
+    # a copy, so that the result does not keep the whole eigenvector matrix alive
+    return SpectrumResult(w, dim, v[:, :dim].copy())

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from dense_ref import op_on_sites, pair_density_brute
+from dense_ref import dense_spectrum, op_on_sites, pair_density_brute
 from xyzring import (
     ModelParams,
     build_state,
@@ -22,7 +22,6 @@ from xyzring import (
     constant_shift,
     correlations,
     couplings_from_params,
-    dense_spectrum,
     e_vectors,
     explicit_ground_state,
     general_mps_matrices,

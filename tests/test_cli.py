@@ -25,6 +25,12 @@ def run_csv(tmp_path, argv, name="out.csv"):
     return code, rows, path.read_bytes()
 
 
+def test_one_default_coupling_weight():
+    # ModelParams, VerifyConfig and the --j flag of verify and ed-compare share J = 1
+    args = [cli.build_parser().parse_args([command]) for command in ("verify", "ed-compare")]
+    assert ModelParams().j == VerifyConfig().j == args[0].j == args[1].j == 1.0
+
+
 class TestVerify:
     def test_default_config_passes(self, capsys):
         assert main(["verify"]) == 0
@@ -189,6 +195,21 @@ class TestSweep:
         _, _, first = run_csv(tmp_path, argv, "a.csv")
         _, _, second = run_csv(tmp_path, argv, "b.csv")
         assert first == second
+
+    @pytest.mark.parametrize("value,code", [("1e-30", 1), ("1e-10", 0), ("1", 0)])
+    def test_tolerance_needs_check(self, tmp_path, capsys, value, code):
+        # sweep reads --tolerance only with --check, so alone it is an error
+        path = tmp_path / "x.csv"
+        argv = ["sweep", "--n", "4", "--g-min", "0.3", "--g-max", "0.3", "--g-steps", "1",
+                "--output", str(path)]
+        assert main(argv + ["--tolerance", value]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: --tolerance needs --check"]
+        assert not path.exists()
+        # with --check it is the largest error that passes (1e-10 when not given);
+        # the checked error here is about 1e-16
+        assert main(argv + ["--check", "--tolerance", value]) == code
+        assert ("cross-check failed at g=0.3, n=4" in capsys.readouterr().err) == bool(code)
+        assert main(argv + ["--check"]) == 0
 
     @pytest.mark.parametrize("n", [5, 6])
     @pytest.mark.parametrize("epsilon", [1, -1])
@@ -611,15 +632,15 @@ class TestEdComparePerClass:
 
     def test_nan_member_named_by_its_g(self, tmp_path, capsys, monkeypatch):
         # a NaN in the member g = 0.5 of every class fails that g only
-        real = ed.dense_spectrum
+        real = np.linalg.eigh
 
-        def spectrum(blocks):
-            spec = real(blocks)
-            value = spec.eigenvalues.copy()
-            value[..., 1] = np.nan
-            return dataclasses.replace(spec, eigenvalues=value)
+        def eigh(blocks):
+            w, v = real(blocks)
+            w = w.copy()
+            w[1] = np.nan  # member 1 of the stack, in every sector
+            return w, v
 
-        monkeypatch.setattr(ed, "dense_spectrum", spectrum)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         code, rows, _ = run_csv(tmp_path, ["ed-compare", "--n", "4", "--g-min", "0",
                                            "--g-max", "1", "--g-steps", "3"])
         assert code == 1
@@ -686,15 +707,32 @@ class TestFormMismatchFails:
         assert details["max_form_mismatch"] == pytest.approx(1.0)
 
 
-def _nan_spectrum(field):
-    """dense_spectrum with a NaN put into one field of its result."""
-    real = ed.dense_spectrum
+def _nan_eigh(field):
+    """np.linalg.eigh with a NaN put into the first entry of one field of its
+    result, the eigenvalues or the eigenvectors (ground_vectors)."""
+    real, k = np.linalg.eigh, ["eigenvalues", "ground_vectors"].index(field)
 
-    def spectrum(h, *args, **kwargs):
-        spec = real(h, *args, **kwargs)
-        value = getattr(spec, field).copy()
-        value.flat[0] = np.nan
-        return dataclasses.replace(spec, **{field: value})
+    def eigh(h):
+        out = list(real(h))
+        out[k] = out[k].copy()
+        out[k].flat[0] = np.nan
+        return tuple(out)
+
+    return eigh
+
+
+def _nan_ring_spectrum(field):
+    """ed.ring_spectrum of a stack with a NaN put into one field of each
+    member's result (verify runs np.linalg.eigh outside the ED oracle too)."""
+    real = ed.ring_spectrum
+
+    def spectrum(h2, n):
+        specs = []
+        for spec in real(h2, n):
+            value = getattr(spec, field).copy()
+            value.flat[0] = np.nan
+            specs.append(dataclasses.replace(spec, **{field: value}))
+        return specs
 
     return spectrum
 
@@ -702,7 +740,7 @@ def _nan_spectrum(field):
 class TestNanFails:
     @pytest.mark.parametrize("field", ["eigenvalues", "ground_vectors"])
     def test_ed_compare(self, tmp_path, capsys, monkeypatch, field):
-        monkeypatch.setattr(ed, "dense_spectrum", _nan_spectrum(field))
+        monkeypatch.setattr(np.linalg, "eigh", _nan_eigh(field))
         code, rows, _ = run_csv(tmp_path, ["ed-compare", "--n", "4", "--g-min", "0.3",
                                            "--g-max", "0.3", "--g-steps", "1"])
         assert code == 1
@@ -769,12 +807,12 @@ class TestNanFails:
 
     @pytest.mark.parametrize("field", ["eigenvalues", "ground_vectors"])
     def test_verify(self, capsys, monkeypatch, field):
-        monkeypatch.setattr(ed, "dense_spectrum", _nan_spectrum(field))
+        monkeypatch.setattr(ed, "ring_spectrum", _nan_ring_spectrum(field))
         assert main(["verify", "--n", "4"]) == 1
         assert "FAIL  parent-hamiltonian" in capsys.readouterr().out
 
     def test_verify_jsonl_is_strict(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(ed, "dense_spectrum", _nan_spectrum("eigenvalues"))
+        monkeypatch.setattr(ed, "ring_spectrum", _nan_ring_spectrum("eigenvalues"))
         path = tmp_path / "report.jsonl"
         assert main(["verify", "--n", "4", "--output", str(path)]) == 1
 
@@ -789,27 +827,27 @@ class TestNanFails:
 
 
 def _nan_in_excited_blocks(p):
-    """dense_spectrum with a NaN put into the eigenvalues of every sector block
+    """np.linalg.eigh with a NaN put into the eigenvalues of every sector block
     of p's coupling form that holds no ground state."""
-    real = ed.dense_spectrum
+    real = np.linalg.eigh
     excited = -p.n * constant_shift(p) + 1e-6
 
-    def spectrum(h):
-        spec = real(h)
-        if spec.eigenvalues[0] <= excited:
-            return spec
-        value = spec.eigenvalues.copy()
-        value[-1] = np.nan
-        return dataclasses.replace(spec, eigenvalues=value)
+    def eigh(h):
+        w, v = real(h)
+        if w[..., 0].min() <= excited:
+            return w, v
+        w = w.copy()
+        w[..., -1] = np.nan
+        return w, v
 
-    return spectrum
+    return eigh
 
 
 class TestNanInExcitedBlock:
     p = ModelParams(epsilon=1, eta=1, g=0.3, j=1.0, n=4)
 
     def test_ed_compare(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(ed, "dense_spectrum", _nan_in_excited_blocks(self.p))
+        monkeypatch.setattr(np.linalg, "eigh", _nan_in_excited_blocks(self.p))
         code, rows, _ = run_csv(tmp_path, ["ed-compare", "--n", "4", "--g-min", "0.3",
                                            "--g-max", "0.3", "--g-steps", "1"])
         assert code == 1
@@ -818,7 +856,7 @@ class TestNanInExcitedBlock:
         assert "max deviation: nan" in err
 
     def test_parent_hamiltonian(self, monkeypatch):
-        monkeypatch.setattr(ed, "dense_spectrum", _nan_in_excited_blocks(self.p))
+        monkeypatch.setattr(np.linalg, "eigh", _nan_in_excited_blocks(self.p))
         ok, details = checks.check_parent_hamiltonian(VerifyConfig(n_list=[4], g_values=[0.3]))
         assert not ok
         assert np.isnan(details["max_energy_error"])

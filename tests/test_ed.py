@@ -5,13 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_ref import op_on_sites
+from dense_ref import dense_spectrum, op_on_sites
 from xyzring import (
     ModelParams,
     build_state,
     certify,
     constant_shift,
-    dense_spectrum,
     explicit_ground_state,
     ground_membership,
     mps_matrices,
@@ -24,6 +23,7 @@ from xyzring.parent import bond_operator
 from xyzring.pauli import PAULI, SX
 
 CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+EIGH_FIELDS = {"eigenvalues": 0, "ground_vectors": 1}  # what np.linalg.eigh returns them in
 
 
 def params(eps=1, eta=1, g=0.5, j=1.0, n=6):
@@ -335,34 +335,78 @@ class TestRingSpectrum:
         p = params(n=6, g=0.3)
         h = ring_apply(bond_operator(p, "coupling"), np.eye(2**p.n), p.n)
         excited = dense_spectrum(h).eigenvalues[0] + 1
-        real, poisoned = ed.dense_spectrum, []
+        real, poisoned = np.linalg.eigh, []
 
-        def spectrum(block):
-            spec = real(block)
-            if spec.eigenvalues[0] < excited:
-                return spec
-            poisoned.append(len(block))
-            value = getattr(spec, field).copy()
-            value.flat[-1] = np.nan
-            return dataclasses.replace(spec, **{field: value})
+        def eigh(block):
+            out = list(real(block))
+            if out[0][..., 0].min() < excited:
+                return tuple(out)
+            poisoned.append(block.shape[-1])
+            k = EIGH_FIELDS[field]
+            out[k] = out[k].copy()
+            out[k].flat[-1] = np.nan
+            return tuple(out)
 
-        monkeypatch.setattr(ed, "dense_spectrum", spectrum)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         assert np.isnan(ring_spectrum(bond_operator(p, "coupling"), 6).eigenvalues[0])
         assert poisoned
 
     def test_certify_diagonalizes_blocks_only(self, monkeypatch):
-        real, sizes = ed.dense_spectrum, []
+        real, sizes = np.linalg.eigh, []
 
-        def spectrum(block):
+        def eigh(block):
             sizes.append(block.shape[-1])  # certify passes stacks (members, r, r)
             return real(block)
 
-        monkeypatch.setattr(ed, "dense_spectrum", spectrum)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         assert certify(params(n=8, g=0.37)).degeneracy == 2
         assert 0 < max(sizes) < 2**8 // 8
         sizes.clear()
         ring_spectrum(np.array([bond_operator(params(n=8, g=0.3))]), 8)
         assert 0 < max(sizes) < 2**8 // 8
+
+    def test_one_eigensolve_per_sector(self, monkeypatch):
+        # the n//2 + 1 momenta k <= n/2 times the two flip signs, whatever the stack
+        real, shapes = np.linalg.eigh, []
+
+        def eigh(block):
+            shapes.append(block.shape[:-2])
+            return real(block)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        for n in (5, 8):
+            shapes.clear()
+            ring_spectrum(np.array([bond_operator(params(n=n, g=g)) for g in BATCH_G]), n)
+            assert shapes == [(len(BATCH_G),)] * 2 * (n // 2 + 1), n
+
+    @pytest.mark.parametrize("entry", [(0, 1), (0, 2), (1, 3)])
+    def test_rejects_non_symmetric(self, entry):
+        # a skew part that keeps the flip symmetry (entry e and 3 - e move together)
+        h2 = bond_operator(params(n=6), "coupling")
+        (a, b), scale = entry, np.abs(h2).max()
+        h2[a, b] += 1e-6 * scale
+        h2[3 - a, 3 - b] += 1e-6 * scale
+        with pytest.raises(ValueError, match="bond term is not symmetric$"):
+            ring_spectrum(h2, 6)
+
+    def test_symmetry_relative_to_largest_entry(self):
+        # an asymmetry of 1e-13 of the largest entry is rounding, not a defect
+        h2 = bond_operator(params(g=1e4, n=4), "coupling")
+        skew = 1e-13 * np.abs(h2).max()
+        assert skew > 1e-10
+        h2[0, 1] += skew
+        h2[3, 2] += skew
+        assert ring_spectrum(h2, 4).ground_space_dim == 2
+
+    @pytest.mark.parametrize("g", [1e3, -1e3, 1e4, 1e5])
+    def test_projector_form_at_large_field(self, g):
+        # the 1x1 complex blocks of n = 3 are sums that cancel down to about 2
+        # from entries about g^2/2: a rounding residue in the imaginary part of
+        # their diagonal is no defect of the symmetric bond term
+        p = params(g=g, n=3)
+        shift = p.n * constant_shift(p)
+        proj, coup = (ring_spectrum(bond_operator(p, f), 3) for f in ("projector", "coupling"))
+        assert np.max(np.abs(proj.eigenvalues - coup.eigenvalues - shift)) < 1e-14 * shift
 
     def test_certify_holds_no_dense_matrix(self):
         # one 2^10 x 2^10 float64 matrix alone would take 8 MB
@@ -428,15 +472,15 @@ class TestBatchEqualsPoint:
     def test_nan_fails_only_its_member(self, monkeypatch, field):
         h2 = np.array([bond_operator(params(g=g, n=6), "coupling") for g in BATCH_G])
         clean = ring_spectrum(h2, 6)
-        real = ed.dense_spectrum
+        real = np.linalg.eigh
 
-        def spectrum(blocks):
-            spec = real(blocks)
-            value = getattr(spec, field).copy()
-            value[..., 2] = np.nan  # member 2 of the stack, in every sector
-            return dataclasses.replace(spec, **{field: value})
+        def eigh(blocks):
+            out, k = list(real(blocks)), EIGH_FIELDS[field]
+            out[k] = out[k].copy()
+            out[k][2] = np.nan  # member 2 of the stack, in every sector
+            return tuple(out)
 
-        monkeypatch.setattr(ed, "dense_spectrum", spectrum)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         for m, (spec, ref) in enumerate(zip(ring_spectrum(h2, 6), clean)):
             if m == 2:
                 assert np.isnan(spec.eigenvalues[0]) and np.isnan(spec.ground_vectors).all()
@@ -444,15 +488,16 @@ class TestBatchEqualsPoint:
                 assert _same_spectrum(spec, ref), m
 
     def test_failing_member_named_by_g(self, monkeypatch):
-        real = ed.dense_spectrum
+        real = ed.bond_operator
 
-        def spectrum(blocks):
-            blocks = blocks.copy()
-            blocks[1, 0, -1] += 1.0  # member 1 is not Hermitian where a block has room
-            return real(blocks)
+        def bond(p, form="projector"):
+            h2 = real(p, form)
+            if p.g == 0.5:
+                h2[0, 1] += 1.0  # member 1 is not symmetric
+            return h2
 
-        monkeypatch.setattr(ed, "dense_spectrum", spectrum)
-        with pytest.raises(ValueError, match=r"not Hermitian at batch member 1 \(g=0\.5, n=4\)"):
+        monkeypatch.setattr(ed, "bond_operator", bond)
+        with pytest.raises(ValueError, match=r"not symmetric at batch member 1 \(g=0\.5, n=4\)"):
             certify(params(g=np.array([0.0, 0.5, 1.0]), n=4))
 
     def test_batched_certify_holds_no_dense_matrix(self):

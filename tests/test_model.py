@@ -5,6 +5,8 @@ import pytest
 
 from xyzring import (
     ModelParams,
+    MpsTensors,
+    SymmetryReport,
     check_symmetries,
     couplings_from_params,
     general_mps_matrices,
@@ -83,12 +85,25 @@ def test_spin_flip_conjugation_forced(eps, eta, g):
 
 
 @pytest.mark.parametrize("eps,eta", CLASSES)
-@pytest.mark.parametrize("g", [-2.0, -0.5, 0.3, 1.5])
+@pytest.mark.parametrize("g", [-2.0, -0.5, 0.3, 1.5, 1e-11, -3.7e-5, 4.1e6, -1e12, 1e12])
 def test_symmetry_report_all_pass(eps, eta, g):
+    # every entry agrees to 1e-12 absolute, from tiny to huge |g|
     rep = check_symmetries(mps_matrices(ModelParams(epsilon=eps, eta=eta, g=g, n=4)), eps)
     assert rep.spin_flip
     assert rep.parity is True
     assert rep.time_reversal
+
+
+def test_symmetry_errors_of_1e6_fail():
+    # an absolute 1e-12 per entry: np.allclose's default rtol=1e-5 let both through
+    t = mps_matrices(ModelParams(g=1.5))
+    rep = check_symmetries(MpsTensors(a0=t.a0, a1=t.a1 * (1 + 1e-6)), 1)
+    assert not rep.spin_flip and rep.parity is True  # a scaled A1 keeps its parity
+    a0 = t.a0.copy()
+    a0[0, 1] += 1e-6
+    rep = check_symmetries(MpsTensors(a0=a0, a1=t.a1), 1)
+    assert not rep.spin_flip and rep.parity is False
+    assert check_symmetries(t, 1) == SymmetryReport(True, True, True)
 
 
 def test_parity_not_applicable_at_g_zero():

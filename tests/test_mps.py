@@ -303,12 +303,6 @@ class TestTransferMatrix:
         expected = np.sort([2 * (eta + g), 2 * (eta - g), 2 * (1 + g), 2 * (1 - g)])
         assert ev == pytest.approx(expected, abs=1e-12)
 
-    def test_identity_dressing(self):
-        t = mps_matrices(params(g=0.3))
-        assert np.allclose(
-            transfer_with_operator(t, SI), transfer_matrix(t)
-        )
-
     @staticmethod
     def _tensors():
         """The four classes' tensors over a g grid, and a random complex stack."""
