@@ -10,6 +10,7 @@ from .model import (
     SymmetryReport,
     check_symmetries,
     couplings_from_params,
+    g_blocks,
     general_mps_matrices,
     mps_matrices,
     ring_points,

@@ -18,6 +18,7 @@ from .model import (
     ModelParams,
     check_symmetries,
     couplings_from_params,
+    g_blocks,
     general_mps_matrices,
     mps_matrices,
     ring_points,
@@ -45,7 +46,7 @@ def worst_error(*errors):
     return float(np.max(np.hstack([0.0, *map(np.ravel, errors)])))
 
 
-BLOCK_AMPLITUDES = 2**14  # dense amplitudes that states_over_g builds at once
+BLOCK_AMPLITUDES = 2**14  # dense amplitudes that the dense checks build at once
 DEFAULT_SIZES = (4, 6)  # with DEFAULT_G_VALUES, the grid of verify and ed-compare without flags
 DEFAULT_G_VALUES = (-2.0, -0.5, 0.3, 0.7, 1.0, 1.5)
 
@@ -94,21 +95,6 @@ def _check(name, covers, reason=None, high=np.inf, singular=()):
     return wrap
 
 
-def states_over_g(p):
-    """The trace-built states of p's sign class and ring size at every g of
-    the 1-D array p.g: yields (rows, state) for consecutive slices rows of
-    p.g, state the batched build_state of those g, each block holding at most
-    BLOCK_AMPLITUDES amplitudes (one g per block from 2^n > BLOCK_AMPLITUDES).
-    A member that fails in build_state is named by its g.
-    """
-    size = max(1, BLOCK_AMPLITUDES >> p.n)
-    for start in range(0, len(p.g), size):
-        rows = slice(start, start + size)
-        with mps._naming_g(p.g[rows], p.n):
-            psi = build_state(mps_matrices(replace(p, g=p.g[rows])), p.n)
-        yield rows, psi
-
-
 def _grid_classes(cfg):
     """One ModelParams per (eps, eta, n) of ring_points, holding the whole g grid as an array."""
     return ring_points([np.array(cfg.g_values, dtype=float)], cfg.n_list, cfg.j)
@@ -141,8 +127,10 @@ def check_normalization(cfg):
     errs = []
     for p in _grid_classes(cfg):
         n = p.n
-        for rows, psi in states_over_g(p):  # build_state cross-checks Z = tr(E^n)
-            t = mps_matrices(replace(p, g=p.g[rows]))
+        for block in g_blocks(p, max(1, BLOCK_AMPLITUDES >> n)):
+            t = mps_matrices(block)
+            with mps._naming_g(block.g, n):
+                psi = build_state(t, n)  # cross-checks Z = tr(E^n)
             # spot-check two amplitudes of every member against the direct trace
             for bits in ("0" * n, "01" * (n // 2) + "0" * (n % 2)):
                 direct = amplitude(t, bits) / np.sqrt(psi.z)
@@ -209,9 +197,10 @@ def check_closed_form_correlators(cfg):
 def check_ground_state_equivalence(cfg):
     ovs = []
     for p in _grid_classes(cfg):
-        for rows, psi in states_over_g(p):
-            with mps._naming_g(p.g[rows], p.n):
-                chi = explicit_ground_state(replace(p, g=p.g[rows]))
+        for block in g_blocks(p, max(1, BLOCK_AMPLITUDES >> p.n)):
+            with mps._naming_g(block.g, p.n):
+                psi = build_state(mps_matrices(block), p.n)
+                chi = explicit_ground_state(block)
             ovs.append(np.abs(overlap(psi, chi)))
     worst = float(np.min(np.hstack([1.0, *ovs])))  # NaN when any overlap is NaN
     return worst > 1 - 1e-10, {"min_overlap": worst}

@@ -7,10 +7,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .model import g_blocks
 from .mps import PureState, _first, _naming, _naming_g, explicit_ground_state
 from .parent import DENSE_CAP, bond_operator, constant_shift, ring_apply
 
-DEGENERACY_TOL = 1e-8  # of the ground-space cut, relative to max(1, |lowest eigenvalue|)
+DEGENERACY_TOL = 1e-13  # of the ground-space cut, relative to the spectral radius max |w|
 HERMITICITY_TOL = 1e-10  # max |h2 - h2^T| of the bond term, relative to max(1, max |h2|)
 SYMMETRY_TOL = 1e-10  # max |h2 - (sx.sx) h2 (sx.sx)| over the 16 entries of the bond term
 BLOCK_ENTRIES = 2**19  # certify stacks this many / 4^n values of g at once (one from n = 10)
@@ -65,9 +66,10 @@ def ring_spectrum(h2, n):
     """Full sorted spectrum and real orthonormal ground vectors of the ring
     Hamiltonian of a real symmetric bond term h2 (the sum of h2 over the n
     bonds), one sector at a time. The ground space is every eigenvalue
-    w <= w[0] + DEGENERACY_TOL * max(1, |w[0]|). A stack of bond terms
-    (G, 4, 4) gives the list of its members' results, each equal to its own
-    call, from one np.linalg.eigh of the stacked blocks per sector.
+    w <= w[0] + DEGENERACY_TOL * max |w| (over the finite w), a cut at the
+    scale of the eigensolver's rounding. A stack of bond terms (G, 4, 4)
+    gives the list of its members' results, each equal to its own call,
+    from one np.linalg.eigh of the stacked blocks per sector.
 
     Every bond applies the same h2, so H commutes with the one-site rotation
     T; it commutes with the spin flip F when (sx.sx) h2 (sx.sx) = h2. So it
@@ -108,7 +110,7 @@ def ring_spectrum(h2, n):
                for block, sel, twice in zip(blocks.swapaxes(0, 1), members, copies)]
     w = np.sort(np.concatenate([ws for (ws, vs), c in zip(sectors, copies) for _ in range(c)],
                                axis=1), axis=1)
-    tops = w[:, 0] + DEGENERACY_TOL * np.maximum(1.0, np.abs(w[:, 0]))
+    tops = w[:, 0] + DEGENERACY_TOL * np.fmax.reduce(np.abs(w), axis=1)  # fmax skips NaN
     finite = np.isfinite(w).all(axis=1)
     for _, vs in sectors:
         finite &= np.isfinite(vs).all(axis=(1, 2))
@@ -193,11 +195,8 @@ def certify(p):
     certificates, each equal to its own call, from one ring_spectrum and one
     explicit_ground_state per block of at most max(1, BLOCK_ENTRIES / 4^n) g.
     """
-    gs = np.asarray(p.g, dtype=float)
-    step = max(1, BLOCK_ENTRIES >> 2 * p.n)
     certs = []
-    for start in range(0, gs.size, step):
-        block = replace(p, g=gs.reshape(-1)[start:start + step])
+    for block in g_blocks(p, max(1, BLOCK_ENTRIES >> 2 * p.n)):
         points = [replace(p, g=g) for g in block.g.tolist()]
         h2 = np.array([bond_operator(q, "coupling") for q in points])
         with _naming_g(block.g, p.n):
@@ -209,5 +208,5 @@ def certify(p):
                 spec.eigenvalues[0], rayleigh_quotient(h, spec.ground_vectors[:, 0]), -q.n * c0,
                 *ground_membership(h, psi, spec), spec.ground_space_dim,
                 float(np.max(np.abs(h - bond_operator(q, "projector") + c0 * np.eye(4))))))
-    return certs if gs.ndim else certs[0]
+    return certs if np.ndim(p.g) else certs[0]
 

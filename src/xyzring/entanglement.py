@@ -9,7 +9,7 @@ from typing import Tuple
 import numpy as np
 
 from .model import mps_matrices
-from .mps import _contract, _first, _naming
+from .mps import _first, _naming, expectation_two_point
 from .observables import _reduced
 from .pauli import PAULI_PAIRS, SIGMA, SY
 
@@ -32,7 +32,7 @@ def pair_density(p, i, j):
         raise ValueError(f"sites ({i}, {j}) must be distinct and within 1..{n}")
     if p.eta == -1 and n % 2:
         raise ValueError("eta=-1 ground state needs even n")
-    values = _contract(mps_matrices(p), SIGMA[:, None], SIGMA, np.abs(j - i) + 1, n).real
+    values = expectation_two_point(mps_matrices(p), SIGMA[:, None], SIGMA, np.abs(j - i) + 1, n).real
     values = np.moveaxis(values, (np.ndim(p.g), np.ndim(p.g) + 1), (-2, -1))
     values = np.where((j < i)[..., None, None], values.swapaxes(-1, -2), values)
     return np.einsum("...ab,abxy->...xy", values, PAULI_PAIRS) / 4

@@ -5,7 +5,7 @@ parameter g, a non-negative coupling weight J and the ring size N.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -77,6 +77,13 @@ def ring_points(g_values, n_list, j):
         for eps, eta, g, n in itertools.product(_SIGNS, _SIGNS, g_values, n_list)
         if eta == 1 or n % 2 == 0
     ]
+
+
+def g_blocks(p, size):
+    """replace(p, g=block) for consecutive blocks of at most size values of
+    p.g (an array, flattened, or a scalar), each block a 1-D float array."""
+    g = np.ravel(np.asarray(p.g, dtype=float))
+    return [replace(p, g=g[start:start + size]) for start in range(0, g.size, size)]
 
 
 def couplings_from_params(p):

@@ -115,7 +115,8 @@ def build_state(t, n):
     One state has amplitudes (2^n,) and a float z; a batch has amplitudes
     (..., 2^n) and z of the batch shape.  The z of every member is
     cross-checked against tr(E^n), with E^n from np.linalg.matrix_power on
-    the stack (..., 4, 4).  A member whose amplitudes vanish or whose z
+    the stack (..., 4, 4) in long double (in double, rounding E^n puts tr(E^3)
+    4e-9 of z off at g = -1e8).  A member whose amplitudes vanish or whose z
     disagrees raises, and for a batch the error names the first such member.
     z is one inner product per member over the amplitudes' float64 view, so
     no |amp|^2 buffer is made: complex amplitudes are scaled in place, and a
@@ -129,7 +130,7 @@ def build_state(t, n):
     amps = _all_amplitudes(t, n)
     w = amps.view(np.float64)  # re and im interleaved for complex amplitudes: w.w = sum |amp|^2
     z = (w[..., None, :] @ w[..., :, None])[..., 0, 0]
-    e_n = np.linalg.matrix_power(transfer_matrix(t), n)
+    e_n = np.linalg.matrix_power(transfer_matrix(t).astype(np.clongdouble), n)
     # z = tr(E^n) is at most sum |(E^n)_ij|; a state that vanishes leaves
     # only rounding, ~1e-32 of that scale
     vanish = z <= 1e-16 * np.abs(e_n).sum(axis=(-2, -1))
@@ -167,23 +168,39 @@ def transfer_with_operator(t, op):
     return e.reshape(*e.shape[:-4], 4, 4)  # row (a, b), column (c, d), as in np.kron
 
 
-def _contract(t, op_a, op_b, r, n):
-    """tr(E_a E^{r-2} E_b E^{n-r}) / tr(E^n), with E_a and E_b the
-    transfer matrices dressed with op_a and op_b, for tensors (2, 2) or a
-    batch of them (..., 2, 2) and for an int r or every entry of an integer
-    array r.  op_a and op_b are operators (2, 2) or stacks (..., 2, 2) whose
-    batch shapes broadcast to ops; the result has the shape
+def expectation_one_point(t, op, k, n):
+    """<O(k)> = tr(E^{k-1} E_O E^{n-k}) / tr(E^n), which by cyclicity of the
+    trace is tr(E_O E^{n-1}) / tr(E^n) for every k (per member of a batch).
+
+    Overflow or an invalid value raises FloatingPointError; n < 2 or a zero tr(E^n) ValueError.
+    """
+    if n < 2:
+        raise ValueError(f"ring size {n} below 2")
+    if not 1 <= k <= n:
+        raise ValueError(f"site index {k} outside 1..{n}")
+    return expectation_two_point(t, op, SI, 2, n)
+
+
+def expectation_two_point(t, op_a, op_b, r, n):
+    """<O_a(1) O_b(r)> = tr(E_a E^{r-2} E_b E^{n-r}) / tr(E^n), with E_a and
+    E_b the transfer matrices dressed with op_a and op_b, for tensors (2, 2)
+    or a batch of them (..., 2, 2) and for an int r or every entry of an
+    integer array r in 2..n.  op_a and op_b are operators (2, 2) or stacks
+    (..., 2, 2) whose batch shapes broadcast to ops; the result has the shape
     (*batch, *ops, *r.shape), and each member gives the bits of its own call.
 
     1, op_a and op_b are dressed as one stack.  Every factor is divided by the
     spectral radius of its E, which leaves the ratio unchanged and keeps the
     powers of E finite for any n.  Every power is one np.linalg.matrix_power
     on the stack of members: E^n once, and each distinct exponent among
-    r - 2 and n - r once per call.  A member whose dressed matrices overflow
-    raises FloatingPointError, one whose tr(E^n) is 0 (eta = -1, odd n)
-    ValueError.
+    r - 2 > 0 and n - r once per call (at r = 2 the chain starts E_a E_b).
+    A member whose dressed matrices overflow raises FloatingPointError, one
+    whose tr(E^n) is 0 (eta = -1, odd n) ValueError.
     """
     r, batch = np.asarray(r), np.shape(t.a0)[:-2]
+    outside = (r < 2) | (r > n)
+    if outside.any():
+        raise ValueError(f"separation {r[outside].flat[0]} outside 2..{n}")
     shape_a, shape_b = np.shape(op_a)[:-2], np.shape(op_b)[:-2]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         t = MpsTensors(np.reshape(t.a0, (-1, 2, 2)), np.reshape(t.a1, (-1, 2, 2)))
@@ -200,38 +217,13 @@ def _contract(t, op_a, op_b, r, n):
         vanish = (total == 0).reshape(batch)
         if vanish.any():  # eta = -1 on an odd ring, unless rounding leaves a residue
             raise _naming(ValueError("tr(E^n) is 0 for these tensors"), _first(vanish))
-        powers = {x: np.linalg.matrix_power(e, x) for x in set(np.ravel([r - 2, n - r]).tolist())}
+        exponents = np.concatenate([r[r > 2] - 2, np.ravel(n - r)])
+        powers = {x: np.linalg.matrix_power(e, x) for x in set(exponents.tolist())}
         values = np.empty((*np.broadcast_shapes(shape_a, shape_b), len(e), r.size), complex)
         for i, x in enumerate(r.flat):
-            chain = e_a @ powers[x - 2] @ e_b @ powers[n - x]
-            values[..., i] = chain.trace(axis1=-2, axis2=-1) / total
+            left = e_a if x == 2 else e_a @ powers[x - 2]
+            values[..., i] = (left @ e_b @ powers[n - x]).trace(axis1=-2, axis2=-1) / total
         return np.moveaxis(values, -2, 0).reshape(batch + values.shape[:-2] + r.shape)[()]
-
-
-def expectation_one_point(t, op, k, n):
-    """<O(k)> = tr(E^{k-1} E_O E^{n-k}) / tr(E^n), which by cyclicity of the
-    trace is tr(E_O E^{n-1}) / tr(E^n) for every k (per member of a batch).
-
-    Overflow or an invalid value raises FloatingPointError; n < 2 or a zero tr(E^n) ValueError.
-    """
-    if n < 2:
-        raise ValueError(f"ring size {n} below 2")
-    if not 1 <= k <= n:
-        raise ValueError(f"site index {k} outside 1..{n}")
-    return _contract(t, op, SI, 2, n)
-
-
-def expectation_two_point(t, op_a, op_b, r, n):
-    """<O_a(1) O_b(r)> = tr(E_a E^{r-2} E_b E^{n-r}) / tr(E^n), for an int r
-    or an integer array r and every member of a batch, in one _contract.
-
-    Overflow or an invalid value raises FloatingPointError, a zero tr(E^n) ValueError.
-    """
-    rs = np.asarray(r)
-    outside = (rs < 2) | (rs > n)
-    if outside.any():
-        raise ValueError(f"separation {rs[outside].flat[0]} outside 2..{n}")
-    return _contract(t, op_a, op_b, r, n)
 
 
 def product_term_cell(p):

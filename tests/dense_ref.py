@@ -39,7 +39,7 @@ def pair_density_brute(psi, i, j):
 def dense_spectrum(h):
     """Full spectrum of a dense Hermitian matrix from one eigh, and the
     eigenspace of its minimum w[0]: the eigenvalues w <= w[0] +
-    DEGENERACY_TOL * max(1, |w[0]|), the ground space of ring_spectrum.
+    DEGENERACY_TOL * max |w|, the ground space of ring_spectrum.
     Real input stays real, so a real symmetric matrix gives real ground vectors.
     """
     h = np.asarray(h)
@@ -47,6 +47,6 @@ def dense_spectrum(h):
     if abs(h - h.conj().T).max() > HERMITICITY_TOL * max(1.0, abs(h).max()):
         raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh(h)
-    dim = int((w <= w[0] + DEGENERACY_TOL * max(1.0, abs(w[0]))).sum())
+    dim = int((w <= w[0] + DEGENERACY_TOL * np.abs(w).max()).sum())
     # a copy, so that the result does not keep the whole eigenvector matrix alive
     return SpectrumResult(w, dim, v[:, :dim].copy())

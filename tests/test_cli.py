@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import importlib
@@ -144,9 +145,12 @@ class TestVerify:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: normalization mismatch")
 
-    def test_explicit_state_error_names_g_and_n(self, capsys):
-        # the explicit amplitudes at |g| = 1e8 trip the tr(E^n) cross-check
-        # (ROADMAP item 6); the error names the point it failed at
+    def test_explicit_state_error_names_g_and_n(self, monkeypatch, capsys):
+        # a tr(E^n) that is off for the explicit (complex) tensors only trips
+        # their cross-check; the error names the point it failed at
+        real = mps.transfer_matrix
+        monkeypatch.setattr(mps, "transfer_matrix",
+                            lambda t: real(t) * (2 if np.iscomplexobj(t.a0) else 1))
         assert main(["verify", "--n", "3", "--g-min=-1e8", "--g-max=-1e8", "--g-steps", "1"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: normalization mismatch")
@@ -903,15 +907,16 @@ class TestChecks:
         assert ok, details
 
     def test_each_oracle_value_computed_once(self):
-        # one call per class, over the x, y, z stack and every separation
+        # one contraction per class and check, over the x, y, z stack and every
+        # separation: calls counted by (oracle, caller)
         cfg = VerifyConfig()
-        counted = {entanglement.pair_density.__code__: 0,
-                   mps.expectation_one_point.__code__: 0,
-                   mps.expectation_two_point.__code__: 0}
+        oracles = {fn.__code__: fn.__name__ for fn in (
+            entanglement.pair_density, mps.expectation_one_point, mps.expectation_two_point)}
+        counted = collections.Counter()
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code in counted:
-                counted[frame.f_code] += 1
+            if event == "call" and frame.f_code in oracles:
+                counted[oracles[frame.f_code], frame.f_back.f_code.co_name] += 1
 
         sys.setprofile(profile)
         try:
@@ -919,9 +924,14 @@ class TestChecks:
         finally:
             sys.setprofile(None)
         classes = ring_points([cfg.g_values], cfg.n_list, cfg.j)
-        assert counted[entanglement.pair_density.__code__] == len(classes)
-        assert counted[mps.expectation_one_point.__code__] == sum(p.eta == 1 for p in classes)
-        assert counted[mps.expectation_two_point.__code__] == len(classes)
+        eta_plus = sum(p.eta == 1 for p in classes)
+        assert counted == {
+            ("pair_density", "check_concurrence"): len(classes),
+            ("expectation_two_point", "pair_density"): len(classes),
+            ("expectation_one_point", "check_closed_form_correlators"): eta_plus,
+            ("expectation_two_point", "expectation_one_point"): eta_plus,
+            ("expectation_two_point", "check_closed_form_correlators"): len(classes),
+        }
 
     @pytest.mark.parametrize("n", [4, 7, 1000, 1001, 10**5, 10**6 + 1])
     def test_separations(self, n):

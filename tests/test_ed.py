@@ -526,10 +526,35 @@ class TestRelativeGroundCut:
         assert cert.energy == cert.expected
 
     def test_dense_spectrum_cut(self):
-        # a relative gap of 5e-9 is one ground space, 2e-8 two levels
-        for w, dim in (([-1e8, -1e8 + 0.5, 3.0], 2), ([-1e8, -1e8 + 2.0, 3.0], 1),
-                       ([0.0, 5e-9, 1.0], 2), ([0.0, 2e-8, 1.0], 1)):
+        # a gap of 5e-14 of the spectral radius is one ground space, 2e-13 two levels
+        for w, dim in (([-1e8, -1e8 + 5e-6, 3.0], 2), ([-1e8, -1e8 + 2e-5, 3.0], 1),
+                       ([0.0, 5e-14, 1.0], 2), ([0.0, 2e-13, 1.0], 1)):
             assert dense_spectrum(np.diag(w)).ground_space_dim == dim, w
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_two_fold_at_large_field(self, n):
+        # the gap stays O(1) while the spectral radius grows as n g^2: a cut
+        # relative to |w[0]| (about n g^2 / 2 in the coupling form, 0 in the
+        # projector form) took in excited levels or split the ground pair
+        g = [1e3, -1e3, 1e4, 1e5]
+        for (eps, eta), form in itertools.product(CLASSES, ("coupling", "projector")):
+            if eta == -1 and n % 2:
+                continue
+            h2 = np.array([bond_operator(params(eps, eta, x, n=n), form) for x in g])
+            dims = [spec.ground_space_dim for spec in ring_spectrum(h2, n)]
+            assert dims == [2] * len(g), (eps, eta, form)
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_coupling_weight_zero(self, n):
+        # at J = 0 the ground space of an even ring is (n + 1)-fold, of an odd one
+        # 2-fold; epsilon = -1 has the same spectrum (see test_matches_dense)
+        g = [0.3, 0.37, -2.0, 1.5, 1e3, 1e4, 1e5]
+        for eta, form in itertools.product((1, -1), ("coupling", "projector")):
+            if eta == -1 and n % 2:
+                continue
+            h2 = np.array([bond_operator(params(1, eta, x, j=0.0, n=n), form) for x in g])
+            dims = [spec.ground_space_dim for spec in ring_spectrum(h2, n)]
+            assert dims == [2 if n % 2 else n + 1] * len(g), (eta, form)
 
 
 class TestDegeneracyScan:

@@ -16,6 +16,7 @@ from xyzring import (
     expectation_one_point,
     expectation_two_point,
     explicit_ground_state,
+    g_blocks,
     general_mps_matrices,
     mps,
     mps_matrices,
@@ -239,11 +240,23 @@ class TestBatchedBuild:
         real = mps.transfer_matrix
         monkeypatch.setattr(mps, "transfer_matrix", lambda t: real(t) * np.where(
             t.a0[..., 0, 1] == 0.7, 2.0, 1.0)[..., None, None])
-        g = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
-        with pytest.raises(ArithmeticError, match=r"at batch member 2 \(g=0.7, n=12\)$"):
-            list(checks.states_over_g(params(g=g, n=12)))
+        cfg = checks.VerifyConfig(n_list=[12], g_values=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+        for check in (checks.check_normalization, checks.check_ground_state_equivalence):
+            with pytest.raises(ArithmeticError, match=r"at batch member 2 \(g=0.7, n=12\)$"):
+                check(cfg)
+        # eta = -1 on an odd ring, which the checks leave out, through the same walk
         with pytest.raises(ValueError, match=r"vanish.* at batch member 0 \(g=0.3, n=5\)$"):
-            list(checks.states_over_g(params(eta=-1, g=np.array([0.3, 0.5]), n=5)))
+            for block in g_blocks(params(eta=-1, g=np.array([0.3, 0.5]), n=5), 4):
+                with mps._naming_g(block.g, 5):
+                    build_state(mps_matrices(block), 5)
+
+    def test_cross_check_at_large_field(self):
+        # z = 16 (2 + 6 g^2); in double, rounding E^3 of the explicit tensors
+        # put tr(E^3) 4e-9 of z off at g = +-1e8, past the 1e-10 bound
+        for g in (1e8, -1e8, -1e7):
+            p = params(g=g, n=3)
+            for psi in (build_state(mps_matrices(p), 3), explicit_ground_state(p)):
+                assert psi.z == pytest.approx(16 * (2 + 6 * g * g), rel=1e-15, abs=0), g
 
     def test_single_point_errors_name_no_member(self):
         with pytest.raises(ValueError, match="vanish for these tensors$") as info:
@@ -268,21 +281,38 @@ class TestBatchedBuild:
                 one = build_state(mps_matrices(params(-1, 1, x, n=n)), n)
                 assert np.array_equal(rho[k], pair_density_brute(one, i, j)), (i, j, x)
 
-    def test_states_over_g_blocks(self, monkeypatch):
-        # 2^10 amplitudes per state: at most 16 states per build_state call
-        shapes, real = [], mps.build_state
+    def test_dense_checks_walk_blocks_of_g(self, monkeypatch):
+        # 2^10 amplitudes per state: at most 16 states per build_state call, in
+        # each of the four classes
+        shapes, starts, real = [], [], mps.build_state
 
         def recording(t, n):
             psi = real(t, n)
             shapes.append(psi.amplitudes.shape)
+            starts.append(t.a0[0, 0, 1])  # the g of the block's first member
             return psi
 
         monkeypatch.setattr(checks, "build_state", recording)
         g = np.linspace(0, 2, 401)
-        blocks = list(checks.states_over_g(params(g=g, n=10)))
-        assert max(rows * size for rows, size in shapes) <= 2**14
-        assert sum(rows for rows, _ in shapes) == 401 and len(shapes) == -(-401 // 16)
-        assert [rows.start for rows, _ in blocks] == list(range(0, 401, 16))
+        cfg = checks.VerifyConfig(n_list=[10], g_values=g.tolist())
+        for check in (checks.check_normalization, checks.check_ground_state_equivalence):
+            shapes.clear()
+            starts.clear()
+            ok, _ = check(cfg)
+            assert ok
+            assert max(rows * size for rows, size in shapes) <= 2**14
+            assert sum(rows for rows, _ in shapes) == 4 * 401
+            assert len(shapes) == 4 * -(-401 // 16)
+            assert starts == 4 * g[::16].tolist()
+
+    def test_g_blocks(self):
+        g = np.linspace(0, 2, 401)
+        blocks = g_blocks(params(-1, -1, g, n=10), 16)
+        assert [len(b.g) for b in blocks] == [16] * 25 + [1]
+        assert np.concatenate([b.g for b in blocks]).tobytes() == g.tobytes()
+        assert all(dataclasses.replace(b, g=0.0) == params(-1, -1, 0.0, n=10) for b in blocks)
+        one = g_blocks(params(g=0.7), 16)  # a scalar g is a block of one
+        assert len(one) == 1 and one[0].g.tolist() == [0.7]
 
 
 class TestTransferMatrix:
@@ -409,7 +439,7 @@ class TestExpectations:
 
 
 class TestBatchedSeparations:
-    """_contract over an integer array r: one batched contraction per call."""
+    """expectation_two_point over an integer array r: one batched contraction per call."""
 
     @pytest.mark.parametrize("g", [0.0, 0.3, 1.0, -0.5, 1.5])  # E is defective at g = 0
     @pytest.mark.parametrize("n", [*range(3, 13), 1000])
@@ -417,8 +447,8 @@ class TestBatchedSeparations:
         rs = np.arange(2, n + 1)
         for p in ring_points([g], [n], 1.0):  # the four classes, eta = -1 on even n only
             t = mps_matrices(p)
-            batch = mps._contract(t, GENERIC_A, GENERIC_B, rs, n)
-            scalar = [mps._contract(t, GENERIC_A, GENERIC_B, int(r), n) for r in rs]
+            batch = expectation_two_point(t, GENERIC_A, GENERIC_B, rs, n)
+            scalar = [expectation_two_point(t, GENERIC_A, GENERIC_B, int(r), n) for r in rs]
             assert batch.shape == rs.shape
             assert batch.tobytes() == np.array(scalar).tobytes(), p
 
@@ -469,7 +499,7 @@ class TestBatchedSeparations:
 
 
 class TestTransferTrace:
-    """The powers of E in _contract: each one np.linalg.matrix_power on the
+    """The powers of E in expectation_two_point: each one np.linalg.matrix_power on the
     stack of members, E^n once per call, and tr(E^n) refused where it vanishes."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 7, 1000, 10**5])
@@ -485,9 +515,10 @@ class TestTransferTrace:
             total = np.trace(mp(e, n), axis1=1, axis2=2)
             want = np.stack([np.trace(e_a @ mp(e, r - 2) @ e_b @ mp(e, n - r), axis1=1, axis2=2)
                              / total for r in rs], axis=-1)
-            assert mps._contract(t, GENERIC_A, GENERIC_B, rs, n).tobytes() == want.tobytes(), p
+            got = expectation_two_point(t, GENERIC_A, GENERIC_B, rs, n)
+            assert got.tobytes() == want.tobytes(), p
             for k, r in enumerate(rs):
-                one = mps._contract(t, GENERIC_A, GENERIC_B, int(r), n)
+                one = expectation_two_point(t, GENERIC_A, GENERIC_B, int(r), n)
                 assert one.tobytes() == want[:, k].tobytes(), (p, r)
 
     @pytest.mark.parametrize("g", [[0.3], np.linspace(-2, 2, 6)], ids=["1g", "6g"])
@@ -506,6 +537,22 @@ class TestTransferTrace:
             calls.clear()
             expectation_two_point(t, SX, SX, r, 1000)
             assert len(calls) == count, r
+
+    def test_no_identity_power_at_r2(self, monkeypatch):
+        # at r = 2 the chain starts E_a E_b, with no E^0 between them
+        calls, power = [], np.linalg.matrix_power
+
+        def counted(a, k):
+            calls.append(k)
+            return power(a, k)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", counted)
+        t = mps_matrices(params(g=np.linspace(-2, 2, 5), n=10))
+        expectation_one_point(t, SX, 1, 10)
+        assert sorted(calls) == [8, 10]
+        calls.clear()
+        expectation_two_point(t, SX, SX, np.array([2, 10]), 10)
+        assert sorted(calls) == [0, 8, 10]  # E^0 only on the right, at r = n
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("g", [-0.5, 0.0, 0.7, 1.0])
@@ -595,7 +642,7 @@ class TestBatchedOracles:
 
 
 class TestOperatorStacks:
-    """_contract over stacks of operators: each member equals its single-operator call."""
+    """expectation_two_point over operator stacks: each member equals its single-operator call."""
 
     OPS = np.array([SI, SX, SY, SZ, GENERIC_A, GENERIC_B])
 
@@ -604,22 +651,22 @@ class TestOperatorStacks:
         rs = np.arange(2, n + 1) if n <= 12 else np.array([2, 3, n // 2, n])
         for p in ring_points([np.array(TestBatchedOracles.G_BATCH)], [n], 1.0):
             t = mps_matrices(p)
-            pairs = mps._contract(t, self.OPS[:, None], self.OPS, rs, n)
-            diagonal = mps._contract(t, self.OPS, self.OPS[::-1], rs, n)
+            pairs = expectation_two_point(t, self.OPS[:, None], self.OPS, rs, n)
+            diagonal = expectation_two_point(t, self.OPS, self.OPS[::-1], rs, n)
             assert pairs.shape == (len(TestBatchedOracles.G_BATCH), 6, 6, len(rs))
             assert diagonal.shape == (len(TestBatchedOracles.G_BATCH), 6, len(rs))
             for a, b in itertools.product(range(6), repeat=2):
-                one = mps._contract(t, self.OPS[a], self.OPS[b], rs, n)
+                one = expectation_two_point(t, self.OPS[a], self.OPS[b], rs, n)
                 assert pairs[:, a, b].tobytes() == one.tobytes(), (p, a, b)
                 if a + b == 5:
                     assert diagonal[:, a].tobytes() == one.tobytes(), (p, a, b)
 
     def test_one_operator_against_a_stack(self):
         t = mps_matrices(params(g=0.3, n=8))
-        values = mps._contract(t, SX, self.OPS, 4, 8)
+        values = expectation_two_point(t, SX, self.OPS, 4, 8)
         assert values.shape == (6,)
         assert [v.tobytes() for v in values] == [
-            np.asarray(mps._contract(t, SX, op, 4, 8)).tobytes() for op in self.OPS]
+            np.asarray(expectation_two_point(t, SX, op, 4, 8)).tobytes() for op in self.OPS]
         one_point = expectation_one_point(t, self.OPS[1:4], 3, 8)
         assert one_point.shape == (3,)
         assert one_point[0] == expectation_one_point(t, SX, 1, 8)
