@@ -220,32 +220,18 @@ def check_bell_pairs(cfg):
 
 @_check("null-space-kernel", [parent.null_space_k2, parent.e_vectors])
 def check_null_space(cfg):
-    errs = []
-    dims = {}
+    errs, dims = [], set()
     for p in ring_points(cfg.g_values, [4], cfg.j):
         t = mps_matrices(p)
         prob = parent.null_space_k2(t.a0, t.a1)
-        dims[(p.epsilon, p.eta, p.g)] = prob.kernel_dim
-        # null-space membership of each kernel vector
-        mats = (t.a0.astype(complex), t.a1.astype(complex))
-        for c in prob.kernel.T:
-            comb = sum(
-                c[2 * j1 + j2] * mats[j1] @ mats[j2]
-                for j1, j2 in itertools.product(range(2), repeat=2)
-            )
-            errs.append(np.linalg.norm(comb))
-        # kernel projector vs span{e1, e2}
-        e1, e2 = parent.e_vectors(p)
-        basis = np.linalg.qr(np.column_stack([e1, e2]))[0]
-        proj_e = basis @ basis.conj().T
-        proj_k = prob.kernel @ prob.kernel.conj().T
-        if prob.kernel_dim == 2:
-            errs.append(np.max(np.abs(proj_e - proj_k)))
-        else:
-            # extra degeneracy: span{e1,e2} must still lie inside the kernel
-            errs.append(np.max(np.abs(proj_k @ proj_e - proj_e)))
-    worst = worst_error(*errs)
-    return worst < cfg.tolerance, {"max_error": worst, "kernel_dims": sorted(set(dims.values()))}
+        dims.add(prob.kernel_dim)
+        # M c = sum_{j1 j2} c_{j1 j2} A_{j1} A_{j2} of each kernel vector c
+        errs.append(np.linalg.norm(prob.m @ prob.kernel, axis=0))
+        # the kernel is span{e1, e2}: rank 2, so the two projectors agree
+        basis = np.linalg.qr(np.column_stack(parent.e_vectors(p)))[0]
+        errs.append(np.max(np.abs(basis @ basis.conj().T - prob.kernel @ prob.kernel.conj().T)))
+    worst, dims = worst_error(*errs), sorted(dims)
+    return worst < cfg.tolerance and dims == [2], {"max_error": worst, "kernel_dims": dims}
 
 
 @_check("coupling-recovery", [parent.local_h, parent.pauli_decompose])

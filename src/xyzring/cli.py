@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import ed, mps, observables, parent
+from . import ed, mps, observables
 from .checks import DEFAULT_G_VALUES, DEFAULT_SIZES, VerifyConfig, run_verify, worst_error
 from .entanglement import concurrence_closed, scaling_limit
 from .model import ModelParams, mps_matrices, ring_points
@@ -269,9 +269,6 @@ def cmd_figure2(args):
 def cmd_ed_compare(args):
     g_values = _g_grid(args, DEFAULT_G_VALUES)
     n_list = args.n_list or DEFAULT_SIZES
-    if any(n > parent.DENSE_CAP for n in n_list):
-        print(f"error: ring sizes above dense cap {parent.DENSE_CAP}", file=sys.stderr)
-        return 2
     certs = {(p.epsilon, p.eta, p.n): ed.certify(p)  # one call per class over the g grid
              for p in ring_points([np.array(g_values)], n_list, args.j)}
     rows = []
@@ -331,7 +328,8 @@ FLAGS = {
                       help="sign of the field term (default +1)"),
     "--j": dict(type=_float_flag("finite and non-negative", lambda v: v >= 0), default=ModelParams.j,
                 help=f"non-negative coupling weight (default {ModelParams.j:g})"),
-    "--tolerance": dict(type=_float_flag("finite and positive", lambda v: v > 0), default=1e-10),
+    "--tolerance": dict(type=_float_flag("finite and positive", lambda v: v > 0),
+                        default=VerifyConfig.tolerance),
     "--check": dict(action="store_true",
                     help="cross-check each row against the transfer-matrix correlators"),
 }

@@ -23,18 +23,16 @@ def pair_density(p, i, j):
     (i, j), s_0 the identity, with all 16 correlators from one transfer-matrix
     contraction; exact for both eta sectors, at a cost of O(log n).
 
-    The ring is translation invariant, so (i, j) is the pair (1, |j - i| + 1)
-    with the operator axes swapped where j < i.  An array p.g and an integer
-    array j give the stack (*g.shape, *j.shape, 4, 4).
+    The ring is translation invariant, so (i, j) is the pair (1, (j - i) % n + 1).
+    An array p.g and an integer array j give the stack (*g.shape, *j.shape, 4, 4).
     """
     n, j = p.n, np.asarray(j)
     if np.any(j == i) or not 1 <= i <= n or np.any((j < 1) | (j > n)):
         raise ValueError(f"sites ({i}, {j}) must be distinct and within 1..{n}")
     if p.eta == -1 and n % 2:
         raise ValueError("eta=-1 ground state needs even n")
-    values = expectation_two_point(mps_matrices(p), SIGMA[:, None], SIGMA, np.abs(j - i) + 1, n).real
+    values = expectation_two_point(mps_matrices(p), SIGMA[:, None], SIGMA, (j - i) % n + 1, n).real
     values = np.moveaxis(values, (np.ndim(p.g), np.ndim(p.g) + 1), (-2, -1))
-    values = np.where((j < i)[..., None, None], values.swapaxes(-1, -2), values)
     return np.einsum("...ab,abxy->...xy", values, PAULI_PAIRS) / 4
 
 

@@ -226,41 +226,38 @@ def expectation_two_point(t, op_a, op_b, r, n):
         return np.moveaxis(values, -2, 0).reshape(batch + values.shape[:-2] + r.shape)[()]
 
 
-def product_term_cell(p):
-    """Site vectors of the two product terms of the explicit ground state
-    on one two-site unit cell.
-
-    Returns (term_a, term_b), each a pair (vector on sites 1, 3, 5, ...,
-    vector on sites 2, 4, 6, ...) of unnormalized single-site vectors (*g.shape, 2).
-    For g < 0 the square root continues as i*sqrt(-g).
+def product_term_vectors(p):
+    """Site-1 vectors (a, b) of the two product terms of the explicit ground
+    state, unnormalized single-site vectors (*g.shape, 2).  For eta = +1 the
+    terms carry a and b on every site; for eta = -1 they alternate, (a, b, a,
+    ...) and (b, a, b, ...).  For g < 0 the square root continues as i*sqrt(-g).
     """
     sg = np.sqrt(np.asarray(p.g, dtype=complex))[..., None]
     if p.eta == 1:
-        phi_p = np.concatenate([1 + sg, 1 - sg], axis=-1)
-        phi_m = np.concatenate([1 - sg, 1 + sg], axis=-1)
-        cell = ((phi_p, phi_p), (phi_m, phi_m))
+        a = np.concatenate([1 + sg, 1 - sg], axis=-1)
+        b = np.concatenate([1 - sg, 1 + sg], axis=-1)
     else:
-        if p.n % 2 != 0:
-            raise ValueError("explicit eta=-1 ground state needs even n")
         y_p = np.array([1, 1j]) / np.sqrt(2)
         y_m = np.array([1, -1j]) / np.sqrt(2)
-        chi_p = (1 + sg) * y_p + 1j * (1 - sg) * y_m
-        chi_m = (1 + sg) * y_m - 1j * (1 - sg) * y_p
-        cell = ((chi_p, chi_m), (chi_m, chi_p))
+        a = (1 + sg) * y_p + 1j * (1 - sg) * y_m
+        b = (1 + sg) * y_m - 1j * (1 - sg) * y_p
     if p.epsilon == -1:
         # local pi-rotation around z maps the epsilon = +1 state over
         flip = np.array([1.0, -1.0])
-        cell = tuple((v1 * flip, v2 * flip) for v1, v2 in cell)
-    return cell
+        a, b = a * flip, b * flip
+    return a, b
 
 
 def explicit_ground_state(p):
     """Closed-form ground state: the sum of two product states with site-1
     vectors a and b is the trace state of A_s = diag(a_s, b_s).  For eta = -1
     the terms alternate (a, b) and (b, a) over the sites, and A_s = diag(a_s,
-    b_s) sigma^x gives A_s1 A_s2 = diag(a_s1 b_s2, b_s1 a_s2) on each pair.
+    b_s) sigma^x gives A_s1 A_s2 = diag(a_s1 b_s2, b_s1 a_s2) on each pair,
+    which closes around the ring only for even n.
     An array p.g gives the batch of the states over g."""
-    (a, _), (b, _) = product_term_cell(p)
+    if p.eta == -1 and p.n % 2 != 0:
+        raise ValueError("explicit eta=-1 ground state needs even n")
+    a, b = product_term_vectors(p)
     mats = np.zeros((2, *a.shape[:-1], 2, 2), complex)  # A_0, A_1
     mats[..., 0, 0], mats[..., 1, 1] = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
     if p.eta == -1:

@@ -10,10 +10,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from xyzring import checks, cli, ed, entanglement, mps
+from xyzring import checks, cli, ed, entanglement, mps, parent
 from xyzring.checks import VerifyConfig
 from xyzring.cli import COMMANDS, main
-from xyzring.model import ModelParams, ring_points
+from xyzring.model import ModelParams, MpsTensors, ring_points
 from xyzring.observables import SingularParameterError
 from xyzring.parent import constant_shift
 
@@ -30,6 +30,13 @@ def test_one_default_coupling_weight():
     # ModelParams, VerifyConfig and the --j flag of verify and ed-compare share J = 1
     args = [cli.build_parser().parse_args([command]) for command in ("verify", "ed-compare")]
     assert ModelParams().j == VerifyConfig().j == args[0].j == args[1].j == 1.0
+
+
+def test_one_default_tolerance():
+    # VerifyConfig, the --tolerance flag of verify and ed-compare, and sweep --check share 1e-10
+    args = [cli.build_parser().parse_args([command]) for command in ("verify", "ed-compare")]
+    assert (VerifyConfig().tolerance == args[0].tolerance == args[1].tolerance
+            == cli.FLAGS["--tolerance"]["default"] == 1e-10)
 
 
 class TestVerify:
@@ -611,9 +618,10 @@ class TestEdCompare:
         assert "Hermitian" not in capsys.readouterr().err
 
     def test_cap_rejected(self, tmp_path, capsys):
-        assert main(["ed-compare", "--n", "14",
-                     "--output", str(tmp_path / "x.csv")]) == 2
-        assert "cap" in capsys.readouterr().err
+        path = tmp_path / "x.csv"
+        assert main(["ed-compare", "--n", "14", "--output", str(path)]) == 2
+        assert "ring size 14 exceeds dense cap 12" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestEdComparePerClass:
@@ -709,6 +717,44 @@ class TestFormMismatchFails:
         assert not ok
         assert details["max_residual"] < 1e-10 and details["max_energy_error"] < 1e-9
         assert details["max_form_mismatch"] == pytest.approx(1.0)
+
+
+class TestNullSpaceKernel:
+    """null-space-kernel passes only when M annihilates the kernel it reports
+    and that kernel is span{e1, e2}, of dimension 2."""
+
+    CFG = VerifyConfig(g_values=[0.3, 0.7])
+
+    def test_three_dimensional_kernel_fails(self, monkeypatch):
+        # rank-one eta = +1 tensors A_0 = diag(1, 0), A_1 = diag(x, 0): every product
+        # A_j1 A_j2 is x_j1 x_j2 diag(1, 0) with x_0 = 1, so the kernel of M is the
+        # 3-dimensional complement of (1, x, x, x^2); it holds psi_-, and e2 as well
+        # for x a root of eps (1 - g) x^2 - 2 (1 + g) x + eps (1 - g)
+        real = checks.mps_matrices
+
+        def tensors(p):
+            if p.eta == -1:
+                return real(p)
+            x = np.roots([p.epsilon * (1 - p.g), -2 * (1 + p.g), p.epsilon * (1 - p.g)])[0]
+            return MpsTensors(np.diag([1.0, 0.0]), np.diag([x, 0.0]))
+
+        monkeypatch.setattr(checks, "mps_matrices", tensors)
+        ok, details = checks.check_null_space(self.CFG)
+        assert not ok and details["kernel_dims"] == [2, 3]
+
+    def test_kernel_outside_the_null_space_of_m_fails(self, monkeypatch):
+        # the kernel stays span{e1, e2}, but M no longer annihilates its first column
+        real = parent.null_space_k2
+
+        def null_space_k2(a0, a1):
+            prob = real(a0, a1)
+            m = prob.m + 1e-6 * np.outer(np.ones(4), prob.kernel[:, 0].conj())
+            return parent.NullSpaceProblem(m=m, kernel=prob.kernel)
+
+        monkeypatch.setattr(parent, "null_space_k2", null_space_k2)
+        ok, details = checks.check_null_space(self.CFG)
+        assert not ok and details["kernel_dims"] == [2]
+        assert details["max_error"] == pytest.approx(2e-6)
 
 
 def _nan_eigh(field):

@@ -17,7 +17,7 @@ from xyzring import (
     scaling_limit,
     wootters_concurrence,
 )
-from xyzring.mps import product_term_cell
+from xyzring.mps import product_term_vectors
 from xyzring.pauli import SI, SX, SZ
 
 CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
@@ -76,9 +76,9 @@ class TestPairDensity:
             assert np.allclose(pair_density(p, i, j), ref, atol=1e-13)
 
     def test_overlap_closed_form(self):
-        # <phi_+|phi_-> of the unnormalized single-site vectors of the eta = +1 cell
+        # <phi_+|phi_-> of the unnormalized single-site vectors of the eta = +1 terms
         for g in (0.0, 0.3, 0.9, 1.0):
-            (phi_p, _), (phi_m, _) = product_term_cell(ModelParams(g=g))
+            phi_p, phi_m = product_term_vectors(ModelParams(g=g))
             assert np.vdot(phi_p, phi_m) == pytest.approx(2 * (1 - g), abs=1e-14)
 
     def test_rejects_equal_sites(self):

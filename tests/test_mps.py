@@ -632,13 +632,12 @@ class TestBatchedOracles:
                 assert batch.z[k] == one.z, q
                 assert ov[k].tobytes() == overlap(build_state(mps_matrices(q), n), one).tobytes()
 
-    def test_product_term_cell_per_member(self):
+    def test_product_term_vectors_per_member(self):
         for p in ring_points([np.array(self.G_BATCH)], [4], 1.0):
-            cell = mps.product_term_cell(p)
+            vectors = mps.product_term_vectors(p)
             for k, q in enumerate(self._points(p)):
-                one = mps.product_term_cell(q)
-                for term, term_one in zip(cell, one):
-                    assert [v[k].tobytes() for v in term] == [v.tobytes() for v in term_one]
+                one = mps.product_term_vectors(q)
+                assert [v[k].tobytes() for v in vectors] == [v.tobytes() for v in one]
 
 
 class TestOperatorStacks:
@@ -713,7 +712,10 @@ class TestExplicitGroundState:
             if eta == -1 and n % 2:
                 continue
             p = params(eps, eta, g, n=n)
-            terms = [kron_all(term[k % 2] for k in range(n)) for term in mps.product_term_cell(p)]
+            a, b = mps.product_term_vectors(p)
+            # the terms carry (site-1, site-2) vectors alternately around the ring
+            cell = ((a, a), (b, b)) if eta == 1 else ((a, b), (b, a))
+            terms = [kron_all(term[k % 2] for k in range(n)) for term in cell]
             want = terms[0] + terms[1]
             want /= np.linalg.norm(want)
             got = explicit_ground_state(p).amplitudes
