@@ -269,6 +269,8 @@ def cmd_figure2(args):
 def cmd_ed_compare(args):
     g_values = _g_grid(args, DEFAULT_G_VALUES)
     n_list = args.n_list or DEFAULT_SIZES
+    for n in n_list:  # every size before the first eigensolve
+        ed.check_dense_cap(n)
     certs = {(p.epsilon, p.eta, p.n): ed.certify(p)  # one call per class over the g grid
              for p in ring_points([np.array(g_values)], n_list, args.j)}
     rows = []

@@ -26,6 +26,12 @@ class SpectrumResult:
     ground_vectors: np.ndarray  # columns, orthonormal
 
 
+def check_dense_cap(n):
+    """Refuse a ring of n sites above DENSE_CAP, the largest that ring_spectrum diagonalizes."""
+    if n > DENSE_CAP:
+        raise ValueError(f"ring size {n} exceeds dense cap {DENSE_CAP}")
+
+
 @functools.lru_cache(maxsize=None)
 def _ring_sectors(n):
     """Orbit tables of the group generated by the one-site rotation T and
@@ -88,8 +94,7 @@ def ring_spectrum(h2, n):
     ring_apply of h2 to their unit vectors.
     """
     h2 = np.asarray(h2)
-    if n > DENSE_CAP:
-        raise ValueError(f"ring size {n} exceeds dense cap {DENSE_CAP}")
+    check_dense_cap(n)
     if np.iscomplexobj(h2):
         raise ValueError("ring_spectrum needs a real symmetric bond term")
     scale = np.maximum(1.0, np.abs(h2).max(axis=(-2, -1)))
@@ -137,9 +142,18 @@ def ring_spectrum(h2, n):
     return results if h2.ndim > 2 else results[0]
 
 
+def _dot(a, b):
+    """<a|b> of the last axes, member by member: a stacked (1, d) @ (d, 1)
+    product, which sums as np.vdot does (the BLAS dot for double, in order
+    for long double)."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def rayleigh_quotient(h2, v):
     """<v|H|v> / <v|v> accumulated in long double, for the ring Hamiltonian
-    of the bond term h2 (ring_apply on v in long double).
+    of the bond term h2 (ring_apply on v in long double).  A stack of bond
+    terms (..., 4, 4) and of vectors (..., 2^n) gives the float array of
+    the members' quotients, each the bits of its own call.
 
     Evaluated on an eigenvector of H, the quotient is accurate to second
     order in the eigenvector error, so it does not carry the last-digit
@@ -147,8 +161,9 @@ def rayleigh_quotient(h2, v):
     """
     v = np.asarray(v)
     v = v.astype(np.clongdouble if np.iscomplexobj(v) else np.longdouble)
-    hv = ring_apply(h2, v[:, None], len(v).bit_length() - 1)[:, 0]
-    return float((np.vdot(v, hv) / np.vdot(v, v)).real)
+    hv = ring_apply(h2, v[..., None], v.shape[-1].bit_length() - 1)[..., 0]
+    q = (_dot(v, hv) / _dot(v, v)).real.astype(float)
+    return q if q.ndim else float(q)
 
 
 def ground_membership(h2, psi, spectrum):
@@ -158,19 +173,26 @@ def ground_membership(h2, psi, spectrum):
     residual = ||H psi - <psi|H|psi> psi||; overlap = ||P_ground psi||.
     spectrum: a SpectrumResult whose ground_vectors span the ground space,
     such as the ring_spectrum of h2 or of h2 + c*identity (the same
-    eigenvectors).
+    eigenvectors).  A stack of bond terms (G, 4, 4), of states (G, 2^n) and
+    the list of their G spectra give the float arrays (G,) of residuals and
+    overlaps, each member the bits of its own call: the residuals in
+    stacked calls, the projections one member at a time (the ground spaces
+    differ in dimension).
     """
     vec = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi, complex)
-    if abs(np.linalg.norm(vec) - 1) > 1e-10:
+    if np.any(np.abs(np.linalg.norm(vec, axis=-1) - 1) > 1e-10):
         raise ValueError("state is not normalized")
     # H on the real and imaginary parts (by linearity, for a real or a
     # complex h2), so that a real h2 gets no complex copy
-    parts = ring_apply(h2, np.column_stack([vec.real, vec.imag]), len(vec).bit_length() - 1)
-    hv = parts[:, 0] + 1j * parts[:, 1]
-    energy = np.vdot(vec, hv)
-    residual = float(np.linalg.norm(hv - energy * vec))
-    proj = spectrum.ground_vectors.conj().T @ vec
-    return residual, float(np.linalg.norm(proj))
+    n = vec.shape[-1].bit_length() - 1
+    parts = ring_apply(h2, np.stack([vec.real, vec.imag], axis=-1), n)
+    hv = parts[..., 0] + 1j * parts[..., 1]
+    r = hv - _dot(vec, hv)[..., None] * vec
+    residual = np.sqrt(_dot(r.real, r.real) + _dot(r.imag, r.imag))
+    if vec.ndim == 1:
+        return float(residual), float(np.linalg.norm(spectrum.ground_vectors.conj().T @ vec))
+    overlap = [np.linalg.norm(s.ground_vectors.conj().T @ v) for s, v in zip(spectrum, vec)]
+    return residual, np.array(overlap)
 
 
 @dataclass(frozen=True)
@@ -202,11 +224,15 @@ def certify(p):
         with _naming_g(block.g, p.n):
             specs = ring_spectrum(h2, p.n)
             states = explicit_ground_state(block).amplitudes
-        for q, h, spec, psi in zip(points, h2, specs, states):
-            c0 = constant_shift(q)
-            certs.append(Certificate(
-                spec.eigenvalues[0], rayleigh_quotient(h, spec.ground_vectors[:, 0]), -q.n * c0,
-                *ground_membership(h, psi, spec), spec.ground_space_dim,
-                float(np.max(np.abs(h - bond_operator(q, "projector") + c0 * np.eye(4))))))
+        c0 = constant_shift(block)
+        energies = rayleigh_quotient(h2, np.array([s.ground_vectors[:, 0] for s in specs]))
+        residuals, overlaps = ground_membership(h2, states, specs)
+        h_proj = np.array([bond_operator(q, "projector") for q in points])
+        mismatch = np.abs(h2 - h_proj + c0[:, None, None] * np.eye(4)).max(axis=(-2, -1))
+        rows = zip(specs, energies.tolist(), (-p.n * c0).tolist(), residuals.tolist(),
+                   overlaps.tolist(), mismatch.tolist())
+        certs += [Certificate(spec.eigenvalues[0], energy, expected, residual, overlap,
+                              spec.ground_space_dim, form_mismatch)
+                  for spec, energy, expected, residual, overlap, form_mismatch in rows]
     return certs if np.ndim(p.g) else certs[0]
 

@@ -8,7 +8,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import mps_matrices
+from .model import mps_matrices, no_state_error
 from .mps import _first, _naming, expectation_two_point
 from .observables import _reduced
 from .pauli import PAULI_PAIRS, SIGMA, SY
@@ -29,8 +29,8 @@ def pair_density(p, i, j):
     n, j = p.n, np.asarray(j)
     if np.any(j == i) or not 1 <= i <= n or np.any((j < 1) | (j > n)):
         raise ValueError(f"sites ({i}, {j}) must be distinct and within 1..{n}")
-    if p.eta == -1 and n % 2:
-        raise ValueError("eta=-1 ground state needs even n")
+    if error := no_state_error(p.eta, n):
+        raise error
     values = expectation_two_point(mps_matrices(p), SIGMA[:, None], SIGMA, (j - i) % n + 1, n).real
     values = np.moveaxis(values, (np.ndim(p.g), np.ndim(p.g) + 1), (-2, -1))
     return np.einsum("...ab,abxy->...xy", values, PAULI_PAIRS) / 4

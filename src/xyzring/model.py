@@ -68,14 +68,21 @@ class SymmetryReport:
     time_reversal: bool
 
 
+def no_state_error(eta, n):
+    """The ValueError for a sector without a ground state on a ring of n
+    sites, or None: eta = -1 has no state on an odd ring (every amplitude
+    vanishes)."""
+    return ValueError("eta=-1 ground state needs even n") if eta == -1 and n % 2 else None
+
+
 def ring_points(g_values, n_list, j):
     """ModelParams over the four (epsilon, eta) sign classes, g_values and
-    n_list, in itertools.product order.  eta = -1 has no state on odd rings
-    (every amplitude vanishes), so those points are left out."""
+    n_list, in itertools.product order, leaving out the points without a
+    ground state (no_state_error)."""
     return [
         ModelParams(epsilon=eps, eta=eta, g=g, j=j, n=n)
         for eps, eta, g, n in itertools.product(_SIGNS, _SIGNS, g_values, n_list)
-        if eta == 1 or n % 2 == 0
+        if no_state_error(eta, n) is None
     ]
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MpsTensors
+from .model import MpsTensors, no_state_error
 from .pauli import SI
 
 DENSE_STATE_CAP = 20  # 2^20 amplitudes
@@ -155,17 +155,21 @@ def transfer_matrix(t):
 
 def transfer_with_operator(t, op):
     """Dressed transfer matrix E_O = sum_ij <i|O|j> conj(A_i) x A_j, taken
-    as B_j = sum_i O_ij conj(A_i), then E_O = sum_j B_j x A_j.
+    as one matrix product: the four conj(A_i) x A_j are formed once, as the
+    rows (i, j) of K (..., 4, 16), and E_O is the row O (..., 1, 4) times K.
 
     The batch axes of the operators (..., 2, 2) and of the tensors
     (..., 2, 2) broadcast against each other: a stack of operators for one
     pair of tensors, or one operator for a stack of tensors, gives the stack
-    (..., 4, 4).
+    (..., 4, 4), each member the bits of its own call.  Overflow is not
+    raised here but left as inf or NaN in the result for the caller to name.
     """
     mats = _stack(t).astype(complex)
-    b = np.einsum("...ij,...iac->...jac", np.asarray(op, dtype=complex), mats.conj())
-    e = np.einsum("...jac,...jbd->...abcd", b, mats)
-    return e.reshape(*e.shape[:-4], 4, 4)  # row (a, b), column (c, d), as in np.kron
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = mats.conj()[..., :, None, :, None, :, None] * mats[..., None, :, None, :, None, :]
+        row = np.asarray(op, complex).reshape(*np.shape(op)[:-2], 1, 4)
+        e = row @ k.reshape(*k.shape[:-6], 4, 16)
+    return e.reshape(*e.shape[:-2], 4, 4)  # row (a, b), column (c, d), as in np.kron
 
 
 def expectation_one_point(t, op, k, n):
@@ -207,7 +211,7 @@ def expectation_two_point(t, op_a, op_b, r, n):
         ops = np.concatenate([SI[None], np.reshape(op_a, (-1, 2, 2)), np.reshape(op_b, (-1, 2, 2))])
         dressed = transfer_with_operator(t, ops[:, None])
         overflow = ~np.isfinite(dressed).all(axis=(0, 2, 3)).reshape(batch)
-        if overflow.any():  # einsum ignores np.errstate
+        if overflow.any():  # the dressing leaves overflow as inf or NaN
             raise _naming(FloatingPointError("overflow in the dressed transfer matrices"),
                           _first(overflow))
         dressed = dressed / np.abs(np.linalg.eigvals(dressed[0])).max(axis=-1)[:, None, None]
@@ -255,8 +259,8 @@ def explicit_ground_state(p):
     b_s) sigma^x gives A_s1 A_s2 = diag(a_s1 b_s2, b_s1 a_s2) on each pair,
     which closes around the ring only for even n.
     An array p.g gives the batch of the states over g."""
-    if p.eta == -1 and p.n % 2 != 0:
-        raise ValueError("explicit eta=-1 ground state needs even n")
+    if error := no_state_error(p.eta, p.n):
+        raise error
     a, b = product_term_vectors(p)
     mats = np.zeros((2, *a.shape[:-1], 2, 2), complex)  # A_0, A_1
     mats[..., 0, 0], mats[..., 1, 1] = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)

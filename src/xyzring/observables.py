@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import no_state_error
+
 
 class SingularParameterError(ValueError):
     """Raised where a closed form is undefined: g = -1 for u, and |g| = 1
@@ -136,8 +138,8 @@ def correlations_eta_minus(g, n, r):
     alternating sign (-1)^{r-1}, as induced by the staggered rotation
     relating the two sectors.
     """
-    if n % 2 != 0:
-        raise ValueError("eta = -1 closed forms require even n")
+    if error := no_state_error(-1, n):
+        raise error
     gx, gy, gz = correlations(g, n)
     s = (-1) ** (r - 1)
     return gx, s * gz, s * gy

@@ -121,21 +121,23 @@ def bond_operator(p, form="projector"):
 def ring_apply(h2, vecs, n):
     """Sum over the ring bonds of the two-site operator h2 applied to each
     column of vecs, a (2^n, m) array; the result has dtype
-    np.result_type(h2, vecs).  A stack of bond terms (..., 4, 4) gives the
-    stack of their results (..., 2^n, m).
+    np.result_type(h2, vecs).  Batch axes of the bond terms (..., 4, 4) and
+    of the vectors (..., 2^n, m) broadcast against each other, and the stack
+    of results (..., 2^n, m) gives each member the bits of its own call.
 
     Bond l acts on sites (l, l+1) as h2[(s_l' s_{l+1}'), (s_l s_{l+1})],
     and bond n wraps around to (n, 1). Site k is bit n-k of a basis index,
-    so for l < n the bond's two bits are axis 1 of vecs viewed as
-    (2^(l-1), 4, rest); the wrap bond moves site 1 next to site n and back.
+    so for l < n the bond's two bits are axis -2 of vecs viewed as
+    (..., 2^(l-1), 4, rest); the wrap bond moves site 1 next to site n and back.
     """
     h2, vecs = np.asarray(h2)[..., None, :, :], np.asarray(vecs)
-    out = np.zeros((*h2.shape[:-3], *vecs.shape), np.result_type(h2, vecs))
+    batch, m = vecs.shape[:-2], vecs.shape[-1]
+    out = np.zeros((*np.broadcast_shapes(h2.shape[:-3], batch), 2**n, m),
+                   np.result_type(h2, vecs))
     for l in range(1, n):
-        out += (h2 @ vecs.reshape(2 ** (l - 1), 4, -1)).reshape(out.shape)
+        out += (h2 @ vecs.reshape(*batch, 2 ** (l - 1), 4, -1)).reshape(out.shape)
     # (s_1, middle, s_n, column) -> (middle, (s_n s_1), column) and back
-    m = vecs.shape[1]
-    wrap = vecs.reshape(2, -1, 2, m).transpose(1, 2, 0, 3).reshape(-1, 4, m)
-    back = (h2 @ wrap).reshape(*out.shape[:-2], -1, 2, 2, m)
+    wrap = vecs.reshape(*batch, 2, -1, 2, m).swapaxes(-4, -3).swapaxes(-3, -2)
+    back = (h2 @ wrap.reshape(*batch, -1, 4, m)).reshape(*out.shape[:-2], -1, 2, 2, m)
     out += back.swapaxes(-3, -2).swapaxes(-4, -3).reshape(out.shape)
     return out

@@ -1,8 +1,9 @@
 """Dense references for the tests: operators and product states built factor
 by factor with np.kron, independent of the bond-by-bond ring_apply and of
 the trace-formula states they are compared with, the partial-trace pair
-density, independent of the transfer-matrix contraction, and the spectrum of
-a whole dense matrix, independent of the sector blocks of ring_spectrum.
+density, independent of the transfer-matrix contraction, the two-contraction
+dressing of a transfer matrix, and the spectrum of a whole dense matrix,
+independent of the sector blocks of ring_spectrum.
 
 Conventions as in xyzring.pauli: site 1 is the most significant bit.
 """
@@ -34,6 +35,17 @@ def pair_density_brute(psi, i, j):
     b = len(batch)
     t = np.moveaxis(t, [b + i - 1, b + j - 1], [b, b + 1]).reshape(*batch, 4, -1)
     return t @ t.conj().swapaxes(-1, -2)
+
+
+def transfer_with_operator_einsum(t, op):
+    """Dressed transfer matrix E_O = sum_ij <i|O|j> conj(A_i) x A_j in two
+    two-operand contractions, B_j = sum_i O_ij conj(A_i) and then
+    E_O = sum_j B_j x A_j: the reference for the bits of the one-product
+    mps.transfer_with_operator."""
+    mats = np.stack([t.a0, t.a1], axis=-3).astype(complex)
+    b = np.einsum("...ij,...iac->...jac", np.asarray(op, dtype=complex), mats.conj())
+    e = np.einsum("...jac,...jbd->...abcd", b, mats)
+    return e.reshape(*e.shape[:-4], 4, 4)
 
 
 def dense_spectrum(h):

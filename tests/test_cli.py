@@ -623,6 +623,15 @@ class TestEdCompare:
         assert "ring size 14 exceeds dense cap 12" in capsys.readouterr().err
         assert not path.exists()
 
+    def test_cap_checked_before_any_eigensolve(self, tmp_path, capsys, monkeypatch):
+        # N = 12 comes first and fits the cap, but no class of it is diagonalized
+        calls, real = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
+        path = tmp_path / "x.csv"
+        assert main(["ed-compare", "--n-list", "12,14", "--output", str(path)]) == 2
+        assert capsys.readouterr().err == "error: ring size 14 exceeds dense cap 12\n"
+        assert not path.exists() and calls == []
+
 
 class TestEdComparePerClass:
     def test_rows_in_point_order(self, tmp_path):

@@ -70,6 +70,22 @@ class TestRingApply:
         for index in np.ndindex(3, 2):
             assert out[index].tobytes() == ring_apply(h2[index], vecs, n).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_stack_of_vectors(self, n, dtype):
+        # batch axes on vecs (..., 2^n, m) broadcast against those of h2, and
+        # each member keeps the bits of its own call
+        rng = np.random.default_rng(n)
+        h2 = rng.normal(size=(2, 1, 4, 4))
+        vecs = rng.normal(size=(3, 2**n, 2)).astype(dtype)
+        out = ring_apply(h2, vecs, n)
+        assert out.shape == (2, 3, 2**n, 2) and out.dtype == dtype
+        for a, b in np.ndindex(2, 3):
+            assert out[a, b].tobytes() == ring_apply(h2[a, 0], vecs[b], n).tobytes()
+        one = ring_apply(h2[1, 0], vecs, n)  # one bond term for a stack of vectors
+        assert one.shape == vecs.shape
+        assert all(one[b].tobytes() == out[1, b].tobytes() for b in range(3))
+
 
 class TestDenseCap:
     def test_certify(self):
@@ -459,6 +475,25 @@ class TestBatchEqualsPoint:
             assert all(_same_bits(a, b) for a, b in
                        zip(dataclasses.astuple(cert), dataclasses.astuple(single))), g
             assert cert.degeneracy == 2
+
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_rayleigh_quotient_and_membership(self, n):
+        # the stacked certify tail: each member of a stack gets the bits of its own call
+        points = [params(1, 1, g, n=n) for g in BATCH_G]
+        h2 = np.array([bond_operator(q, "coupling") for q in points])
+        specs = ring_spectrum(h2, n)
+        vecs = np.array([spec.ground_vectors[:, 0] for spec in specs])
+        states = explicit_ground_state(params(1, 1, np.array(BATCH_G), n=n)).amplitudes
+        energies = rayleigh_quotient(h2, vecs)
+        residuals, overlaps = ground_membership(h2, states, specs)
+        assert energies.shape == residuals.shape == overlaps.shape == (len(BATCH_G),)
+        for k, (h, spec) in enumerate(zip(h2, specs)):
+            assert _same_bits(energies[k].item(), rayleigh_quotient(h, vecs[k])), k
+            one = ground_membership(h, states[k], spec)
+            assert _same_bits((residuals[k].item(), overlaps[k].item()), one), k
+        cvecs = vecs + 1j * vecs[::-1]  # and complex vectors, long double in the quotient
+        assert all(_same_bits(q.item(), rayleigh_quotient(h, v))
+                   for q, h, v in zip(rayleigh_quotient(h2, cvecs), h2, cvecs))
 
     def test_certify_blocks_of_g(self, monkeypatch):
         # one g per block gives the same certificates as one block of all g

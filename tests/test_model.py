@@ -8,11 +8,15 @@ from xyzring import (
     MpsTensors,
     SymmetryReport,
     check_symmetries,
+    correlations_eta_minus,
     couplings_from_params,
+    explicit_ground_state,
     general_mps_matrices,
     mps_matrices,
+    pair_density,
     ring_points,
 )
+from xyzring.model import no_state_error
 
 CLASSES = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 G_GRID = [-2.0, -0.5, 0.0, 0.3, 0.7, 1.0, 1.5]
@@ -128,3 +132,16 @@ def test_ring_points_order(n_list):
         if not (eta == -1 and n % 2)
     ]
     assert ring_points(g_values, n_list, 0.5) == expected
+
+
+def test_no_state_on_odd_ring_one_message():
+    # eta = -1 on an odd ring is refused with one message by every oracle that
+    # builds or contracts its state, and left out of ring_points
+    want = str(no_state_error(-1, 5))
+    p = ModelParams(eta=-1, g=0.3, n=5)
+    for refuse in (lambda: pair_density(p, 1, 2), lambda: explicit_ground_state(p),
+                   lambda: correlations_eta_minus(0.3, 5, 2)):
+        with pytest.raises(ValueError) as info:
+            refuse()
+        assert str(info.value) == want == "eta=-1 ground state needs even n"
+    assert all(no_state_error(eta, n) is None for eta, n in [(1, 5), (1, 4), (-1, 4)])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_ref import kron_all, pair_density_brute
+from dense_ref import kron_all, pair_density_brute, transfer_with_operator_einsum
 from xyzring import (
     ModelParams,
     MpsTensors,
@@ -361,6 +361,18 @@ class TestTransferMatrix:
         for k, m in itertools.product(range(6), range(len(t.a0))):
             one = transfer_with_operator(MpsTensors(t.a0[m], t.a1[m]), TestOperatorStacks.OPS[k])
             assert stack[k, m].tobytes() == one.tobytes(), (k, m)
+
+    @pytest.mark.parametrize("eps,eta", CLASSES)
+    def test_one_product_keeps_the_bits_of_two_contractions(self, eps, eta):
+        # for 1 and the Paulis on mps_matrices, up to the edge of the float range
+        t = mps_matrices(params(eps, eta, np.array(G_GRID + [9.4e153, -9.4e153])))
+        for op in TestOperatorStacks.OPS[:4]:
+            for m in range(len(t.a0)):
+                one = MpsTensors(t.a0[m], t.a1[m])
+                want = transfer_with_operator_einsum(one, op)
+                assert transfer_with_operator(one, op).tobytes() == want.tobytes(), (op, m)
+            assert transfer_with_operator(t, op).tobytes() == transfer_with_operator_einsum(
+                t, op).tobytes()
 
     @pytest.mark.parametrize("eps,eta", CLASSES)
     def test_overflow_edge_of_the_dressing(self, eps, eta):
