@@ -3,7 +3,7 @@ degeneracies and ground-space membership.
 """
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,9 @@ def _ring_sectors(n):
     orbits (2n, R): g(r_a) for every group element g;
     stab (R,): the stabilizer size of each representative;
     chars (S, 2n): chi_{k,s}(T^m F^f) = exp(2 pi i k m / n) s^f for
-        k = 0..n//2 and s = +1, -1 (for a real H the sector -k is the
-        complex conjugate of the sector k);
+        k = 0..n//2 and s = +1, -1, in that order, over the S sectors that
+        hold a state (all of them from n = 3; for a real H the sector -k is
+        the complex conjugate of the sector k);
     members: per sector, the representatives on whose stabilizer chi is
         trivial;
     copies (S,): 1 for the real sectors k = 0 and k = n/2, else 2.
@@ -62,6 +63,8 @@ def _ring_sectors(n):
     chars = np.vstack([np.hstack([phases, s * phases]) for s in (1, -1)])
     members = [np.flatnonzero(row) for row in np.abs(chars @ in_stab) > 0.5]
     copies = np.tile(np.where((ks == 0) | (2 * ks == n), 1, 2), 2)
+    held = [s for s, sel in enumerate(members) if sel.size]
+    chars, copies, members = chars[held], copies[held], [members[s] for s in held]
     stab = in_stab.sum(axis=0)
     for table in (reps, orbits, stab, chars, copies, *members):
         table.flags.writeable = False  # the cache hands the same arrays to every call
@@ -74,8 +77,16 @@ def ring_spectrum(h2, n):
     bonds), one sector at a time. The ground space is every eigenvalue
     w <= w[0] + DEGENERACY_TOL * max |w| (over the finite w), a cut at the
     scale of the eigensolver's rounding. A stack of bond terms (G, 4, 4)
-    gives the list of its members' results, each equal to its own call,
-    from one np.linalg.eigh of the stacked blocks per sector.
+    gives the list of its members' results, each equal to its own call.
+
+    Every sector's eigenvalues come from one np.linalg.eigvalsh of its
+    stacked blocks. Only the blocks of a member that hold a level within its
+    cut are solved again with np.linalg.eigh, whose eigenvalues replace
+    eigvalsh's and so move the cut; this repeats until no unsolved block
+    holds a level within it. In the model at J = 1 the ground sectors are
+    (0, +) and (0, -) for eta = +1 and (0, +) and (n/2, -) for eta = -1,
+    so the complex sectors get eigvalsh only. The result has the bits of an
+    eigh of every block in all but the eigenvalues of the other sectors.
 
     Every bond applies the same h2, so H commutes with the one-site rotation
     T; it commutes with the spin flip F when (sx.sx) h2 (sx.sx) = h2. So it
@@ -111,14 +122,33 @@ def ring_spectrum(h2, n):
     gathered = cols[:, orbits] / np.sqrt(np.outer(stab, stab))  # H[g(r_a), r_b]
     blocks = (chars @ gathered.reshape(len(stack), len(orbits), -1)).reshape(
         len(stack), -1, size, size)
-    sectors = [np.linalg.eigh((block if twice == 2 else block.real)[:, sel[:, None], sel])
-               for block, sel, twice in zip(blocks.swapaxes(0, 1), members, copies)]
-    w = np.sort(np.concatenate([ws for (ws, vs), c in zip(sectors, copies) for _ in range(c)],
-                               axis=1), axis=1)
-    tops = w[:, 0] + DEGENERACY_TOL * np.fmax.reduce(np.abs(w), axis=1)  # fmax skips NaN
-    finite = np.isfinite(w).all(axis=1)
-    for _, vs in sectors:
-        finite &= np.isfinite(vs).all(axis=(1, 2))
+    blocks = [(block if twice == 2 else block.real)[:, sel[:, None], sel]
+              for block, sel, twice in zip(blocks.swapaxes(0, 1), members, copies)]
+    # every sector's eigenvalues side by side, sector s ascending in the
+    # columns starts[s]:ends[s], so that its lowest is column starts[s]
+    ends = np.cumsum([len(sel) for sel in members])
+    starts = ends - [len(sel) for sel in members]
+    values = np.concatenate([np.linalg.eigvalsh(block) for block in blocks], axis=1)
+    # eigh in place of eigvalsh on each block of a finite member that holds
+    # a level within the member's cut, until the cut (which moves with the
+    # eigh values) leaves no such block unsolved
+    finite = np.isfinite(values).all(axis=1)
+    solved, vectors = np.zeros((len(stack), len(blocks)), bool), {}
+    while True:
+        tops = np.fmin.reduce(values, axis=1) + DEGENERACY_TOL * np.fmax.reduce(
+            np.abs(values), axis=1)  # fmin and fmax skip NaN
+        todo = (values[:, starts] <= tops[:, None]) & finite[:, None] & ~solved
+        if not todo.any():
+            break
+        for s in np.flatnonzero(todo.any(axis=0)):
+            ms = todo[:, s]
+            ws, vs = np.linalg.eigh(blocks[s][ms])
+            values[ms, starts[s]:ends[s]] = ws
+            finite[ms] &= np.isfinite(ws).all(axis=1) & np.isfinite(vs).all(axis=(1, 2))
+            vectors.update(zip(((m, s) for m in np.flatnonzero(ms)), vs))
+        solved |= todo
+    w = np.sort(np.concatenate([values[:, a:b] for a, b, c in zip(starts, ends, copies)
+                                for _ in range(c)], axis=1), axis=1)
     results = []
     for m, (wm, top) in enumerate(zip(w, tops)):
         dim = int((wm <= top).sum())
@@ -127,8 +157,9 @@ def ring_spectrum(h2, n):
             results.append(SpectrumResult(wm, dim, np.full((2**n, max(dim, 1)), np.nan)))
             continue
         columns = []
-        for (ws, vs), sel, char, twice in zip(sectors, members, chars, copies):
-            c = vs[m][:, ws[m] <= top]  # the sector's ground vectors, if it holds any
+        for s in np.flatnonzero(solved[m]):
+            sel, char, twice = members[s], chars[s], copies[s]
+            c = vectors[m, s][:, values[m, starts[s]:ends[s]] <= top]  # its ground vectors
             if not c.shape[1]:
                 continue
             # each state of the orbit of r_a is g(r_a) for |Stab_a| elements g
@@ -219,15 +250,14 @@ def certify(p):
     """
     certs = []
     for block in g_blocks(p, max(1, BLOCK_ENTRIES >> 2 * p.n)):
-        points = [replace(p, g=g) for g in block.g.tolist()]
-        h2 = np.array([bond_operator(q, "coupling") for q in points])
+        h2 = bond_operator(block, "coupling")
         with _naming_g(block.g, p.n):
             specs = ring_spectrum(h2, p.n)
             states = explicit_ground_state(block).amplitudes
         c0 = constant_shift(block)
         energies = rayleigh_quotient(h2, np.array([s.ground_vectors[:, 0] for s in specs]))
         residuals, overlaps = ground_membership(h2, states, specs)
-        h_proj = np.array([bond_operator(q, "projector") for q in points])
+        h_proj = bond_operator(block, "projector")
         mismatch = np.abs(h2 - h_proj + c0[:, None, None] * np.eye(4)).max(axis=(-2, -1))
         rows = zip(specs, energies.tolist(), (-p.n * c0).tolist(), residuals.tolist(),
                    overlaps.tolist(), mismatch.tolist())

@@ -61,16 +61,19 @@ def e_vectors(p):
 
     e1 = (1+eta)|psi_-> + (1-eta)|phi_->,
     e2 = (1+g)|psi_+> - epsilon*(1-g)|phi_+>.
+    An array p.g gives e2 as the stack (*g.shape, 4); e1 does not depend on g.
     """
+    g = np.asarray(p.g, dtype=float)[..., None]
     e1 = (1 + p.eta) * PSI_MINUS + (1 - p.eta) * PHI_MINUS
-    e2 = (1 + p.g) * PSI_PLUS - p.epsilon * (1 - p.g) * PHI_PLUS
+    e2 = (1 + g) * PSI_PLUS - p.epsilon * (1 - g) * PHI_PLUS
     return e1.astype(complex), e2.astype(complex)
 
 
 def local_h(p):
-    """Two-site operator h = J |e1><e1| + |e2><e2| (positive semidefinite)."""
+    """Two-site operator h = J |e1><e1| + |e2><e2| (positive semidefinite);
+    the stack (*g.shape, 4, 4) for an array p.g."""
     e1, e2 = e_vectors(p)
-    return p.j * np.outer(e1, e1.conj()) + np.outer(e2, e2.conj())
+    return p.j * np.outer(e1, e1.conj()) + e2[..., :, None] * e2.conj()[..., None, :]
 
 
 def constant_shift(p):
@@ -94,10 +97,12 @@ def pauli_decompose(h2):
 
 
 def pauli_reconstruct(coeffs):
-    """Inverse of pauli_decompose."""
-    h2 = np.zeros((4, 4), dtype=complex)
+    """Inverse of pauli_decompose. Coefficients that are arrays of one shape
+    give the stack (*shape, 4, 4) of the operators."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coeffs.values()))
+    h2 = np.zeros((*shape, 4, 4), dtype=complex)
     for label, c in coeffs.items():
-        h2 += c * _PAULI_PAIRS[label]
+        h2 += np.asarray(c)[..., None, None] * _PAULI_PAIRS[label]
     return h2
 
 
@@ -107,6 +112,8 @@ def bond_operator(p, form="projector"):
     form="coupling": jx sx.sx + jy sy.sy + jz sz.sz + (b/2)(sx.1 + 1.sx), which
     is the projector term minus c0*identity; split over both sites, the field
     makes this hold bond by bond and not only summed around the ring.
+    An array p.g gives the stack (*g.shape, 4, 4), each member the bits of
+    its own call.
     """
     if form == "projector":
         h2 = local_h(p)

@@ -2,8 +2,10 @@
 by factor with np.kron, independent of the bond-by-bond ring_apply and of
 the trace-formula states they are compared with, the partial-trace pair
 density, independent of the transfer-matrix contraction, the two-contraction
-dressing of a transfer matrix, and the spectrum of a whole dense matrix,
-independent of the sector blocks of ring_spectrum.
+dressing of a transfer matrix, the spectrum of a whole dense matrix,
+independent of the sector blocks of ring_spectrum, and the sector walk that
+solves every sector block with eigh, the reference for the bits of
+ring_spectrum.
 
 Conventions as in xyzring.pauli: site 1 is the most significant bit.
 """
@@ -12,7 +14,8 @@ from functools import reduce
 
 import numpy as np
 
-from xyzring.ed import DEGENERACY_TOL, HERMITICITY_TOL, SpectrumResult
+from xyzring.ed import DEGENERACY_TOL, HERMITICITY_TOL, SpectrumResult, _ring_sectors
+from xyzring.parent import ring_apply
 from xyzring.pauli import SI
 
 
@@ -62,3 +65,45 @@ def dense_spectrum(h):
     dim = int((w <= w[0] + DEGENERACY_TOL * np.abs(w).max()).sum())
     # a copy, so that the result does not keep the whole eigenvector matrix alive
     return SpectrumResult(w, dim, v[:, :dim].copy())
+
+
+def ring_spectrum_all_eigh(h2, n):
+    """ring_spectrum of a stack of bond terms (G, 4, 4) that takes every
+    sector's eigenvalues and eigenvectors from one np.linalg.eigh of its
+    stacked blocks: the list of the members' results, the reference for the
+    bits of ring_spectrum, which solves only the ground sectors with eigh.
+    No input checks; see ring_spectrum for the sectors and the ground cut."""
+    reps, orbits, stab, chars, members, copies = _ring_sectors(n)
+    stack, size = np.asarray(h2).reshape(-1, 4, 4), len(reps)
+    units = np.zeros((2**n, size))
+    units[reps, np.arange(size)] = 1.0
+    cols = ring_apply(stack, units, n)
+    gathered = cols[:, orbits] / np.sqrt(np.outer(stab, stab))
+    blocks = (chars @ gathered.reshape(len(stack), len(orbits), -1)).reshape(
+        len(stack), -1, size, size)
+    sectors = [np.linalg.eigh((block if twice == 2 else block.real)[:, sel[:, None], sel])
+               for block, sel, twice in zip(blocks.swapaxes(0, 1), members, copies)]
+    w = np.sort(np.concatenate([ws for (ws, vs), c in zip(sectors, copies) for _ in range(c)],
+                               axis=1), axis=1)
+    tops = w[:, 0] + DEGENERACY_TOL * np.fmax.reduce(np.abs(w), axis=1)
+    finite = np.isfinite(w).all(axis=1)
+    for _, vs in sectors:
+        finite &= np.isfinite(vs).all(axis=(1, 2))
+    results = []
+    for m, (wm, top) in enumerate(zip(w, tops)):
+        dim = int((wm <= top).sum())
+        if not finite[m]:
+            wm[0] = np.nan
+            results.append(SpectrumResult(wm, dim, np.full((2**n, max(dim, 1)), np.nan)))
+            continue
+        columns = []
+        for (ws, vs), sel, char, twice in zip(sectors, members, chars, copies):
+            c = vs[m][:, ws[m] <= top]
+            if not c.shape[1]:
+                continue
+            weights = c * np.sqrt(stab[sel] / (2 * n))[:, None]
+            vec = np.zeros((2**n, c.shape[1]), complex)
+            vec[orbits[:, sel]] = char.conj()[:, None, None] * weights
+            columns += [vec.real] if twice == 1 else [np.sqrt(2) * vec.real, np.sqrt(2) * vec.imag]
+        results.append(SpectrumResult(wm, dim, np.hstack(columns)))
+    return results

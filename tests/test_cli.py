@@ -625,8 +625,11 @@ class TestEdCompare:
 
     def test_cap_checked_before_any_eigensolve(self, tmp_path, capsys, monkeypatch):
         # N = 12 comes first and fits the cap, but no class of it is diagonalized
-        calls, real = [], np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, real=real: calls.append(a.shape) or real(a))
         path = tmp_path / "x.csv"
         assert main(["ed-compare", "--n-list", "12,14", "--output", str(path)]) == 2
         assert capsys.readouterr().err == "error: ring size 14 exceeds dense cap 12\n"
@@ -695,15 +698,15 @@ class TestParentHamiltonianDegeneracy:
 
 
 def _corrupt_projector(monkeypatch):
-    """Add 1 to entry [1, 1] of the projector bond term: the residual, the
-    overlap and the energies come from the coupling form and cannot see it,
-    only the comparison of the two bond terms can."""
+    """Add 1 to entry [1, 1] of the projector bond term of every member: the
+    residual, the overlap and the energies come from the coupling form and
+    cannot see it, only the comparison of the two bond terms can."""
     real = ed.bond_operator
 
     def bond(p, form="projector"):
         h2 = real(p, form)
         if form == "projector":
-            h2[1, 1] += 1.0
+            h2[..., 1, 1] += 1.0
         return h2
 
     monkeypatch.setattr(ed, "bond_operator", bond)
@@ -886,27 +889,28 @@ class TestNanFails:
 
 
 def _nan_in_excited_blocks(p):
-    """np.linalg.eigh with a NaN put into the eigenvalues of every sector block
-    of p's coupling form that holds no ground state."""
-    real = np.linalg.eigh
+    """np.linalg.eigvalsh, which alone solves the sector blocks that hold no
+    ground state, with a NaN put into the eigenvalues of every such block of
+    p's coupling form."""
+    real = np.linalg.eigvalsh
     excited = -p.n * constant_shift(p) + 1e-6
 
-    def eigh(h):
-        w, v = real(h)
+    def eigvalsh(h):
+        w = real(h)
         if w[..., 0].min() <= excited:
-            return w, v
+            return w
         w = w.copy()
         w[..., -1] = np.nan
-        return w, v
+        return w
 
-    return eigh
+    return eigvalsh
 
 
 class TestNanInExcitedBlock:
     p = ModelParams(epsilon=1, eta=1, g=0.3, j=1.0, n=4)
 
     def test_ed_compare(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(np.linalg, "eigh", _nan_in_excited_blocks(self.p))
+        monkeypatch.setattr(np.linalg, "eigvalsh", _nan_in_excited_blocks(self.p))
         code, rows, _ = run_csv(tmp_path, ["ed-compare", "--n", "4", "--g-min", "0.3",
                                            "--g-max", "0.3", "--g-steps", "1"])
         assert code == 1
@@ -915,7 +919,7 @@ class TestNanInExcitedBlock:
         assert "max deviation: nan" in err
 
     def test_parent_hamiltonian(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "eigh", _nan_in_excited_blocks(self.p))
+        monkeypatch.setattr(np.linalg, "eigvalsh", _nan_in_excited_blocks(self.p))
         ok, details = checks.check_parent_hamiltonian(VerifyConfig(n_list=[4], g_values=[0.3]))
         assert not ok
         assert np.isnan(details["max_energy_error"])

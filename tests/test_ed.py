@@ -5,14 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_ref import dense_spectrum, op_on_sites
+from dense_ref import dense_spectrum, op_on_sites, ring_spectrum_all_eigh
 from xyzring import (
     ModelParams,
     build_state,
     certify,
     constant_shift,
+    e_vectors,
     explicit_ground_state,
     ground_membership,
+    local_h,
     mps_matrices,
     ring_apply,
     ring_spectrum,
@@ -269,6 +271,33 @@ RING_G = [-2.0, -1.0, -0.5, 0.0, 0.37, 1.0, 1.5]
 RING_J = [0.0, 0.4, 1.0]
 
 
+def _record_eigensolves(monkeypatch):
+    """Wrap np.linalg.eigvalsh and np.linalg.eigh; returns the list that
+    gets the (name, input stack) of every call."""
+    calls = []
+
+    def recorded(name, real):
+        return lambda blocks: calls.append((name, blocks)) or real(blocks)
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+    return calls
+
+
+def _eigh_sectors(calls, n):
+    """(k, s, members) of each eigh call among calls (one ring_spectrum),
+    the sector found as the eigvalsh stack, in the sector order k = 0..n//2
+    for s = +1 and then for s = -1, that holds the first of its blocks."""
+    stacks = [b for name, b in calls if name == "eigvalsh"]
+    out = []
+    for name, blocks in calls:
+        if name == "eigh":
+            (i,) = [i for i, st in enumerate(stacks) if st.shape[1:] == blocks.shape[1:]
+                    and any(np.array_equal(b, blocks[0]) for b in st)]
+            out.append((i % (n // 2 + 1), 1 if i <= n // 2 else -1, len(blocks)))
+    return out
+
+
 def _ground_residual(hv, spec):
     """Spectral norm of H V - E0 V, with hv = H V for the ground vectors V."""
     return np.linalg.norm(hv - spec.eigenvalues[0] * spec.ground_vectors, 2)
@@ -347,53 +376,47 @@ class TestRingSpectrum:
 
     @pytest.mark.parametrize("field", ["eigenvalues", "ground_vectors"])
     def test_nan_in_a_block_without_ground_state(self, monkeypatch, field):
-        # np.sort would move a NaN eigenvalue of an excited block out of sight
+        # np.sort would move a NaN eigenvalue of an excited block out of sight.
+        # An excited block gets eigvalsh only, so a NaN goes into its values:
+        # the top one (eigenvalues) or the lowest, which is held against the
+        # ground cut in place of the eigenvectors it no longer has (ground_vectors)
         p = params(n=6, g=0.3)
         h = ring_apply(bond_operator(p, "coupling"), np.eye(2**p.n), p.n)
         excited = dense_spectrum(h).eigenvalues[0] + 1
-        real, poisoned = np.linalg.eigh, []
+        real, poisoned = np.linalg.eigvalsh, []
 
-        def eigh(block):
-            out = list(real(block))
-            if out[0][..., 0].min() < excited:
-                return tuple(out)
+        def eigvalsh(block):
+            w = real(block)
+            if w[..., 0].min() < excited:
+                return w
             poisoned.append(block.shape[-1])
-            k = EIGH_FIELDS[field]
-            out[k] = out[k].copy()
-            out[k].flat[-1] = np.nan
-            return tuple(out)
+            w = w.copy()
+            w[..., -1 if field == "eigenvalues" else 0] = np.nan
+            return w
 
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         assert np.isnan(ring_spectrum(bond_operator(p, "coupling"), 6).eigenvalues[0])
         assert poisoned
 
     def test_certify_diagonalizes_blocks_only(self, monkeypatch):
-        real, sizes = np.linalg.eigh, []
-
-        def eigh(block):
-            sizes.append(block.shape[-1])  # certify passes stacks (members, r, r)
-            return real(block)
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        calls = _record_eigensolves(monkeypatch)  # certify passes stacks (members, r, r)
         assert certify(params(n=8, g=0.37)).degeneracy == 2
-        assert 0 < max(sizes) < 2**8 // 8
-        sizes.clear()
+        assert 0 < max(block.shape[-1] for _, block in calls) < 2**8 // 8
+        calls.clear()
         ring_spectrum(np.array([bond_operator(params(n=8, g=0.3))]), 8)
-        assert 0 < max(sizes) < 2**8 // 8
+        assert 0 < max(block.shape[-1] for _, block in calls) < 2**8 // 8
 
     def test_one_eigensolve_per_sector(self, monkeypatch):
-        # the n//2 + 1 momenta k <= n/2 times the two flip signs, whatever the stack
-        real, shapes = np.linalg.eigh, []
-
-        def eigh(block):
-            shapes.append(block.shape[:-2])
-            return real(block)
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        # one eigvalsh for each of the n//2 + 1 momenta k <= n/2 times the two
+        # flip signs, whatever the stack, and eigh on the two ground sectors only
+        calls = _record_eigensolves(monkeypatch)
         for n in (5, 8):
-            shapes.clear()
+            calls.clear()
             ring_spectrum(np.array([bond_operator(params(n=n, g=g)) for g in BATCH_G]), n)
-            assert shapes == [(len(BATCH_G),)] * 2 * (n // 2 + 1), n
+            shapes = {name: [b.shape[:-2] for f, b in calls if f == name]
+                      for name in ("eigvalsh", "eigh")}
+            assert shapes["eigvalsh"] == [(len(BATCH_G),)] * 2 * (n // 2 + 1), n
+            assert shapes["eigh"] == [(len(BATCH_G),)] * 2, n
 
     @pytest.mark.parametrize("entry", [(0, 1), (0, 2), (1, 3)])
     def test_rejects_non_symmetric(self, entry):
@@ -476,6 +499,20 @@ class TestBatchEqualsPoint:
                        zip(dataclasses.astuple(cert), dataclasses.astuple(single))), g
             assert cert.degeneracy == 2
 
+    @pytest.mark.parametrize("eps,eta", CLASSES)
+    @pytest.mark.parametrize("form", ["coupling", "projector"])
+    def test_bond_operator(self, eps, eta, form):
+        # certify builds each block's bond terms, and so its e_vectors, local_h
+        # and pauli_reconstruct, in one call over the array g
+        p = params(eps, eta, np.array(BATCH_G))
+        stack, (e1, e2) = bond_operator(p, form), e_vectors(p)
+        assert stack.shape == (len(BATCH_G), 4, 4) and e2.shape == (len(BATCH_G), 4)
+        for k, g in enumerate(BATCH_G):
+            q = params(eps, eta, g)
+            assert _same_bits(stack[k], bond_operator(q, form)), g
+            assert _same_bits(local_h(p)[k], local_h(q)), g
+            assert _same_bits((e1, e2[k]), e_vectors(q)), g
+
     @pytest.mark.parametrize("n", [4, 5, 8])
     def test_rayleigh_quotient_and_membership(self, n):
         # the stacked certify tail: each member of a stack gets the bits of its own call
@@ -527,8 +564,7 @@ class TestBatchEqualsPoint:
 
         def bond(p, form="projector"):
             h2 = real(p, form)
-            if p.g == 0.5:
-                h2[0, 1] += 1.0  # member 1 is not symmetric
+            h2[1, 0, 1] += 1.0  # member 1 (g = 0.5) of the stack is not symmetric
             return h2
 
         monkeypatch.setattr(ed, "bond_operator", bond)
@@ -547,6 +583,50 @@ class TestBatchEqualsPoint:
             tracemalloc.stop()
         assert len(certs) == 41 and min(c.degeneracy for c in certs) == 2
         assert peak < 8 * 2**20
+
+
+class TestEighOnlyInGroundSectors:
+    """ring_spectrum takes every sector's eigenvalues with eigvalsh and solves
+    with eigh only the sector blocks of a member that hold a level within its
+    ground cut: the bits of the walk that solves every block with eigh."""
+
+    G = BATCH_G + [1e5, -1e5]
+
+    @pytest.mark.parametrize("eps,eta,n", BATCH_CLASSES)
+    def test_bits_of_the_all_eigh_walk(self, monkeypatch, eps, eta, n):
+        # the ground vectors sit in the real sectors (0, +) and (0, -) for
+        # eta = +1, (0, +) and (n/2, -) for eta = -1
+        ground = {(0, 1), (0, -1)} if eta == 1 else {(0, 1), (n // 2, -1)}
+        for form, j in itertools.product(("coupling", "projector"), (1.0, 0.0)):
+            h2 = np.array([bond_operator(params(eps, eta, g, j, n), form) for g in self.G])
+            refs = ring_spectrum_all_eigh(h2, n)
+            with monkeypatch.context() as m:
+                calls = _record_eigensolves(m)
+                specs = ring_spectrum(h2, n)
+            where = (form, j)
+            for g, spec, ref in zip(self.G, specs, refs):
+                assert _same_bits(spec.eigenvalues[0], ref.eigenvalues[0]), (where, g)
+                assert spec.ground_space_dim == ref.ground_space_dim, (where, g)
+                assert _same_bits(spec.ground_vectors, ref.ground_vectors), (where, g)
+                scale = np.abs(ref.eigenvalues).max()
+                assert np.abs(spec.eigenvalues - ref.eigenvalues).max() <= 1e-12 * scale, (
+                    where, g)
+            if j == 1.0 and n >= 4:
+                solved = _eigh_sectors(calls, n)
+                assert sorted(solved) == sorted((k, s, len(self.G)) for k, s in ground), where
+
+    def test_second_pass_solves_a_sector_the_estimate_missed(self, monkeypatch):
+        # eigvalsh puts sector (0, +) lower by 1: the cut estimated from it
+        # leaves out the other ground sector, (0, -), until eigh's values of
+        # (0, +) move the cut back up; a second eigh pass then solves (0, -)
+        h2 = np.array([bond_operator(params(g=g, n=6), "coupling") for g in BATCH_G])
+        clean = ring_spectrum(h2, 6)
+        calls = _record_eigensolves(monkeypatch)
+        recorded, shifts = np.linalg.eigvalsh, iter([1.0])  # the first call, sector (0, +)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda blocks: recorded(blocks) - next(shifts, 0.0))
+        specs = ring_spectrum(h2, 6)
+        assert _eigh_sectors(calls, 6) == [(0, 1, len(BATCH_G)), (0, -1, len(BATCH_G))]
+        assert all(_same_spectrum(a, b) for a, b in zip(specs, clean))
 
 
 class TestRelativeGroundCut:
