@@ -250,12 +250,16 @@ def check_coupling_recovery(cfg):
 
 @_check("parent-hamiltonian",
         [parent.ring_apply, ed.ring_spectrum, ed.ground_membership, ed.certify],
-        f"ED needs n <= {parent.DENSE_CAP}", high=parent.DENSE_CAP)
+        f"ED needs n <= {ed.DENSE_CAP}", high=ed.DENSE_CAP)
 def check_parent_hamiltonian(cfg):
-    # one certify call per class; the ground space holds the two product terms' span
-    certs = [c for p in _grid_classes(cfg) for c in ed.certify(p)]
-    worst_res = worst_error(*(c.residual for c in certs), *(1 - c.overlap for c in certs))
-    worst_energy = worst_error(*(abs(c.lowest_eigenvalue - c.expected) for c in certs))
+    # one certify call per class; the ground space holds the two product terms'
+    # span, at the energy -n*c0 formed here and not taken from certify
+    certs, expected = [], []
+    for p in _grid_classes(cfg):
+        certs += ed.certify(p)
+        expected += (-p.n * parent.constant_shift(p)).tolist()
+    worst_res = worst_error(*(c.residual for c in certs), *(abs(1 - c.overlap) for c in certs))
+    worst_energy = worst_error(*(abs(c.lowest_eigenvalue - e) for c, e in zip(certs, expected)))
     worst_forms = worst_error(*(c.form_mismatch for c in certs))
     min_degeneracy = min(c.degeneracy for c in certs)
     ok = (worst_res < cfg.tolerance and worst_energy < 1e-9 and worst_forms < 1e-10

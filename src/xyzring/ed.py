@@ -9,8 +9,9 @@ import numpy as np
 
 from .model import g_blocks
 from .mps import PureState, _first, _naming, _naming_g, explicit_ground_state
-from .parent import DENSE_CAP, bond_operator, constant_shift, ring_apply
+from .parent import bond_operator, constant_shift, ring_apply
 
+DENSE_CAP = 12  # the largest ring that ring_spectrum diagonalizes
 DEGENERACY_TOL = 1e-13  # of the ground-space cut, relative to the spectral radius max |w|
 HERMITICITY_TOL = 1e-10  # max |h2 - h2^T| of the bond term, relative to max(1, max |h2|)
 SYMMETRY_TOL = 1e-10  # max |h2 - (sx.sx) h2 (sx.sx)| over the 16 entries of the bond term
@@ -27,7 +28,7 @@ class SpectrumResult:
 
 
 def check_dense_cap(n):
-    """Refuse a ring of n sites above DENSE_CAP, the largest that ring_spectrum diagonalizes."""
+    """Refuse a ring of n sites above DENSE_CAP."""
     if n > DENSE_CAP:
         raise ValueError(f"ring size {n} exceeds dense cap {DENSE_CAP}")
 
@@ -41,12 +42,12 @@ def _ring_sectors(n):
     reps (R,): the smallest index of each orbit;
     orbits (2n, R): g(r_a) for every group element g;
     stab (R,): the stabilizer size of each representative;
-    chars (S, 2n): chi_{k,s}(T^m F^f) = exp(2 pi i k m / n) s^f for
-        k = 0..n//2 and s = +1, -1, in that order, over the S sectors that
-        hold a state (all of them from n = 3; for a real H the sector -k is
-        the complex conjugate of the sector k);
+    chars (S, 2n): chi_{k,s}(T^m F^f) = exp(2 pi i k m / n) s^f for the
+        S = 2 (n//2 + 1) sectors k = 0..n//2 and s = +1, -1, in that order
+        (for a real H the sector -k is the complex conjugate of the sector k);
     members: per sector, the representatives on whose stabilizer chi is
-        trivial;
+        trivial (none in the sector (1, +1) of n = 2; every sector holds a
+        state from n = 3);
     copies (S,): 1 for the real sectors k = 0 and k = n/2, else 2.
     """
     dim = 2**n
@@ -63,8 +64,6 @@ def _ring_sectors(n):
     chars = np.vstack([np.hstack([phases, s * phases]) for s in (1, -1)])
     members = [np.flatnonzero(row) for row in np.abs(chars @ in_stab) > 0.5]
     copies = np.tile(np.where((ks == 0) | (2 * ks == n), 1, 2), 2)
-    held = [s for s, sel in enumerate(members) if sel.size]
-    chars, copies, members = chars[held], copies[held], [members[s] for s in held]
     stab = in_stab.sum(axis=0)
     for table in (reps, orbits, stab, chars, copies, *members):
         table.flags.writeable = False  # the cache hands the same arrays to every call
@@ -80,13 +79,16 @@ def ring_spectrum(h2, n):
     gives the list of its members' results, each equal to its own call.
 
     Every sector's eigenvalues come from one np.linalg.eigvalsh of its
-    stacked blocks. Only the blocks of a member that hold a level within its
-    cut are solved again with np.linalg.eigh, whose eigenvalues replace
-    eigvalsh's and so move the cut; this repeats until no unsolved block
-    holds a level within it. In the model at J = 1 the ground sectors are
-    (0, +) and (0, -) for eta = +1 and (0, +) and (n/2, -) for eta = -1,
-    so the complex sectors get eigvalsh only. The result has the bits of an
-    eigh of every block in all but the eigenvalues of the other sectors.
+    stacked blocks, and the cut and each block's number of levels within it
+    are taken on those values. Then one np.linalg.eigh per sector solves the
+    blocks that hold such a level: its eigenvalues replace eigvalsh's in the
+    spectrum, and the first of its eigenvectors, one per level counted in
+    the block, are the ground vectors. So every counted level has its vector
+    whether or not the two solvers agree at the cut. In the model at J = 1
+    the ground sectors are (0, +) and (0, -) for eta = +1 and (0, +) and
+    (n/2, -) for eta = -1, so the complex sectors get eigvalsh only. The
+    result has the bits of an eigh of every block in all but the eigenvalues
+    of the other sectors.
 
     Every bond applies the same h2, so H commutes with the one-site rotation
     T; it commutes with the spin flip F when (sx.sx) h2 (sx.sx) = h2. So it
@@ -99,8 +101,9 @@ def ring_spectrum(h2, n):
     diagonalized and counted twice. A complex ground vector v of sector k
     gives the real orthonormal pair sqrt(2) Re v, sqrt(2) Im v, which spans
     v and its conjugate. A non-finite eigenvalue or eigenvector in any block
-    of a member makes every value of that member's result non-finite (with
-    at least one ground vector, all NaN, when every eigenvalue is NaN). The
+    of a member makes every value of that member's result non-finite, with
+    max(1, ground_space_dim) ground vectors, all NaN; a member with a
+    non-finite eigvalsh value counts no level, so its dimension is 0. The
     blocks are gathered from the columns of H at the representatives,
     ring_apply of h2 to their unit vectors.
     """
@@ -124,52 +127,36 @@ def ring_spectrum(h2, n):
         len(stack), -1, size, size)
     blocks = [(block if twice == 2 else block.real)[:, sel[:, None], sel]
               for block, sel, twice in zip(blocks.swapaxes(0, 1), members, copies)]
-    # every sector's eigenvalues side by side, sector s ascending in the
-    # columns starts[s]:ends[s], so that its lowest is column starts[s]
-    ends = np.cumsum([len(sel) for sel in members])
-    starts = ends - [len(sel) for sel in members]
-    values = np.concatenate([np.linalg.eigvalsh(block) for block in blocks], axis=1)
-    # eigh in place of eigvalsh on each block of a finite member that holds
-    # a level within the member's cut, until the cut (which moves with the
-    # eigh values) leaves no such block unsolved
-    finite = np.isfinite(values).all(axis=1)
-    solved, vectors = np.zeros((len(stack), len(blocks)), bool), {}
-    while True:
-        tops = np.fmin.reduce(values, axis=1) + DEGENERACY_TOL * np.fmax.reduce(
-            np.abs(values), axis=1)  # fmin and fmax skip NaN
-        todo = (values[:, starts] <= tops[:, None]) & finite[:, None] & ~solved
-        if not todo.any():
-            break
-        for s in np.flatnonzero(todo.any(axis=0)):
-            ms = todo[:, s]
-            ws, vs = np.linalg.eigh(blocks[s][ms])
-            values[ms, starts[s]:ends[s]] = ws
-            finite[ms] &= np.isfinite(ws).all(axis=1) & np.isfinite(vs).all(axis=(1, 2))
-            vectors.update(zip(((m, s) for m in np.flatnonzero(ms)), vs))
-        solved |= todo
-    w = np.sort(np.concatenate([values[:, a:b] for a, b, c in zip(starts, ends, copies)
-                                for _ in range(c)], axis=1), axis=1)
-    results = []
-    for m, (wm, top) in enumerate(zip(w, tops)):
-        dim = int((wm <= top).sum())
-        if not finite[m]:
-            wm[0] = np.nan  # np.sort moved any NaN to the end
-            results.append(SpectrumResult(wm, dim, np.full((2**n, max(dim, 1)), np.nan)))
+    values = [np.linalg.eigvalsh(block) for block in blocks]
+    every = np.hstack(values)
+    finite = np.isfinite(every).all(axis=1)
+    tops = np.fmin.reduce(every, axis=1) + DEGENERACY_TOL * np.fmax.reduce(
+        np.abs(every), axis=1)  # fmin and fmax skip NaN
+    # per sector, each finite member's number of levels within its cut
+    held = [((w <= tops[:, None]) & finite[:, None]).sum(axis=1) for w in values]
+    columns = [[] for _ in stack]
+    for block, ws, count, sel, char, twice in zip(blocks, values, held, members, chars, copies):
+        ms = np.flatnonzero(count)
+        if not ms.size:
             continue
-        columns = []
-        for s in np.flatnonzero(solved[m]):
-            sel, char, twice = members[s], chars[s], copies[s]
-            c = vectors[m, s][:, values[m, starts[s]:ends[s]] <= top]  # its ground vectors
-            if not c.shape[1]:
-                continue
+        ws[ms], vs = np.linalg.eigh(block[ms])  # eigh's values replace eigvalsh's
+        finite[ms] &= np.isfinite(ws[ms]).all(axis=1) & np.isfinite(vs).all(axis=(1, 2))
+        for m, v in zip(ms, vs):
             # each state of the orbit of r_a is g(r_a) for |Stab_a| elements g
             # with the same chi(g), so one assignment per state times |Stab_a|
             # stands for the sum: |Stab_a| / sqrt(2n |Stab_a|)
-            weights = c * np.sqrt(stab[sel] / (2 * n))[:, None]
-            vec = np.zeros((2**n, c.shape[1]), complex)
+            weights = v[:, :count[m]] * np.sqrt(stab[sel] / (2 * n))[:, None]
+            vec = np.zeros((2**n, count[m]), complex)
             vec[orbits[:, sel]] = char.conj()[:, None, None] * weights
-            columns += [vec.real] if twice == 1 else [np.sqrt(2) * vec.real, np.sqrt(2) * vec.imag]
-        results.append(SpectrumResult(wm, dim, np.hstack(columns)))
+            columns[m] += [vec.real] if twice == 1 else [np.sqrt(2) * vec.real, np.sqrt(2) * vec.imag]
+    w = np.sort(np.hstack([ws for ws, c in zip(values, copies) for _ in range(c)]), axis=1)
+    dims = sum(c * count for c, count in zip(copies, held)).tolist()
+    results = []
+    for wm, dim, ok, vectors in zip(w, dims, finite, columns):
+        if not ok:
+            wm[0] = np.nan  # np.sort moved any NaN to the end
+            vectors = [np.full((2**n, max(dim, 1)), np.nan)]
+        results.append(SpectrumResult(wm, dim, np.hstack(vectors)))
     return results if h2.ndim > 2 else results[0]
 
 
@@ -228,11 +215,11 @@ def ground_membership(h2, psi, spectrum):
 
 @dataclass(frozen=True)
 class Certificate:
-    """ED certificate of the explicit ground state at one point."""
+    """ED certificate of the explicit ground state at one point. It holds no
+    expected energy: its readers compare with -n*c0 of their own."""
 
     lowest_eigenvalue: float  # of the coupling form
     energy: float  # long-double Rayleigh quotient of the first ground vector
-    expected: float  # -n*c0
     residual: float  # of the explicit state under the coupling form
     overlap: float  # of the explicit state with the ground space
     degeneracy: int
@@ -259,10 +246,10 @@ def certify(p):
         residuals, overlaps = ground_membership(h2, states, specs)
         h_proj = bond_operator(block, "projector")
         mismatch = np.abs(h2 - h_proj + c0[:, None, None] * np.eye(4)).max(axis=(-2, -1))
-        rows = zip(specs, energies.tolist(), (-p.n * c0).tolist(), residuals.tolist(),
-                   overlaps.tolist(), mismatch.tolist())
-        certs += [Certificate(spec.eigenvalues[0], energy, expected, residual, overlap,
+        rows = zip(specs, energies.tolist(), residuals.tolist(), overlaps.tolist(),
+                   mismatch.tolist())
+        certs += [Certificate(spec.eigenvalues[0], energy, residual, overlap,
                               spec.ground_space_dim, form_mismatch)
-                  for spec, energy, expected, residual, overlap, form_mismatch in rows]
+                  for spec, energy, residual, overlap, form_mismatch in rows]
     return certs if np.ndim(p.g) else certs[0]
 

@@ -10,8 +10,6 @@ import numpy as np
 from .model import couplings_from_params
 from .pauli import PAULI, PAULI_PAIRS
 
-DENSE_CAP = 12
-
 KERNEL_RTOL = 1e-10
 
 # Bell states in the (|00>, |01>, |10>, |11>) basis

@@ -677,6 +677,18 @@ class TestEdComparePerClass:
             assert failed or float(row["residual"]) < 1e-10
 
 
+def _single_ground_state(monkeypatch):
+    """Give the certificate of the last g of every class degeneracy 1."""
+    real = ed.certify
+
+    def certify(p):
+        certs = real(p)
+        certs[-1] = dataclasses.replace(certs[-1], degeneracy=1)
+        return certs
+
+    monkeypatch.setattr(ed, "certify", certify)
+
+
 class TestParentHamiltonianDegeneracy:
     def test_reports_min_degeneracy(self):
         ok, details = checks.check_parent_hamiltonian(VerifyConfig())
@@ -684,17 +696,56 @@ class TestParentHamiltonianDegeneracy:
 
     def test_single_ground_state_fails(self, monkeypatch):
         # the ground space must hold both product terms at every point
-        real = ed.certify
-
-        def certify(p):
-            certs = real(p)
-            certs[-1] = dataclasses.replace(certs[-1], degeneracy=1)
-            return certs
-
-        monkeypatch.setattr(ed, "certify", certify)
+        _single_ground_state(monkeypatch)
         ok, details = checks.check_parent_hamiltonian(VerifyConfig(n_list=[4]))
         assert not ok and details["min_degeneracy"] == 1
         assert details["max_residual"] < 1e-10 and details["max_energy_error"] < 1e-9
+
+    def test_ed_compare_fails_a_single_ground_state(self, tmp_path, capsys, monkeypatch):
+        # as parent-hamiltonian does, with every deviation within the tolerance
+        _single_ground_state(monkeypatch)
+        code, rows, _ = run_csv(tmp_path, ["ed-compare", "--n", "4", "--g-min", "0",
+                                           "--g-max", "1", "--g-steps", "3"])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: ground space of dimension 1 at epsilon={p.epsilon}, "
+                          f"eta={p.eta}, g=1, N=4" for p in ring_points([1.0], [4], 1.0)]
+        assert [row["degeneracy"] for row in rows if row["g"] == "1"] == ["1"] * 4
+
+
+def _scale_certificates(monkeypatch, fields=None):
+    """Multiply the named float fields (all of them by default) of every
+    certificate by 1 + 1e-6."""
+    real = ed.certify
+    fields = fields or [f.name for f in dataclasses.fields(ed.Certificate) if f.type is float]
+
+    def certify(p):
+        return [dataclasses.replace(c, **{name: getattr(c, name) * (1 + 1e-6) for name in fields})
+                for c in real(p)]
+
+    monkeypatch.setattr(ed, "certify", certify)
+
+
+@pytest.mark.parametrize("fields", [None, ("overlap",)], ids=["every-float", "overlap"])
+class TestScaledCertificateFails:
+    """A certificate off by a factor 1 + 1e-6 fails both of its readers:
+    they compare the energies with -n*c0 of their own and take |1 - overlap|,
+    so neither a fault that moves every value nor an overlap above 1 passes."""
+
+    def test_parent_hamiltonian(self, monkeypatch, capsys, fields):
+        _scale_certificates(monkeypatch, fields)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert [line.split()[1] for line in out.splitlines()
+                if line.startswith("FAIL")] == ["parent-hamiltonian"]
+
+    def test_ed_compare(self, tmp_path, capsys, monkeypatch, fields):
+        _scale_certificates(monkeypatch, fields)
+        code, _, _ = run_csv(tmp_path, ["ed-compare", "--n", "4"])
+        assert code == 1
+        _, _, worst = capsys.readouterr().err.partition("max deviation: ")
+        assert float(worst) > 1e-7
 
 
 def _corrupt_projector(monkeypatch):

@@ -359,11 +359,13 @@ class TestRingSpectrum:
         h2 = sum(np.kron(PAULI[a], PAULI[a]) for a in "xyz").real
         assert self._assert_matches_dense(h2, n).ground_space_dim == 4
 
-    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_random_invariant_matrix(self, n):
         # Beyond the model: the ring sum of a random real symmetric bond term,
         # averaged over the flip, is a random invariant matrix; with no
-        # site-swap symmetry its blocks k and -k are complex and not equivalent
+        # site-swap symmetry its blocks k and -k are complex and not equivalent.
+        # n = 2 is the one size with a sector that holds no state, (1, +),
+        # whose empty block goes through eigvalsh with the rest
         rng = np.random.default_rng(n)
         a = rng.normal(size=(4, 4))
         a += a.T
@@ -615,18 +617,23 @@ class TestEighOnlyInGroundSectors:
                 solved = _eigh_sectors(calls, n)
                 assert sorted(solved) == sorted((k, s, len(self.G)) for k, s in ground), where
 
-    def test_second_pass_solves_a_sector_the_estimate_missed(self, monkeypatch):
-        # eigvalsh puts sector (0, +) lower by 1: the cut estimated from it
-        # leaves out the other ground sector, (0, -), until eigh's values of
-        # (0, +) move the cut back up; a second eigh pass then solves (0, -)
+    def test_every_counted_level_has_its_vector(self, monkeypatch):
+        # eigvalsh puts sector (0, +) lower by 1, so the cut taken on its values
+        # leaves out the other ground sector, (0, -): eigh solves (0, +) alone,
+        # and each level counted within the cut still gets a ground vector
         h2 = np.array([bond_operator(params(g=g, n=6), "coupling") for g in BATCH_G])
-        clean = ring_spectrum(h2, 6)
         calls = _record_eigensolves(monkeypatch)
         recorded, shifts = np.linalg.eigvalsh, iter([1.0])  # the first call, sector (0, +)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda blocks: recorded(blocks) - next(shifts, 0.0))
         specs = ring_spectrum(h2, 6)
-        assert _eigh_sectors(calls, 6) == [(0, 1, len(BATCH_G)), (0, -1, len(BATCH_G))]
-        assert all(_same_spectrum(a, b) for a, b in zip(specs, clean))
+        assert _eigh_sectors(calls, 6) == [(0, 1, len(BATCH_G))]
+        for g, h, spec in zip(BATCH_G, h2, specs):
+            v = spec.ground_vectors
+            assert spec.ground_space_dim == v.shape[1] >= 1, g
+            assert np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) < 1e-12, g
+            # eigenvectors of H at the lowest level, which eigh's values of (0, +) hold
+            scale = np.abs(spec.eigenvalues).max()
+            assert np.max(np.abs(ring_apply(h, v, 6) - spec.eigenvalues[0] * v)) < 1e-12 * scale, g
 
 
 class TestRelativeGroundCut:
@@ -638,7 +645,7 @@ class TestRelativeGroundCut:
         assert cert.degeneracy == 2
         assert cert.overlap == pytest.approx(1.0, abs=1e-12)
         assert cert.residual < 1e-6
-        assert cert.energy == cert.expected
+        assert cert.energy == -4 * constant_shift(params(eps, eta, g=1e4, n=4))
 
     def test_dense_spectrum_cut(self):
         # a gap of 5e-14 of the spectral radius is one ground space, 2e-13 two levels
